@@ -1,105 +1,25 @@
 //! Cold-start benchmark: how fast does a deployment come back from disk?
 //!
-//! Three measurements on a ≥100k-edge graph:
-//!
-//! * **JSON snapshot reload** — the legacy `kgraph::io::load_snapshot`
-//!   path (serde text round trip + lookup rebuilds);
-//! * **binary snapshot reload** — `kgraph::io::binary::load` (checksummed
-//!   little-endian sections; the target is ≥10× faster than JSON);
-//! * **snapshot + WAL replay** — `LiveDeployment::open` of a churned
-//!   deployment: binary snapshot load plus committed-epoch replay, the
-//!   real crash-recovery path.
+//! `ShardedDeployment::open` of a churned 1-shard deployment — the
+//! manifest's snapshot set (meta file + edge slice) recomposed into the
+//! CSR, plus replay of 2k committed WAL ops: the real crash-recovery path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::churn::{apply_churn, churn_stream};
 use datagen::dataset::DatasetSpec;
-use kgraph::{GraphBuilder, KnowledgeGraph};
-use sgq::LiveDeployment;
+use sgq::ShardedDeployment;
 use std::hint::black_box;
-use std::path::PathBuf;
-use std::time::Instant;
-
-/// Synthetic graph sized to the acceptance floor: 30k entities, 120k
-/// edges, realistic label/type/predicate cardinalities.
-fn big_graph() -> KnowledgeGraph {
-    const NODES: u32 = 30_000;
-    const EDGES: u32 = 120_000;
-    let mut b = GraphBuilder::new();
-    for i in 0..NODES {
-        b.add_node(&format!("Entity_{i}"), &format!("Type_{}", i % 64));
-    }
-    for e in 0..EDGES {
-        let src = e % NODES;
-        let dst = (e.wrapping_mul(2_654_435_761) ^ 0x9E37) % NODES;
-        b.add_triple(
-            (&format!("Entity_{src}"), ""),
-            &format!("predicate_{}", e % 96),
-            (&format!("Entity_{dst}"), ""),
-        );
-    }
-    b.finish()
-}
-
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("semkg_cold_start_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn bench_cold_start(c: &mut Criterion) {
-    let dir = scratch_dir();
-    let graph = big_graph();
-    println!(
-        "graph: {} nodes, {} edges, {} predicates",
-        graph.node_count(),
-        graph.edge_count(),
-        graph.predicate_count()
-    );
-    assert!(graph.edge_count() >= 100_000, "acceptance floor");
-
-    let json_path = dir.join("g.json");
-    let bin_path = dir.join("g.kgb");
-    kgraph::io::save_snapshot(&graph, &json_path).unwrap();
-    kgraph::io::binary::save(&graph, 0, &bin_path).unwrap();
-    let json_bytes = std::fs::metadata(&json_path).unwrap().len();
-    let bin_bytes = std::fs::metadata(&bin_path).unwrap().len();
-
-    // Ratio measurement first (explicit reps: JSON is far too slow for the
-    // shim's calibrated sampling to stay within budget).
-    let json_reps = 3;
-    let t0 = Instant::now();
-    for _ in 0..json_reps {
-        black_box(kgraph::io::load_snapshot(&json_path).unwrap());
-    }
-    let json_load = t0.elapsed() / json_reps;
-    let bin_reps = 15;
-    let t0 = Instant::now();
-    for _ in 0..bin_reps {
-        black_box(kgraph::io::binary::load(&bin_path).unwrap());
-    }
-    let bin_load = t0.elapsed() / bin_reps;
-    let speedup = json_load.as_secs_f64() / bin_load.as_secs_f64();
-    println!(
-        "snapshot reload ({} edges): json {json_load:?} ({json_bytes} B) | binary {bin_load:?} \
-         ({bin_bytes} B) | speedup {speedup:.1}x (target >= 10x)",
-        graph.edge_count()
-    );
-
-    let mut group = c.benchmark_group("cold_start");
-    group.sample_size(10);
-    group.bench_function("binary_load_120k_edges", |b| {
-        b.iter(|| kgraph::io::binary::load(&bin_path).unwrap().0.edge_count())
-    });
-
-    // Crash-recovery path: a churned deployment cold-starting from
-    // snapshot + committed WAL epochs.
+    let dir = std::env::temp_dir().join(format!("semkg_cold_start_{}", std::process::id()));
     let ds = DatasetSpec::dbpedia_like(1.0).build();
     let deploy_dir = dir.join("deployment");
-    let deployment = LiveDeployment::create(
+    let deployment = ShardedDeployment::create(
         &deploy_dir,
         ds.graph.clone(),
         ds.oracle_space(),
         ds.library.clone(),
+        1,
     )
     .unwrap();
     let ops = churn_stream(&ds, 2_000, 17);
@@ -114,15 +34,18 @@ fn bench_cold_start(c: &mut Criterion) {
         live.commit();
     }
     drop(deployment);
+
+    let mut group = c.benchmark_group("cold_start");
+    group.sample_size(10);
     group.bench_function("open_snapshot_plus_2k_op_wal", |b| {
         b.iter(|| {
-            let d = LiveDeployment::open(&deploy_dir).unwrap();
+            let d = ShardedDeployment::open(&deploy_dir).unwrap();
             black_box(d.versioned().epoch())
         })
     });
     group.finish();
 
-    let reopened = LiveDeployment::open(&deploy_dir).unwrap();
+    let reopened = ShardedDeployment::open(&deploy_dir).unwrap();
     println!(
         "wal replay: {} ops over {} epochs -> epoch {} ({} edges live)",
         reopened.recovery().ops_replayed,

@@ -1,6 +1,6 @@
 //! Scan-kernel before/after: the vocabulary-scale hot loops.
 //!
-//! Three measurements, each comparing [`sgq::ScanMode::ScalarReference`]
+//! Two measurements, each comparing [`sgq::ScanMode::ScalarReference`]
 //! (the pre-kernel loops) against [`sgq::ScanMode::Kernel`] on the same
 //! service and workload, with answers asserted bit-identical first:
 //!
@@ -12,10 +12,7 @@
 //! * **expansion** — the same graph drained with τ = 0 and an unreachable
 //!   k, so every source is popped and every adjacency edge weighted;
 //!   reported as ns per examined edge (`QueryStats::edges_examined` is the
-//!   exact denominator), the precomputed-`ln` lookup's target;
-//! * **cold-start buffering** — `kgraph::io::binary::load_with_stats` on a
-//!   120k-edge snapshot: peak transient buffer vs file size (the pre-stream
-//!   loader buffered the whole file).
+//!   exact denominator), the precomputed-`ln` lookup's target.
 //!
 //! The numbers land in `BENCH_scan.json` at the workspace root for the PR
 //! report; as in `benches/sharded.rs` there is deliberately **no** hard
@@ -130,14 +127,6 @@ struct PairReport {
 }
 
 #[derive(Serialize)]
-struct ColdStartReport {
-    file_bytes: u64,
-    peak_buffer_bytes: usize,
-    buffering_ratio: f64,
-    load_ms: f64,
-}
-
-#[derive(Serialize)]
 struct TracingReport {
     unit: &'static str,
     tracing_off: f64,
@@ -153,7 +142,6 @@ struct ScanReport {
     degree: usize,
     seed_scoring: PairReport,
     expansion: PairReport,
-    cold_start: ColdStartReport,
     tracing: TracingReport,
 }
 
@@ -331,25 +319,6 @@ fn bench_scan(c: &mut Criterion) {
         );
     }
 
-    // --- Cold-start buffering: the streamed loader's peak transient buffer
-    // vs the file size the old double-buffered loader held in memory.
-    let dir = std::env::temp_dir().join(format!("semkg_scan_bench_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let bin_path = dir.join("g.kgb");
-    kgraph::io::binary::save(&graph, 0, &bin_path).unwrap();
-    let file_bytes = std::fs::metadata(&bin_path).unwrap().len();
-    let t0 = Instant::now();
-    let reps = 10;
-    let mut stats = kgraph::io::binary::LoadStats::default();
-    for _ in 0..reps {
-        let (g, _, s) = kgraph::io::binary::load_with_stats(&bin_path).unwrap();
-        black_box(g.edge_count());
-        stats = s;
-    }
-    let load_ms = t0.elapsed().as_secs_f64() * 1e3 / reps as f64;
-    assert_eq!(stats.bytes_read, file_bytes);
-    let _ = std::fs::remove_dir_all(&dir);
-
     let report = ScanReport {
         bench: "scan",
         sources: SOURCES,
@@ -366,12 +335,6 @@ fn bench_scan(c: &mut Criterion) {
             kernel: kernel_edge_ns,
             speedup: scalar_edge_ns / kernel_edge_ns,
         },
-        cold_start: ColdStartReport {
-            file_bytes,
-            peak_buffer_bytes: stats.peak_buffer_bytes,
-            buffering_ratio: file_bytes as f64 / stats.peak_buffer_bytes as f64,
-            load_ms,
-        },
         tracing: TracingReport {
             unit: "ns_per_exec",
             tracing_off: off_exec_ns,
@@ -383,14 +346,9 @@ fn bench_scan(c: &mut Criterion) {
         "\nscan kernels ({SOURCES} φ candidates × degree {DEGREE}):\n  seed scoring   scalar \
          {scalar_seed_ns:>7.1} ns/cand | kernel {kernel_seed_ns:>7.1} ns/cand | {:.2}x\n  \
          expansion      scalar {scalar_edge_ns:>7.1} ns/edge | kernel {kernel_edge_ns:>7.1} \
-         ns/edge | {:.2}x\n  cold start     file {file_bytes} B | peak buffer {} B ({:.1}x less \
-         buffering) | {load_ms:.1} ms/load\n  tracing        off {off_exec_ns:>7.0} ns/exec | \
+         ns/edge | {:.2}x\n  tracing        off {off_exec_ns:>7.0} ns/exec | \
          1-in-1 {on_exec_ns:>7.0} ns/exec | {:.2}x overhead",
-        report.seed_scoring.speedup,
-        report.expansion.speedup,
-        stats.peak_buffer_bytes,
-        report.cold_start.buffering_ratio,
-        report.tracing.overhead_ratio,
+        report.seed_scoring.speedup, report.expansion.speedup, report.tracing.overhead_ratio,
     );
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");

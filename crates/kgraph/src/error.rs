@@ -33,15 +33,13 @@ pub enum KgError {
     },
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// Serialization failure.
-    Serde(String),
     /// A snapshot file could not be loaded or saved: the error carries the
-    /// path and on-disk format so a raw serde/decoder message never
-    /// surfaces without file context.
+    /// path and on-disk format so a raw decoder message never surfaces
+    /// without file context.
     Snapshot {
         /// Path of the offending file.
         path: std::path::PathBuf,
-        /// On-disk format (`"json"`, `"binary"`, `"tsv"`).
+        /// On-disk format (`"sharded"`, `"tsv"`).
         format: &'static str,
         /// What went wrong.
         detail: String,
@@ -98,7 +96,6 @@ impl fmt::Display for KgError {
                 write!(f, "malformed triple at line {line}: {reason}")
             }
             KgError::Io(e) => write!(f, "i/o error: {e}"),
-            KgError::Serde(e) => write!(f, "serialization error: {e}"),
             KgError::Snapshot {
                 path,
                 format,
@@ -124,12 +121,6 @@ impl std::error::Error for KgError {
 impl From<std::io::Error> for KgError {
     fn from(e: std::io::Error) -> Self {
         KgError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for KgError {
-    fn from(e: serde_json::Error) -> Self {
-        KgError::Serde(e.to_string())
     }
 }
 

@@ -219,17 +219,16 @@ impl GraphBuilder {
 
 /// An immutable knowledge graph `G = (V, E, L)` with CSR adjacency.
 ///
-/// Fields are `pub(crate)` so the binary snapshot codec
-/// ([`crate::io::binary`]) can dump and reconstruct the CSR arrays without
-/// re-running the builder's counting sorts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Fields are `pub(crate)` so the snapshot codec ([`crate::io::shard`])
+/// can dump the vocabulary and edge arrays and reconstruct the graph
+/// without going through the builder.
+#[derive(Debug, Clone)]
 pub struct KnowledgeGraph {
     pub(crate) names: Interner,
     pub(crate) types: Interner,
     pub(crate) predicates: Interner,
     pub(crate) node_name: Vec<u32>,
     pub(crate) node_type: Vec<TypeId>,
-    #[serde(skip)]
     pub(crate) name_to_node: FxHashMap<u32, NodeId>,
     pub(crate) nodes_by_type: Vec<Vec<NodeId>>,
     pub(crate) edges: Vec<EdgeRecord>,
@@ -237,7 +236,6 @@ pub struct KnowledgeGraph {
     pub(crate) out_edges: Vec<EdgeId>,
     pub(crate) in_offsets: Vec<u32>,
     pub(crate) in_edges: Vec<EdgeId>,
-    #[serde(default)]
     pub(crate) duplicate_edges_dropped: usize,
 }
 
@@ -431,19 +429,6 @@ impl KnowledgeGraph {
         }
         TypeId::new(id)
     }
-
-    /// Rebuilds skipped lookup tables after deserialization.
-    pub fn rebuild_after_deserialize(&mut self) {
-        self.names.rebuild_lookup();
-        self.types.rebuild_lookup();
-        self.predicates.rebuild_lookup();
-        self.name_to_node = self
-            .node_name
-            .iter()
-            .enumerate()
-            .map(|(i, &name)| (name, NodeId::new(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -559,18 +544,6 @@ mod tests {
         let g = b.finish();
         assert_eq!(g.degree(a), 2);
         assert_eq!(g.neighbors(a).count(), 2);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let g = tiny();
-        let json = serde_json::to_string(&g).unwrap();
-        let mut back: KnowledgeGraph = serde_json::from_str(&json).unwrap();
-        back.rebuild_after_deserialize();
-        assert_eq!(back.node_count(), g.node_count());
-        let audi = back.node_by_name("Audi_TT").unwrap();
-        assert_eq!(back.node_type_name(audi), "Automobile");
-        assert_eq!(back.degree(audi), 2);
     }
 
     #[test]

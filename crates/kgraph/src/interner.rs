@@ -5,7 +5,6 @@
 //! strings. The interner is append-only: ids are dense and stable.
 
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// An append-only string pool mapping strings to dense `u32` ids and back.
 ///
@@ -16,10 +15,9 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(i.intern("assembly"), a); // idempotent
 /// assert_eq!(i.resolve(a), "assembly");
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Interner {
     strings: Vec<Box<str>>,
-    #[serde(skip)]
     lookup: FxHashMap<Box<str>, u32>,
 }
 
@@ -77,19 +75,8 @@ impl Interner {
             .map(|(i, s)| (i as u32, s.as_ref()))
     }
 
-    /// Rebuilds the reverse lookup table; required after deserialization
-    /// because the map is not serialized (the vector is authoritative).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i as u32))
-            .collect();
-    }
-
     /// Builds an interner directly from its id-ordered string table (the
-    /// binary-snapshot decode path — one hash per string instead of
+    /// snapshot decode path — one hash per string instead of
     /// [`Self::intern`]'s lookup-then-insert two). Returns `None` when the
     /// table holds a duplicate, which a well-formed snapshot never does.
     pub fn from_strings(strings: Vec<Box<str>>) -> Option<Self> {
@@ -141,19 +128,6 @@ mod tests {
         }
         let collected: Vec<_> = i.iter().map(|(_, s)| s.to_string()).collect();
         assert_eq!(collected, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn serde_roundtrip_rebuilds_lookup() {
-        let mut i = Interner::new();
-        i.intern("x");
-        i.intern("y");
-        let json = serde_json::to_string(&i).unwrap();
-        let mut back: Interner = serde_json::from_str(&json).unwrap();
-        back.rebuild_lookup();
-        assert_eq!(back.get("y"), Some(1));
-        assert_eq!(back.intern("x"), 0);
-        assert_eq!(back.intern("z"), 2);
     }
 
     proptest! {

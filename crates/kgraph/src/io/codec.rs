@@ -1,5 +1,5 @@
-//! Low-level little-endian encoding shared by the binary snapshot format
-//! ([`super::binary`]) and the write-ahead log ([`super::wal`]).
+//! Low-level little-endian encoding shared by the deployment layout's
+//! snapshot files and write-ahead logs ([`super::shard`], [`super::wal`]).
 //!
 //! Everything is explicit little-endian via `to_le_bytes`/`from_le_bytes`,
 //! so files are portable across hosts. Integrity is a 64-bit FNV-style

@@ -1,16 +1,14 @@
 //! Loading and saving knowledge graphs.
 //!
-//! Three formats are supported:
+//! Two formats are supported:
 //! * 5-column TSV triples (see [`crate::triple`]) — the interchange format,
-//! * JSON snapshots of the frozen [`KnowledgeGraph`] — human-inspectable,
-//!   slower to reload,
-//! * [`binary`] snapshots — checksummed little-endian dumps of the interner
-//!   tables and CSR arrays, the cold-start format (an order of magnitude
-//!   faster to reload than JSON; see `benches/cold_start.rs`).
-//!
-//! The [`wal`] module adds an append-only write-ahead log so a
-//! [`crate::VersionedGraph`]'s committed epochs survive a crash; see
-//! [`crate::VersionedGraph::recover`].
+//! * the [`shard`] deployment layout — an epoch manifest, checksummed
+//!   little-endian snapshot files (interner tables, node arrays, per-shard
+//!   edge slices) and one write-ahead log per shard, so a
+//!   [`crate::VersionedGraph`]'s committed epochs survive a crash (see
+//!   [`crate::VersionedGraph::recover_sharded`]). It is the only durable
+//!   layout; a single-store deployment is its 1-shard case. The [`wal`]
+//!   module defines the logged records.
 //!
 //! The [`codec`] primitives (little-endian cursors, checked length-prefixed
 //! containers, `checksum64`) also back the `semkg-server` wire protocol, so
@@ -18,11 +16,9 @@
 //! the socket tier safe against hostile peers; see `crates/server/README.md`
 //! for the frame layout.
 //!
-//! All loaders wrap underlying parse/serde failures in
-//! [`KgError::Snapshot`] so errors always carry the offending path and
-//! format.
+//! All loaders wrap underlying parse failures in [`KgError::Snapshot`] so
+//! errors always carry the offending path and format.
 
-pub mod binary;
 pub mod codec;
 pub mod shard;
 pub mod wal;
@@ -101,30 +97,6 @@ pub fn save_tsv(graph: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<()> {
         e @ KgError::Snapshot { .. } => e,
         e => KgError::snapshot(path, "tsv", e),
     })
-}
-
-/// Saves a frozen graph as a JSON snapshot.
-pub fn save_snapshot(graph: &KnowledgeGraph, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let file = BufWriter::new(
-        std::fs::File::create(path).map_err(|e| KgError::snapshot(path, "json", e))?,
-    );
-    serde_json::to_writer(file, graph).map_err(|e| KgError::snapshot(path, "json", e))?;
-    Ok(())
-}
-
-/// Loads a JSON snapshot, rebuilding in-memory lookup tables.
-///
-/// Malformed input surfaces as [`KgError::Snapshot`] carrying the path and
-/// the underlying parse error, never a bare serde message.
-pub fn load_snapshot(path: impl AsRef<Path>) -> Result<KnowledgeGraph> {
-    let path = path.as_ref();
-    let file =
-        BufReader::new(std::fs::File::open(path).map_err(|e| KgError::snapshot(path, "json", e))?);
-    let mut graph: KnowledgeGraph =
-        serde_json::from_reader(file).map_err(|e| KgError::snapshot(path, "json", e))?;
-    graph.rebuild_after_deserialize();
-    Ok(graph)
 }
 
 #[cfg(test)]
@@ -231,55 +203,5 @@ mod tests {
         assert_eq!(back.edge_count(), g.edge_count());
         assert!(back.node_by_name("#not a comment").is_some());
         assert!(back.node_by_name("multi\r\nline").is_some());
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let dir = TestDir::new("io_json");
-        let path = dir.path("g.json");
-        let g = graph_from_triples(sample());
-        save_snapshot(&g, &path).unwrap();
-        let back = load_snapshot(&path).unwrap();
-        assert_eq!(back.edge_count(), 2);
-        let audi = back.node_by_name("Audi_TT").unwrap();
-        assert_eq!(back.degree(audi), 2);
-    }
-
-    #[test]
-    fn load_snapshot_wraps_missing_file_with_context() {
-        let dir = TestDir::new("io_json_missing");
-        let path = dir.path("nope.json");
-        let err = load_snapshot(&path).unwrap_err();
-        assert!(matches!(err, KgError::Snapshot { .. }), "{err:?}");
-        let msg = err.to_string();
-        assert!(msg.contains("nope.json"), "{msg}");
-        assert!(msg.contains("json format"), "{msg}");
-    }
-
-    #[test]
-    fn load_snapshot_wraps_malformed_json_with_context() {
-        let dir = TestDir::new("io_json_bad");
-        let path = dir.path("bad.json");
-        std::fs::write(&path, b"{\"names\": [not json").unwrap();
-        let err = load_snapshot(&path).unwrap_err();
-        let msg = err.to_string();
-        assert!(matches!(err, KgError::Snapshot { .. }), "{err:?}");
-        assert!(msg.contains("bad.json"), "{msg}");
-    }
-
-    #[test]
-    fn load_snapshot_wraps_truncated_json_with_context() {
-        let dir = TestDir::new("io_json_trunc");
-        let full = dir.path("full.json");
-        let g = graph_from_triples(sample());
-        save_snapshot(&g, &full).unwrap();
-        let bytes = std::fs::read(&full).unwrap();
-        let cut = dir.path("cut.json");
-        std::fs::write(&cut, &bytes[..bytes.len() / 2]).unwrap();
-        let err = load_snapshot(&cut).unwrap_err();
-        let msg = err.to_string();
-        assert!(matches!(err, KgError::Snapshot { .. }), "{err:?}");
-        assert!(msg.contains("cut.json"), "{msg}");
-        assert!(msg.contains("json format"), "{msg}");
     }
 }

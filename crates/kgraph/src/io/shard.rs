@@ -1,5 +1,6 @@
 //! Per-shard on-disk layout: sharded snapshots, sharded write-ahead logs,
-//! and the epoch manifest coordinating them.
+//! and the epoch manifest coordinating them. This is the one durable
+//! layout; a single-store deployment is its 1-shard case.
 //!
 //! A sharded deployment directory holds one *manifest* (the single epoch
 //! coordinator), one *meta* file (the global vocabulary + node tables), one
@@ -35,6 +36,17 @@
 //! order by `seq`, which reproduces the exact id assignment (and therefore
 //! bit-identical answers) of the pre-crash store.
 //!
+//! ```text
+//! log    := magic "KGSWAL01" record*
+//! record := len:u32  body:len bytes  checksum:u64 of body
+//! body   := seq:u64  WalOp            (see super::wal for the op encoding)
+//! ```
+//!
+//! A crash can tear a log's final record (partial frame or bad checksum);
+//! readers stop there, and recovery truncates each log back to its last
+//! committed marker so torn bytes and staged-but-uncommitted ops are
+//! discarded rather than replayed as a half-applied epoch.
+//!
 //! Epoch markers (`Commit`/`Compact`) are written to **every** shard log
 //! under one shared `seq` and fsynced everywhere before the epoch
 //! publishes. Recovery's coordinated epoch is the *minimum* over shards of
@@ -42,10 +54,11 @@
 //! was never published (the writer fsyncs all logs before publishing), so
 //! it rolls back everywhere — all shards restore to one consistent epoch.
 
-use super::codec::{checksum64, put_u32, put_u64, Cursor};
+use super::codec::{checksum64, put_str, put_u32, put_u64, Cursor};
 use crate::error::{KgError, Result};
 use crate::graph::{EdgeRecord, KnowledgeGraph};
 use crate::ids::{EdgeId, NodeId, PredicateId, TypeId};
+use crate::interner::Interner;
 use crate::io::wal::WalOp;
 use crate::shard::Partitioner;
 use rustc_hash::FxHashMap;
@@ -165,6 +178,59 @@ fn read_blob(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>> {
     Ok(body.to_vec())
 }
 
+/// Appends an interner's id-ordered string table: a `u32` count, then
+/// length-prefixed UTF-8 strings.
+fn encode_interner(out: &mut Vec<u8>, interner: &Interner) {
+    put_u32(out, interner.len() as u32);
+    for (_, s) in interner.iter() {
+        put_str(out, s);
+    }
+}
+
+/// Reads a table written by [`encode_interner`].
+fn decode_interner(c: &mut Cursor<'_>, what: &str) -> std::result::Result<Interner, String> {
+    let n = c.u32(what)? as usize;
+    // Every string costs at least its 4-byte length prefix, so the bytes
+    // left bound the count: a corrupt `n` cannot size the allocation.
+    let mut strings = Vec::with_capacity(n.min(c.remaining() / 4));
+    for _ in 0..n {
+        strings.push(Box::<str>::from(c.str(what)?));
+    }
+    Interner::from_strings(strings).ok_or_else(|| format!("{what}: duplicate interned string"))
+}
+
+/// A shard slice body: its header fields and its raw 16-byte
+/// `(edge_id, src, dst, predicate)` entries.
+struct SliceBody<'a> {
+    epoch: u64,
+    shard: u32,
+    shards: u32,
+    entries: &'a [u8],
+}
+
+fn parse_slice(body: &[u8]) -> std::result::Result<SliceBody<'_>, String> {
+    let mut c = Cursor::new(body);
+    let epoch = c.u64("epoch")?;
+    let shard = c.u32("shard index")?;
+    let shards = c.u32("shard count")?;
+    let count = c.u32("entry count")? as usize;
+    // checked_mul: a corrupt count must not wrap usize into a small
+    // in-bounds read on 32-bit targets.
+    let byte_len = count
+        .checked_mul(16)
+        .ok_or_else(|| format!("corrupt entry count {count}: byte length overflows"))?;
+    let entries = c.take(byte_len, "edge entries")?;
+    if c.remaining() != 0 {
+        return Err(format!("{} trailing bytes", c.remaining()));
+    }
+    Ok(SliceBody {
+        epoch,
+        shard,
+        shards,
+        entries,
+    })
+}
+
 /// Atomically points the manifest at `epoch` (the checkpoint commit point).
 pub fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<()> {
     let mut body = Vec::with_capacity(12);
@@ -223,7 +289,7 @@ pub fn save_sharded(
     put_u64(&mut body, epoch);
     put_u32(&mut body, k as u32);
     for interner in [&graph.names, &graph.types, &graph.predicates] {
-        body.extend_from_slice(&super::binary::encode_interner(interner));
+        encode_interner(&mut body, interner);
     }
     super::codec::put_u32_array(&mut body, graph.node_name.iter().copied());
     super::codec::put_u32_array(&mut body, graph.node_type.iter().map(|t| t.0));
@@ -320,20 +386,9 @@ pub fn load_sharded(dir: impl AsRef<Path>) -> Result<(KnowledgeGraph, Partitione
             manifest.shards
         )));
     }
-    // The interner payloads are length-delimited internally; re-slice them
-    // through the cursor by decoding in place.
-    let mut decode_interner_inline = |what: &str| -> Result<crate::interner::Interner> {
-        let n = c.u32(what).map_err(wrap_meta)? as usize;
-        let mut strings = Vec::with_capacity(n.min(body.len()));
-        for _ in 0..n {
-            strings.push(Box::<str>::from(c.str(what).map_err(wrap_meta)?));
-        }
-        crate::interner::Interner::from_strings(strings)
-            .ok_or_else(|| wrap_meta(format!("{what}: duplicate interned string")))
-    };
-    let names = decode_interner_inline("names")?;
-    let types = decode_interner_inline("types")?;
-    let predicates = decode_interner_inline("predicates")?;
+    let names = decode_interner(&mut c, "names").map_err(wrap_meta)?;
+    let types = decode_interner(&mut c, "types").map_err(wrap_meta)?;
+    let predicates = decode_interner(&mut c, "predicates").map_err(wrap_meta)?;
     let node_name = c.u32_array("node names").map_err(wrap_meta)?;
     let node_type: Vec<TypeId> = c
         .u32_array("node types")
@@ -360,16 +415,21 @@ pub fn load_sharded(dir: impl AsRef<Path>) -> Result<(KnowledgeGraph, Partitione
         return Err(wrap_meta("node type id out of interner range".into()));
     }
 
-    // Collect the shard slices into the dense global edge array.
-    let mut edges: Vec<Option<EdgeRecord>> = vec![None; m];
+    // Frame-check every shard slice and count its entries before anything
+    // sized by the meta file's edge count is allocated: `m` is only a claim
+    // until slices whose lengths the reads have bounded back it, so a
+    // corrupt count fails here instead of sizing a multi-GiB array.
+    let mut slices = Vec::with_capacity(partitioner.shards());
+    let mut entries = 0usize;
     for shard in 0..partitioner.shards() {
         let path = shard_snapshot_path(dir, shard, epoch);
-        let wrap = |detail: String| KgError::snapshot(&path, "sharded", detail);
         let body = read_blob(&path, SHARD_MAGIC)?;
-        let mut c = Cursor::new(&body);
-        let file_epoch = c.u64("epoch").map_err(wrap)?;
-        let file_shard = c.u32("shard index").map_err(wrap)?;
-        let file_shards = c.u32("shard count").map_err(wrap)?;
+        let SliceBody {
+            epoch: file_epoch,
+            shard: file_shard,
+            shards: file_shards,
+            entries: raw,
+        } = parse_slice(&body).map_err(|detail| KgError::snapshot(&path, "sharded", detail))?;
         if file_epoch != epoch || file_shard as usize != shard || file_shards != manifest.shards {
             return Err(KgError::Shard(format!(
                 "shard file {} disagrees with manifest (epoch {file_epoch}/{epoch}, \
@@ -378,18 +438,20 @@ pub fn load_sharded(dir: impl AsRef<Path>) -> Result<(KnowledgeGraph, Partitione
                 manifest.shards
             )));
         }
-        let count = c.u32("entry count").map_err(wrap)? as usize;
-        // checked_mul: a corrupt count must not wrap usize into a small
-        // in-bounds read on 32-bit targets.
-        let byte_len = count.checked_mul(16).ok_or_else(|| {
-            wrap(format!(
-                "corrupt entry count {count}: byte length overflows"
-            ))
-        })?;
-        let raw = c.take(byte_len, "edge entries").map_err(wrap)?;
-        if c.remaining() != 0 {
-            return Err(wrap(format!("{} trailing bytes", c.remaining())));
-        }
+        entries += raw.len() / 16;
+        slices.push((path, body));
+    }
+    if entries != m {
+        return Err(wrap_meta(format!(
+            "edge count {m} disagrees with the {entries} entries across the shard slices"
+        )));
+    }
+
+    // Collect the shard slices into the dense global edge array.
+    let mut edges: Vec<Option<EdgeRecord>> = vec![None; m];
+    for (shard, (path, body)) in slices.iter().enumerate() {
+        let wrap = |detail: String| KgError::snapshot(path, "sharded", detail);
+        let raw = parse_slice(body).map_err(wrap)?.entries;
         for entry in raw.chunks_exact(16) {
             let u32_at = |o: usize| u32::from_le_bytes(entry[o..o + 4].try_into().unwrap()); // lint-ok(panic-freedom): chunks_exact(16) yields exactly 16-byte entries; o+4 <= 16 at every call
             let id = u32_at(0) as usize;
@@ -531,7 +593,9 @@ impl ShardLog {
 
 impl ShardedWalWriter {
     /// Creates (or truncates) one fresh log per shard, each with its magic
-    /// fsynced (mirroring [`super::wal::WalWriter::create`]).
+    /// fsynced: the truncate-then-write is not atomic, so the magic is made
+    /// durable immediately and [`read_sharded_wal`] treats a log caught
+    /// inside this window (shorter than the magic) as empty, not corrupt.
     pub fn create(dir: impl AsRef<Path>, partitioner: Partitioner) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
@@ -1126,5 +1190,64 @@ mod tests {
         let err = read_sharded_wal(dir.path(""), 2).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
         assert!(err.to_string().contains("roll back"), "{err}");
+    }
+
+    #[test]
+    fn hostile_manifest_meta_and_shard_files_fail_typed() {
+        // Bad magic, an unsupported version, a flipped body byte and every
+        // truncation of each file must surface as a typed snapshot error
+        // naming the file — never a panic, never a mis-loaded graph.
+        let dir = TestDir::new("shard_hostile");
+        let root = dir.path("");
+        save_sharded(&sample(), &Partitioner::new(2).unwrap(), 3, &root).unwrap();
+        for path in [
+            manifest_path(&root),
+            meta_path(&root, 3),
+            shard_snapshot_path(&root, 0, 3),
+            shard_snapshot_path(&root, 1, 3),
+        ] {
+            let good = std::fs::read(&path).unwrap();
+            let mut cases = Vec::new();
+            let mut bad_magic = good.clone();
+            bad_magic[0] ^= 0xff;
+            cases.push((bad_magic, "bad magic"));
+            let mut bad_version = good.clone();
+            bad_version[8] = 99; // the u32 version follows the 8-byte magic
+            cases.push((bad_version, "version 99"));
+            let mut flipped = good.clone();
+            flipped[20] ^= 0x40; // first body byte: magic + version + length
+            cases.push((flipped, "checksum mismatch"));
+            for cut in 0..good.len() {
+                cases.push((good[..cut].to_vec(), "truncated"));
+            }
+            for (bytes, expected) in cases {
+                std::fs::write(&path, &bytes).unwrap();
+                let err = load_sharded(&root).unwrap_err();
+                assert!(matches!(err, KgError::Snapshot { .. }), "{err:?}");
+                let msg = err.to_string();
+                assert!(msg.contains(expected), "{msg}");
+                assert!(msg.contains(&*path.file_name().unwrap().to_string_lossy()));
+            }
+            std::fs::write(&path, &good).unwrap();
+        }
+        load_sharded(&root).expect("restored files load again");
+    }
+
+    #[test]
+    fn meta_edge_count_must_be_backed_by_the_slices() {
+        // A meta file with a valid checksum whose edge count claims
+        // u32::MAX edges once sized a 64 GiB array before any shard slice
+        // was read, aborting the process; it must fail typed instead.
+        let dir = TestDir::new("shard_hostile_count");
+        let root = dir.path("");
+        save_sharded(&sample(), &Partitioner::new(1).unwrap(), 1, &root).unwrap();
+        let meta = meta_path(&root, 1);
+        let mut body = read_blob(&meta, META_MAGIC).unwrap();
+        let count_at = body.len() - 4; // the edge count ends the body
+        body[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        write_blob_atomic(&meta, META_MAGIC, &body).unwrap();
+        let err = load_sharded(&root).unwrap_err();
+        assert!(matches!(err, KgError::Snapshot { .. }), "{err:?}");
+        assert!(err.to_string().contains("edge count"), "{err}");
     }
 }

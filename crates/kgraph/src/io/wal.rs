@@ -1,16 +1,16 @@
-//! Append-only write-ahead log for the versioned graph store.
+//! Write-ahead-log records for the versioned graph store.
 //!
-//! Every mutation a [`crate::VersionedGraph`] accepts is appended here as a
-//! label-based record (never ids — ids are epoch-scoped), and every
-//! [`commit`]/[`compact`] appends an epoch marker followed by an fsync.
-//! [`crate::VersionedGraph::recover`] replays the log on top of a base
-//! snapshot to the exact pre-crash epoch.
+//! Every mutation a [`crate::VersionedGraph`] accepts is logged as a
+//! label-based [`WalOp`] (never ids — ids are epoch-scoped), and every
+//! [`commit`]/[`compact`] logs an epoch marker followed by an fsync.
+//! [`crate::io::shard`] frames the records into one log per shard (magic,
+//! sequence numbers, checksums, torn-tail tolerance), and
+//! [`crate::VersionedGraph::recover_sharded`] replays them on top of a
+//! base snapshot set to the exact pre-crash epoch.
 //!
-//! ## Record framing
+//! ## Record body
 //!
 //! ```text
-//! file  := magic "KGWAL001" record*
-//! record := len:u32  body:len bytes  checksum:u64 of body
 //! body  := tag:u8 fields
 //!   tag 0 Insert : head, head_type, predicate, tail, tail_type  (strings)
 //!   tag 1 Delete : head, predicate, tail                        (strings)
@@ -18,12 +18,7 @@
 //!   tag 3 Compact: epoch:u64    — overlay merged into a fresh CSR
 //! ```
 //!
-//! Strings are `u32` length + UTF-8; integers little-endian. A crash can
-//! tear the final record (partial frame or bad checksum); readers stop
-//! there and report the clean prefix, and recovery truncates the file back
-//! to the last epoch marker so the torn bytes — and any trailing ops that
-//! never reached a commit — are discarded rather than replayed as a
-//! half-applied epoch.
+//! Strings are `u32` length + UTF-8; integers little-endian.
 //!
 //! `Compact` is logged (not just `Commit`) because compaction reassigns
 //! edge ids: replaying it at the same point reproduces the exact id layout,
@@ -33,14 +28,7 @@
 //! [`commit`]: crate::VersionedGraph::commit
 //! [`compact`]: crate::VersionedGraph::compact
 
-use super::codec::{checksum64, put_str, put_u32, put_u64, Cursor};
-use crate::error::{KgError, Result};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-
-/// File magic.
-pub const MAGIC: &[u8; 8] = b"KGWAL001";
+use super::codec::{put_str, put_u64, Cursor};
 
 /// One logged operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,184 +134,15 @@ impl WalOp {
     }
 }
 
-/// Appends records to a WAL file.
-#[derive(Debug)]
-pub struct WalWriter {
-    file: BufWriter<File>,
-    path: PathBuf,
-}
-
-impl WalWriter {
-    /// Creates (or truncates) the WAL at `path` and writes the file magic,
-    /// fsynced — the truncate-then-write is not atomic, so the magic is
-    /// made durable immediately and [`read`] additionally treats a file
-    /// caught inside this window (shorter than the magic) as empty rather
-    /// than corrupt.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path).map_err(|e| KgError::wal(&path, e))?;
-        let mut w = Self {
-            file: BufWriter::new(file),
-            path,
-        };
-        w.file
-            .write_all(MAGIC)
-            .and_then(|()| w.file.flush())
-            .and_then(|()| w.file.get_ref().sync_data())
-            .map_err(|e| KgError::wal(&w.path, e))?;
-        Ok(w)
-    }
-
-    /// Opens an existing WAL for appending at `byte_len` — the clean-prefix
-    /// length reported by [`read`]. The file is truncated to that length
-    /// first, so a torn tail can never be appended after.
-    pub fn open_append(path: impl AsRef<Path>, byte_len: u64) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(|e| KgError::wal(&path, e))?;
-        file.set_len(byte_len).map_err(|e| KgError::wal(&path, e))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| KgError::wal(&path, e))?;
-        Ok(Self {
-            file: BufWriter::new(file),
-            path,
-        })
-    }
-
-    /// Appends one record (buffered; call [`Self::sync`] to make it
-    /// durable — the store does so at every epoch marker).
-    pub fn append(&mut self, op: &WalOp) -> Result<()> {
-        let mut body = Vec::with_capacity(64);
-        op.encode(&mut body);
-        let mut frame = Vec::with_capacity(body.len() + 12);
-        put_u32(&mut frame, body.len() as u32);
-        frame.extend_from_slice(&body);
-        put_u64(&mut frame, checksum64(&body));
-        self.file
-            .write_all(&frame)
-            .map_err(|e| KgError::wal(&self.path, e))
-    }
-
-    /// Flushes buffered records and fsyncs the file.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.flush().map_err(|e| KgError::wal(&self.path, e))?;
-        self.file
-            .get_ref()
-            .sync_data()
-            .map_err(|e| KgError::wal(&self.path, e))
-    }
-
-    /// The path this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// Result of scanning a WAL file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalReplay {
-    /// Every record in the clean prefix, in append order.
-    pub ops: Vec<WalOp>,
-    /// Byte length of the clean prefix (magic + whole valid records).
-    pub clean_len: u64,
-    /// Byte length up to and including the last epoch marker — the
-    /// *committed* prefix recovery truncates to.
-    pub committed_len: u64,
-    /// Number of records in the committed prefix.
-    pub committed_ops: usize,
-    /// True when trailing bytes after the clean prefix were ignored (a
-    /// torn final record from a crash mid-append).
-    pub torn: bool,
-}
-
-/// Reads a WAL file, tolerating a torn final record: scanning stops at the
-/// first incomplete or checksum-failing frame and everything before it is
-/// returned. A bad *magic* is a hard error — that file is not a WAL — but
-/// a file shorter than the magic whose bytes are a *prefix* of it is a
-/// crash inside [`WalWriter::create`]'s truncate-then-write window and is
-/// reported as empty (`committed_len == 0`, torn) so recovery recreates it.
-pub fn read(path: impl AsRef<Path>) -> Result<WalReplay> {
-    let path = path.as_ref();
-    let buf = std::fs::read(path).map_err(|e| KgError::wal(path, e))?;
-    if buf.len() < MAGIC.len() {
-        if MAGIC.starts_with(&buf) {
-            return Ok(WalReplay {
-                ops: Vec::new(),
-                clean_len: 0,
-                committed_len: 0,
-                committed_ops: 0,
-                torn: true,
-            });
-        }
-        return Err(KgError::wal(path, "bad magic (not a WAL file)"));
-    }
-    if &buf[..MAGIC.len()] != MAGIC {
-        return Err(KgError::wal(path, "bad magic (not a WAL file)"));
-    }
-    let mut ops = Vec::new();
-    let mut pos = MAGIC.len();
-    let mut clean_len = pos as u64;
-    let mut committed_len = pos as u64;
-    let mut committed_ops = 0usize;
-    let mut torn = false;
-    while pos < buf.len() {
-        let frame_ok = (|| {
-            if buf.len() - pos < 4 {
-                return None;
-            }
-            let body_len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize; // lint-ok(panic-freedom): the length guard above ensures the slice is in bounds and exactly sized
-            let total = 4 + body_len + 8;
-            if buf.len() - pos < total {
-                return None;
-            }
-            let body = &buf[pos + 4..pos + 4 + body_len];
-            let stored =
-                u64::from_le_bytes(buf[pos + 4 + body_len..pos + total].try_into().unwrap()); // lint-ok(panic-freedom): the length guard above ensures the slice is in bounds and exactly sized
-            if checksum64(body) != stored {
-                return None;
-            }
-            // A frame that checksums but does not decode is real corruption,
-            // not a torn append — surface it instead of silently dropping.
-            Some(WalOp::decode(body).map(|op| (op, total)))
-        })();
-        match frame_ok {
-            None => {
-                torn = true;
-                break;
-            }
-            Some(Err(detail)) => {
-                return Err(KgError::wal(
-                    path,
-                    format!("corrupt record at byte {pos}: {detail}"),
-                ));
-            }
-            Some(Ok((op, total))) => {
-                pos += total;
-                clean_len = pos as u64;
-                let marker = op.is_marker();
-                ops.push(op);
-                if marker {
-                    committed_len = pos as u64;
-                    committed_ops = ops.len();
-                }
-            }
-        }
-    }
-    Ok(WalReplay {
-        ops,
-        clean_len,
-        committed_len,
-        committed_ops,
-        torn,
-    })
-}
-
+// The records as one shard log frames them, read back through
+// `read_sharded_wal` at one shard.
 #[cfg(test)]
 mod tests {
+    use super::super::shard::{read_sharded_wal, wal_path, ShardedWalWriter, WAL_MAGIC};
     use super::super::test_dir::TestDir;
     use super::*;
+    use crate::shard::Partitioner;
+    use std::path::Path;
 
     fn insert(h: &str, p: &str, t: &str) -> WalOp {
         WalOp::Insert {
@@ -333,10 +152,20 @@ mod tests {
         }
     }
 
+    /// Logs `ops` into a fresh 1-shard log under `dir` and returns its bytes.
+    fn write_log(dir: &Path, ops: &[WalOp]) -> Vec<u8> {
+        let mut w = ShardedWalWriter::create(dir, Partitioner::new(1).unwrap()).unwrap();
+        for op in ops {
+            w.append(op).unwrap();
+        }
+        w.sync().unwrap();
+        drop(w);
+        std::fs::read(wal_path(dir, 0)).unwrap()
+    }
+
     #[test]
     fn roundtrip_all_record_kinds() {
         let dir = TestDir::new("wal_roundtrip");
-        let path = dir.path("wal.log");
         let ops = vec![
             insert("A", "p", "B"),
             WalOp::Delete {
@@ -348,94 +177,100 @@ mod tests {
             insert("C#hostile\tname", "q\n", "D"),
             WalOp::Compact { epoch: 2 },
         ];
-        let mut w = WalWriter::create(&path).unwrap();
-        for op in &ops {
-            w.append(op).unwrap();
-        }
-        w.sync().unwrap();
-        let replay = read(&path).unwrap();
+        write_log(&dir.path(""), &ops);
+        let replay = read_sharded_wal(dir.path(""), 1).unwrap();
         assert_eq!(replay.ops, ops);
         assert!(!replay.torn);
-        assert_eq!(replay.committed_ops, ops.len());
-        assert_eq!(replay.clean_len, replay.committed_len);
+        assert_eq!(replay.discarded_ops, 0);
     }
 
     #[test]
     fn tolerates_torn_tail_at_every_cut() {
         let dir = TestDir::new("wal_torn");
-        let path = dir.path("wal.log");
-        let mut w = WalWriter::create(&path).unwrap();
-        w.append(&insert("A", "p", "B")).unwrap();
-        w.append(&WalOp::Commit { epoch: 1 }).unwrap();
-        w.append(&insert("C", "q", "D")).unwrap();
-        w.sync().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let full = read(&path).unwrap();
+        let root = dir.path("");
+        let ops = vec![
+            insert("A", "p", "B"),
+            WalOp::Commit { epoch: 1 },
+            insert("C", "q", "D"),
+        ];
+        let bytes = write_log(&root, &ops);
+        let full = read_sharded_wal(&root, 1).unwrap();
         assert!(!full.torn);
-        assert_eq!(full.committed_ops, 2, "trailing insert is uncommitted");
-        assert!(full.committed_len < full.clean_len);
+        assert_eq!(full.ops, ops[..2], "trailing insert is uncommitted");
+        assert_eq!(full.discarded_ops, 1);
 
-        // Cut the file at every byte length: replay must never fail, and
-        // must recover exactly the records whose frames fit the prefix.
-        for cut in MAGIC.len()..bytes.len() {
-            let p = dir.path("cut.log");
-            std::fs::write(&p, &bytes[..cut]).unwrap();
-            let replay = read(&p).unwrap();
-            // Torn exactly when the cut falls inside a record frame.
-            assert_eq!(replay.torn, replay.clean_len != cut as u64, "cut {cut}");
-            assert!(replay.ops.len() <= full.ops.len());
-            assert_eq!(replay.ops, full.ops[..replay.ops.len()]);
-            assert!(replay.clean_len <= cut as u64);
+        // Frame boundaries: the magic, then `len | seq + body | checksum`
+        // per record.
+        let mut ends = vec![WAL_MAGIC.len()];
+        for op in &ops {
+            let mut body = Vec::new();
+            op.encode(&mut body);
+            ends.push(ends[ends.len() - 1] + 4 + 8 + body.len() + 8);
+        }
+        assert_eq!(ends[ends.len() - 1], bytes.len());
+
+        // Cut the log at every byte length: replay must never fail, must
+        // report a torn tail exactly when the cut falls inside the magic or
+        // a frame, and must recover the commit only once its marker fits.
+        for cut in 0..bytes.len() {
+            std::fs::write(wal_path(&root, 0), &bytes[..cut]).unwrap();
+            let replay = read_sharded_wal(&root, 1).unwrap();
+            assert_eq!(replay.torn, !ends.contains(&cut), "cut {cut}");
+            let committed = if cut >= ends[2] { 2 } else { 0 };
+            assert_eq!(replay.ops, ops[..committed], "cut {cut}");
         }
     }
 
     #[test]
     fn checksum_failure_is_a_torn_tail() {
         let dir = TestDir::new("wal_bitrot");
-        let path = dir.path("wal.log");
-        let mut w = WalWriter::create(&path).unwrap();
-        w.append(&insert("A", "p", "B")).unwrap();
-        w.append(&WalOp::Commit { epoch: 1 }).unwrap();
-        w.sync().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let root = dir.path("");
+        let mut bytes = write_log(&root, &[insert("A", "p", "B"), WalOp::Commit { epoch: 1 }]);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // corrupt the final record's checksum
-        std::fs::write(&path, &bytes).unwrap();
-        let replay = read(&path).unwrap();
+        std::fs::write(wal_path(&root, 0), &bytes).unwrap();
+        let replay = read_sharded_wal(&root, 1).unwrap();
         assert!(replay.torn);
-        assert_eq!(replay.ops, vec![insert("A", "p", "B")]);
+        assert!(
+            replay.ops.is_empty(),
+            "the marker is gone, so nothing committed"
+        );
+        assert_eq!(replay.discarded_ops, 1);
     }
 
     #[test]
     fn bad_magic_is_a_hard_error() {
         let dir = TestDir::new("wal_magic");
-        let path = dir.path("wal.log");
-        std::fs::write(&path, b"definitely not a wal").unwrap();
-        let err = read(&path).unwrap_err();
+        let root = dir.path("");
+        std::fs::write(wal_path(&root, 0), b"definitely not a wal").unwrap();
+        let err = read_sharded_wal(&root, 1).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
-        assert!(err.to_string().contains("wal.log"), "{err}");
+        assert!(err.to_string().contains("wal-0000.log"), "{err}");
     }
 
     #[test]
     fn open_append_truncates_torn_tail() {
         let dir = TestDir::new("wal_append");
-        let path = dir.path("wal.log");
-        let mut w = WalWriter::create(&path).unwrap();
-        w.append(&insert("A", "p", "B")).unwrap();
-        w.append(&WalOp::Commit { epoch: 1 }).unwrap();
-        w.sync().unwrap();
-        let committed = read(&path).unwrap().committed_len;
+        let root = dir.path("");
+        let mut bytes = write_log(&root, &[insert("A", "p", "B"), WalOp::Commit { epoch: 1 }]);
         // Simulate a torn append.
-        let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[9, 0, 0, 0, 1, 2]); // half a frame
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(read(&path).unwrap().torn);
+        std::fs::write(wal_path(&root, 0), &bytes).unwrap();
+        let replay = read_sharded_wal(&root, 1).unwrap();
+        assert!(replay.torn);
 
-        let mut w = WalWriter::open_append(&path, committed).unwrap();
+        let mut w = ShardedWalWriter::open_append(
+            &root,
+            Partitioner::new(1).unwrap(),
+            &replay.committed_len,
+            replay.next_seq,
+        )
+        .unwrap();
         w.append(&insert("C", "q", "D")).unwrap();
         w.append(&WalOp::Commit { epoch: 2 }).unwrap();
         w.sync().unwrap();
-        let replay = read(&path).unwrap();
+        drop(w);
+        let replay = read_sharded_wal(&root, 1).unwrap();
         assert!(!replay.torn, "torn bytes were truncated before appending");
         assert_eq!(replay.ops.len(), 4);
         assert_eq!(replay.ops[2], insert("C", "q", "D"));

@@ -31,83 +31,13 @@ use crate::error::{KgError, Result};
 use crate::graph::{EdgeRecord, GraphBuilder, KnowledgeGraph};
 use crate::ids::{EdgeId, PredicateId};
 use crate::io::shard::ShardedWalWriter;
-use crate::io::wal::{WalOp, WalWriter};
+use crate::io::wal::WalOp;
 use crate::shard::Partitioner;
 use crate::view::GraphView;
 use rustc_hash::FxHashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-
-/// The write-ahead log a [`VersionedGraph`] appends to: one file
-/// ([`WalWriter`]) or one per shard ([`ShardedWalWriter`]). The store only
-/// needs append/sync/recreate; which layout is attached decides whether
-/// [`VersionedGraph::checkpoint`] or [`VersionedGraph::checkpoint_sharded`]
-/// may run.
-pub(crate) trait WalSink: Send {
-    /// Appends one record (buffered).
-    fn append_op(&mut self, op: &WalOp) -> Result<()>;
-    /// Flushes and fsyncs every file behind the sink.
-    fn sync_all(&mut self) -> Result<()>;
-    /// The file (single) or directory (sharded) for error messages.
-    fn target(&self) -> PathBuf;
-    /// True for the per-shard layout.
-    fn is_sharded(&self) -> bool;
-    /// The sharded sink's directory + partitioner, `None` for single-file.
-    /// Checkpointing validates its arguments against this: writing a
-    /// snapshot set for a different directory or shard count than the logs
-    /// route to would silently split the deployment.
-    fn sharded_layout(&self) -> Option<(PathBuf, Partitioner)> {
-        None
-    }
-    /// Truncates the log(s) to empty after a successful checkpoint and
-    /// returns a fresh sink over the same location.
-    fn recreate(self: Box<Self>) -> Result<Box<dyn WalSink>>;
-}
-
-impl WalSink for WalWriter {
-    fn append_op(&mut self, op: &WalOp) -> Result<()> {
-        self.append(op)
-    }
-    fn sync_all(&mut self) -> Result<()> {
-        self.sync()
-    }
-    fn target(&self) -> PathBuf {
-        self.path().to_path_buf()
-    }
-    fn is_sharded(&self) -> bool {
-        false
-    }
-    fn recreate(self: Box<Self>) -> Result<Box<dyn WalSink>> {
-        let path = self.path().to_path_buf();
-        drop(self);
-        Ok(Box::new(WalWriter::create(path)?))
-    }
-}
-
-impl WalSink for ShardedWalWriter {
-    fn append_op(&mut self, op: &WalOp) -> Result<()> {
-        self.append(op)
-    }
-    fn sync_all(&mut self) -> Result<()> {
-        self.sync()
-    }
-    fn target(&self) -> PathBuf {
-        self.dir().to_path_buf()
-    }
-    fn is_sharded(&self) -> bool {
-        true
-    }
-    fn sharded_layout(&self) -> Option<(PathBuf, Partitioner)> {
-        Some((self.dir().to_path_buf(), self.partitioner()))
-    }
-    fn recreate(self: Box<Self>) -> Result<Box<dyn WalSink>> {
-        let dir = self.dir().to_path_buf();
-        let partitioner = self.partitioner();
-        drop(self);
-        Ok(Box::new(ShardedWalWriter::create(dir, partitioner)?))
-    }
-}
 
 /// Writer-side counters and overlay gauges (see [`VersionedGraph::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -139,13 +69,14 @@ pub struct VersionedStats {
     pub wal_healthy: bool,
 }
 
-/// What [`VersionedGraph::recover`] found and did (see that method).
+/// What [`VersionedGraph::recover_sharded`] found and did (see that
+/// method).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Insert/delete records replayed onto the base snapshot.
     pub ops_replayed: usize,
     /// Records skipped because their epoch marker was already part of the
-    /// base snapshot (crash between snapshot write and WAL truncation).
+    /// base snapshot (crash between the manifest flip and WAL truncation).
     pub skipped_ops: usize,
     /// Epoch markers (commits + compactions) replayed.
     pub epochs_replayed: u64,
@@ -194,10 +125,10 @@ struct WriterState {
     edge_dedup: FxHashMap<EdgeRecord, EdgeId>,
     /// Changes staged since the last commit/compaction.
     dirty: bool,
-    /// Optional write-ahead log (single-file or per-shard): every
-    /// state-changing op is appended, every epoch marker is appended +
+    /// Optional per-shard write-ahead log: every state-changing op is
+    /// appended, every epoch marker is appended to every shard log +
     /// fsynced. `None` = in-memory only.
-    wal: Option<Box<dyn WalSink>>,
+    wal: Option<ShardedWalWriter>,
     /// First WAL failure, sticky (see [`VersionedGraph::wal_error`]).
     wal_error: Option<String>,
 }
@@ -220,7 +151,7 @@ impl WriterState {
     /// next checkpoint — so a full disk cannot poison the in-memory store.
     fn log_wal(&mut self, op: &WalOp) {
         if let Some(w) = self.wal.as_mut() {
-            if let Err(e) = w.append_op(op) {
+            if let Err(e) = w.append(op) {
                 let _ = self.wal_error.get_or_insert_with(|| e.to_string());
             }
         }
@@ -229,7 +160,7 @@ impl WriterState {
     /// Flushes + fsyncs the WAL (called at every epoch marker).
     fn sync_wal(&mut self) {
         if let Some(w) = self.wal.as_mut() {
-            if let Err(e) = w.sync_all() {
+            if let Err(e) = w.sync() {
                 let _ = self.wal_error.get_or_insert_with(|| e.to_string());
             }
         }
@@ -265,7 +196,8 @@ impl VersionedGraph {
 
     /// Wraps a frozen graph as the given epoch with an empty overlay — the
     /// recovery entry point for a base loaded from a checkpoint snapshot
-    /// (see [`crate::io::binary::load`], which returns the saved epoch).
+    /// set (see [`crate::io::shard::load_sharded`], which returns the saved
+    /// epoch).
     pub fn with_epoch(base: KnowledgeGraph, epoch: u64) -> Self {
         let base = Arc::new(base);
         let overlay = DeltaOverlay::empty(&base);
@@ -490,7 +422,7 @@ impl VersionedGraph {
         // An *empty-but-dirty* overlay is real: deleting a base edge,
         // committing, then re-inserting it leaves the overlay empty while
         // the published snapshot still carries the tombstone — early-
-        // returning that snapshot here would hand checkpoint() a base CSR
+        // returning that snapshot here would hand a checkpoint a base CSR
         // that resurrects a committed, reader-visible deletion.
         if state.overlay.is_empty() && !state.dirty {
             return self.published.read().unwrap().clone();
@@ -553,18 +485,6 @@ impl VersionedGraph {
         }
     }
 
-    /// Attaches a fresh (truncated) write-ahead log at `wal_path`: every
-    /// subsequent mutation is appended, every commit/compaction fsyncs an
-    /// epoch marker. Use [`Self::recover`] instead when the log may already
-    /// hold committed epochs.
-    pub fn enable_wal(&self, wal_path: impl AsRef<Path>) -> Result<()> {
-        let writer = WalWriter::create(wal_path)?;
-        let mut state = self.state.lock().unwrap();
-        state.wal = Some(Box::new(writer));
-        state.wal_error = None;
-        Ok(())
-    }
-
     /// The first write-ahead-log failure, if any. The error is sticky: the
     /// in-memory store keeps serving after a WAL failure, but durability is
     /// lost from that point and checkpointing refuses until a fresh log is
@@ -573,121 +493,20 @@ impl VersionedGraph {
         self.state.lock().unwrap().wal_error.clone()
     }
 
-    /// Rebuilds the pre-crash store: starts from `base` (a checkpoint
-    /// snapshot saved at `base_epoch`, see [`crate::io::binary::load`]) and
-    /// replays the WAL at `wal_path` up to its last epoch marker,
-    /// tolerating a torn final record. Ops beyond the last marker were
-    /// never committed — no reader could have observed them — and are
-    /// discarded, truncating the log so the returned store (which stays
-    /// attached to it) appends cleanly.
+    /// Rebuilds the pre-crash store: starts from `base` (the checkpoint
+    /// snapshot set recomposed by [`crate::io::shard::load_sharded`] at
+    /// `base_epoch`) and replays the shard WALs under `dir`, merged back
+    /// into arrival order, up to the coordinated epoch (see
+    /// [`crate::io::shard`]), tolerating torn final records. Ops beyond it
+    /// were never committed — no reader could have observed them — and are
+    /// discarded, truncating the logs so the returned store (which stays
+    /// attached to them and keeps routing new records by source-label
+    /// hash) appends cleanly.
     ///
-    /// A missing WAL file is treated as empty (fresh deployment). Markers
-    /// at or below `base_epoch` are skipped: they re-describe history the
-    /// snapshot already contains, which happens when a crash lands between
-    /// a checkpoint's snapshot write and its WAL truncation.
-    pub fn recover(
-        base: KnowledgeGraph,
-        base_epoch: u64,
-        wal_path: impl AsRef<Path>,
-    ) -> Result<(Self, RecoveryReport)> {
-        let wal_path = wal_path.as_ref();
-        let store = Self::with_epoch(base, base_epoch);
-        if !wal_path.exists() {
-            store.enable_wal(wal_path)?;
-            return Ok((
-                store,
-                RecoveryReport {
-                    recovered_epoch: base_epoch,
-                    ..RecoveryReport::default()
-                },
-            ));
-        }
-        let replay = crate::io::wal::read(wal_path)?;
-        // Skip records up to the last marker ≤ base_epoch (already in the
-        // snapshot); everything after replays on top.
-        let mut start = 0usize;
-        for (i, op) in replay.ops[..replay.committed_ops].iter().enumerate() {
-            match op {
-                WalOp::Commit { epoch } | WalOp::Compact { epoch } if *epoch <= base_epoch => {
-                    start = i + 1;
-                }
-                _ => {}
-            }
-        }
-        let mut report = RecoveryReport {
-            torn_tail: replay.torn,
-            discarded_ops: replay.ops.len() - replay.committed_ops,
-            skipped_ops: start,
-            ..RecoveryReport::default()
-        };
-        for op in &replay.ops[start..replay.committed_ops] {
-            match op {
-                WalOp::Insert {
-                    head,
-                    predicate,
-                    tail,
-                } => {
-                    store.insert_triple((&head.0, &head.1), predicate, (&tail.0, &tail.1));
-                    report.ops_replayed += 1;
-                }
-                WalOp::Delete {
-                    head,
-                    predicate,
-                    tail,
-                } => {
-                    store.delete_triple(head, predicate, tail);
-                    report.ops_replayed += 1;
-                }
-                WalOp::Commit { epoch } => {
-                    let snapshot = store.commit();
-                    if snapshot.epoch() != *epoch {
-                        return Err(KgError::wal(
-                            wal_path,
-                            format!(
-                                "commit marker for epoch {epoch} replayed to epoch {} — \
-                                 log and snapshot disagree",
-                                snapshot.epoch()
-                            ),
-                        ));
-                    }
-                    report.epochs_replayed += 1;
-                }
-                WalOp::Compact { epoch } => {
-                    let snapshot = store.compact();
-                    if snapshot.epoch() != *epoch {
-                        return Err(KgError::wal(
-                            wal_path,
-                            format!(
-                                "compact marker for epoch {epoch} replayed to epoch {} — \
-                                 log and snapshot disagree",
-                                snapshot.epoch()
-                            ),
-                        ));
-                    }
-                    report.epochs_replayed += 1;
-                }
-            }
-        }
-        report.recovered_epoch = store.epoch();
-        // Drop the torn tail and uncommitted ops, then keep appending. A
-        // committed length of 0 means the file died inside `create`'s
-        // truncate-then-write window (shorter than the magic): recreate it
-        // rather than zero-padding up to a magic that was never written.
-        let writer = if replay.committed_len == 0 {
-            WalWriter::create(wal_path)?
-        } else {
-            WalWriter::open_append(wal_path, replay.committed_len)?
-        };
-        store.state.lock().unwrap().wal = Some(Box::new(writer));
-        Ok((store, report))
-    }
-
-    /// [`Self::recover`]'s sibling for the per-shard layout: starts from
-    /// `base` (recomposed by [`crate::io::shard::load_sharded`] at
-    /// `base_epoch`) and replays the shard WALs under `dir` merged back
-    /// into arrival order (see [`crate::io::shard`] for the coordinated-
-    /// epoch rule). The returned store stays attached to the truncated
-    /// shard logs and keeps routing new records by source-label hash.
+    /// Markers at or below `base_epoch` are skipped: they re-describe
+    /// history the snapshot set already contains, which happens when a
+    /// crash lands between a checkpoint's manifest flip and its WAL
+    /// truncation.
     pub fn recover_sharded(
         base: KnowledgeGraph,
         base_epoch: u64,
@@ -770,40 +589,27 @@ impl VersionedGraph {
             &replay.committed_len,
             replay.next_seq,
         )?;
-        store.state.lock().unwrap().wal = Some(Box::new(writer));
+        store.state.lock().unwrap().wal = Some(writer);
         Ok((store, report))
     }
 
     /// Checkpoints the store: compacts the overlay (implying a commit of
-    /// staged changes), writes a binary snapshot of the fresh CSR to
-    /// `snapshot_path` (atomically, via tmp + rename), and truncates the
-    /// WAL — the snapshot now owns all history, so cold start is one
-    /// snapshot load plus an empty log. Runs under the writer lock as one
+    /// staged changes), writes the per-shard snapshot set + meta file,
+    /// flips the epoch manifest (the single coordinator — all shards become
+    /// visible at one epoch or not at all), and truncates every shard WAL —
+    /// the snapshot set now owns all history, so cold start is one
+    /// snapshot-set load plus empty logs. Runs under the writer lock as one
     /// atomic step; readers keep answering from pinned snapshots.
     ///
-    /// Crash safety at every point: before the snapshot rename the old
-    /// snapshot + full WAL recover; after it the new snapshot recovers and
-    /// [`Self::recover`] skips the stale WAL prefix; after truncation the
-    /// log is simply empty.
+    /// Crash safety at every point: before the manifest flip the old
+    /// snapshot set + full logs recover; after it the new set recovers and
+    /// [`Self::recover_sharded`] skips the stale log prefix; after
+    /// truncation the logs are simply empty.
     ///
     /// Fails (without truncating) if a previous WAL write already failed —
-    /// the log can be missing committed ops, so destroying it would forfeit
-    /// the only durable copy of nothing; the snapshot alone must not be
-    /// trusted to include them either, so the error is surfaced instead.
-    pub fn checkpoint(&self, snapshot_path: impl AsRef<Path>) -> Result<GraphSnapshot> {
-        let mut state = self.state.lock().unwrap();
-        self.checkpoint_guard(&state, false)?;
-        let snapshot = self.compact_locked(&mut state);
-        crate::io::binary::save(snapshot.base(), snapshot.epoch(), snapshot_path)?;
-        Self::truncate_wal_after_checkpoint(&mut state)?;
-        Ok(snapshot)
-    }
-
-    /// [`Self::checkpoint`]'s sibling for the per-shard layout: compacts,
-    /// writes the per-shard snapshot set + meta file, flips the epoch
-    /// manifest (the single coordinator — all shards become visible at one
-    /// epoch or not at all), and truncates every shard WAL. Same crash
-    /// safety and same refusal on a sticky WAL error.
+    /// the logs can be missing committed ops, and the snapshot set alone
+    /// must not be trusted to include them either, so the error is surfaced
+    /// instead.
     pub fn checkpoint_sharded(
         &self,
         dir: impl AsRef<Path>,
@@ -811,28 +617,27 @@ impl VersionedGraph {
     ) -> Result<GraphSnapshot> {
         let dir = dir.as_ref();
         let mut state = self.state.lock().unwrap();
-        self.checkpoint_guard(&state, true)?;
+        Self::checkpoint_guard(&state)?;
         // The snapshot set must land where the logs live, partitioned the
         // way the logs route — otherwise the next recovery reads a manifest
         // that disagrees with (or cannot even find) the WAL set, and
         // durably committed ops vanish silently.
-        if let Some((wal_dir, wal_partitioner)) =
-            state.wal.as_ref().and_then(|w| w.sharded_layout())
-        {
-            if wal_dir != dir || wal_partitioner != partitioner {
+        if let Some(w) = state.wal.as_ref() {
+            let wal_partitioner = w.partitioner();
+            if w.dir() != dir || wal_partitioner != partitioner {
                 return Err(KgError::Shard(format!(
                     "checkpoint targets {} at {} shards but the attached logs live in {} at \
                      {} shards — refusing to split the deployment",
                     dir.display(),
                     partitioner.shards(),
-                    wal_dir.display(),
+                    w.dir().display(),
                     wal_partitioner.shards(),
                 )));
             }
         }
         let snapshot = self.compact_locked(&mut state);
         crate::io::shard::save_sharded(snapshot.base(), &partitioner, snapshot.epoch(), dir)?;
-        Self::truncate_wal_after_checkpoint(&mut state)?;
+        Self::recreate_wal(&mut state, partitioner, "checkpoint")?;
         Ok(snapshot)
     }
 
@@ -842,11 +647,7 @@ impl VersionedGraph {
     /// so callers that cache a copy must refresh it on every epoch change.
     pub fn sharded_partitioner(&self) -> Option<Partitioner> {
         let state = self.state.lock().unwrap();
-        state
-            .wal
-            .as_ref()
-            .and_then(|w| w.sharded_layout())
-            .map(|(_, p)| p)
+        state.wal.as_ref().map(ShardedWalWriter::partitioner)
     }
 
     /// Re-partitions a sharded deployment in place: compacts (implying a
@@ -874,18 +675,17 @@ impl VersionedGraph {
     ) -> Result<GraphSnapshot> {
         let dir = dir.as_ref();
         let mut state = self.state.lock().unwrap();
-        self.checkpoint_guard(&state, true)?;
-        if let Some((wal_dir, wal_partitioner)) =
-            state.wal.as_ref().and_then(|w| w.sharded_layout())
-        {
-            if wal_dir != dir || wal_partitioner.shards() != new_partitioner.shards() {
+        Self::checkpoint_guard(&state)?;
+        if let Some(w) = state.wal.as_ref() {
+            let wal_shards = w.partitioner().shards();
+            if w.dir() != dir || wal_shards != new_partitioner.shards() {
                 return Err(KgError::Shard(format!(
                     "rebalance targets {} at {} shards but the attached logs live in {} at \
                      {} shards — refusing to split the deployment",
                     dir.display(),
                     new_partitioner.shards(),
-                    wal_dir.display(),
-                    wal_partitioner.shards(),
+                    w.dir().display(),
+                    wal_shards,
                 )));
             }
         }
@@ -895,78 +695,54 @@ impl VersionedGraph {
         state.dirty = true;
         let snapshot = self.compact_locked(&mut state);
         crate::io::shard::save_sharded(snapshot.base(), &new_partitioner, snapshot.epoch(), dir)?;
-        // Swap the logs to route by the new assignment — same sticky-error
-        // contract as `truncate_wal_after_checkpoint`, but the fresh sink
-        // carries the new partitioner instead of the old sink's copy.
-        if let Some(w) = state.wal.take() {
-            let wal_dir = w.target();
-            drop(w);
-            match ShardedWalWriter::create(wal_dir, new_partitioner) {
-                Ok(fresh) => state.wal = Some(Box::new(fresh)),
-                Err(e) => {
-                    let _ = state
-                        .wal_error
-                        .get_or_insert_with(|| format!("rebalance could not recreate logs: {e}"));
-                    return Err(e);
-                }
-            }
-        }
+        // The fresh logs route by the new assignment.
+        Self::recreate_wal(&mut state, new_partitioner, "rebalance")?;
         Ok(snapshot)
     }
 
-    /// Shared checkpoint preconditions: a healthy WAL, and a WAL layout
-    /// matching the checkpoint flavour (a single-file checkpoint over
-    /// per-shard logs — or vice versa — would leave a directory no
-    /// recovery path understands).
-    fn checkpoint_guard(&self, state: &WriterState, sharded: bool) -> Result<()> {
+    /// Shared checkpoint precondition: a healthy WAL.
+    fn checkpoint_guard(state: &WriterState) -> Result<()> {
         if let Some(detail) = &state.wal_error {
-            let path = state.wal.as_ref().map(|w| w.target()).unwrap_or_default();
+            let path = state
+                .wal
+                .as_ref()
+                .map(|w| w.dir().to_path_buf())
+                .unwrap_or_default();
             return Err(KgError::wal(
                 path,
                 format!("unhealthy, refusing checkpoint: {detail}"),
             ));
         }
-        if let Some(w) = state.wal.as_ref() {
-            if w.is_sharded() != sharded {
-                return Err(KgError::Shard(format!(
-                    "attached WAL layout is {}, use {} instead",
-                    if w.is_sharded() {
-                        "sharded"
-                    } else {
-                        "single-file"
-                    },
-                    if sharded {
-                        "VersionedGraph::checkpoint"
-                    } else {
-                        "VersionedGraph::checkpoint_sharded"
-                    },
-                )));
-            }
-        }
         Ok(())
     }
 
-    /// Replaces the attached WAL with a fresh (empty) one after the
-    /// snapshot publish succeeded; failures are sticky so the store stops
-    /// claiming durability it no longer has.
-    fn truncate_wal_after_checkpoint(state: &mut WriterState) -> Result<()> {
-        if let Some(w) = state.wal.take() {
-            match w.recreate() {
-                Ok(fresh) => state.wal = Some(fresh),
-                Err(e) => {
-                    // The old writer is gone and no fresh log exists: the
-                    // store is no longer durable. Record that stickily so
-                    // stats()/wal_error() report it and the next checkpoint
-                    // refuses, instead of silently dropping to in-memory
-                    // mode with wal_healthy still true.
-                    let _ = state
-                        .wal_error
-                        .get_or_insert_with(|| format!("checkpoint could not recreate log: {e}"));
-                    return Err(e);
-                }
+    /// Replaces the attached logs with fresh (empty) ones routing by
+    /// `partitioner`, after the snapshot set published; failures are
+    /// sticky so the store stops claiming durability it no longer has.
+    fn recreate_wal(state: &mut WriterState, partitioner: Partitioner, what: &str) -> Result<()> {
+        let Some(w) = state.wal.take() else {
+            return Ok(());
+        };
+        let dir = w.dir().to_path_buf();
+        // Drop (flushing) the old writer before `create` truncates its files.
+        drop(w);
+        match ShardedWalWriter::create(dir, partitioner) {
+            Ok(fresh) => {
+                state.wal = Some(fresh);
+                Ok(())
+            }
+            Err(e) => {
+                // The old writer is gone and no fresh log exists: the store
+                // is no longer durable. Record that stickily so
+                // stats()/wal_error() report it and the next checkpoint
+                // refuses, instead of silently dropping to in-memory mode
+                // with wal_healthy still true.
+                let _ = state
+                    .wal_error
+                    .get_or_insert_with(|| format!("{what} could not recreate logs: {e}"));
+                Err(e)
             }
         }
-        Ok(())
     }
 
     /// Resolves a predicate label against the *staged* vocabulary (base +
@@ -1311,12 +1087,26 @@ mod tests {
             .collect()
     }
 
+    /// Lays `base_graph()` out at epoch 0 in the 1-shard deployment layout
+    /// under `dir` and returns the store recovered from it, logs attached.
+    fn durable(dir: &Path) -> VersionedGraph {
+        crate::io::shard::save_sharded(&base_graph(), &Partitioner::new(1).unwrap(), 0, dir)
+            .unwrap();
+        reopen(dir).unwrap().0
+    }
+
+    /// Cold-starts the store under `dir`: loads the snapshot set the
+    /// manifest references and replays the shard logs on top.
+    fn reopen(dir: &Path) -> Result<(VersionedGraph, RecoveryReport)> {
+        let (base, partitioner, epoch) = crate::io::shard::load_sharded(dir)?;
+        VersionedGraph::recover_sharded(base, epoch, dir, partitioner)
+    }
+
     #[test]
     fn wal_recovery_replays_committed_epochs() {
         let dir = TestDir::new("versioned_wal");
-        let wal = dir.path("wal.log");
-        let v = VersionedGraph::new(base_graph());
-        v.enable_wal(&wal).unwrap();
+        let root = dir.path("dep");
+        let v = durable(&root);
         v.insert_triple(
             ("BMW_320", "Automobile"),
             "assembly",
@@ -1333,7 +1123,7 @@ mod tests {
         let live = v.snapshot();
         drop(v); // "crash"
 
-        let (back, report) = VersionedGraph::recover(base_graph(), 0, &wal).unwrap();
+        let (back, report) = reopen(&root).unwrap();
         assert_eq!(report.recovered_epoch, 2);
         assert_eq!(report.epochs_replayed, 2);
         assert_eq!(report.ops_replayed, 3);
@@ -1353,7 +1143,7 @@ mod tests {
         );
         back.commit();
         drop(back);
-        let (again, report) = VersionedGraph::recover(base_graph(), 0, &wal).unwrap();
+        let (again, report) = reopen(&root).unwrap();
         assert_eq!(report.recovered_epoch, 3);
         assert!(again.snapshot().node_by_name("Lamando").is_some());
     }
@@ -1361,9 +1151,8 @@ mod tests {
     #[test]
     fn wal_recovery_tolerates_torn_tail() {
         let dir = TestDir::new("versioned_torn");
-        let wal = dir.path("wal.log");
-        let v = VersionedGraph::new(base_graph());
-        v.enable_wal(&wal).unwrap();
+        let root = dir.path("dep");
+        let v = durable(&root);
         v.insert_triple(
             ("BMW_320", "Automobile"),
             "assembly",
@@ -1377,10 +1166,11 @@ mod tests {
         );
         v.commit();
         drop(v);
+        let wal = crate::io::shard::wal_path(&root, 0);
         let bytes = std::fs::read(&wal).unwrap();
         // Tear the final commit marker mid-frame.
         std::fs::write(&wal, &bytes[..bytes.len() - 5]).unwrap();
-        let (back, report) = VersionedGraph::recover(base_graph(), 0, &wal).unwrap();
+        let (back, report) = reopen(&root).unwrap();
         assert!(report.torn_tail);
         assert_eq!(report.recovered_epoch, 1, "only the first commit survives");
         assert!(back.snapshot().node_by_name("BMW_320").is_some());
@@ -1390,9 +1180,8 @@ mod tests {
     #[test]
     fn wal_replays_compactions_so_edge_ids_match() {
         let dir = TestDir::new("versioned_compact_wal");
-        let wal = dir.path("wal.log");
-        let v = VersionedGraph::new(base_graph());
-        v.enable_wal(&wal).unwrap();
+        let root = dir.path("dep");
+        let v = durable(&root);
         v.insert_triple(
             ("BMW_320", "Automobile"),
             "assembly",
@@ -1405,7 +1194,7 @@ mod tests {
         v.commit();
         let live = v.snapshot();
         drop(v);
-        let (back, report) = VersionedGraph::recover(base_graph(), 0, &wal).unwrap();
+        let (back, report) = reopen(&root).unwrap();
         assert_eq!(report.epochs_replayed, 3);
         let recovered = back.snapshot();
         assert_eq!(recovered.epoch(), live.epoch());
@@ -1419,19 +1208,19 @@ mod tests {
     #[test]
     fn checkpoint_truncates_wal_and_cold_starts() {
         let dir = TestDir::new("versioned_checkpoint");
-        let wal = dir.path("wal.log");
-        let snap_path = dir.path("snapshot.kgb");
-        let v = VersionedGraph::new(base_graph());
-        v.enable_wal(&wal).unwrap();
+        let root = dir.path("dep");
+        let v = durable(&root);
         v.insert_triple(
             ("BMW_320", "Automobile"),
             "assembly",
             ("Germany", "Country"),
         );
         v.commit();
-        let checkpointed = v.checkpoint(&snap_path).unwrap();
+        let checkpointed = v
+            .checkpoint_sharded(&root, Partitioner::new(1).unwrap())
+            .unwrap();
         assert!(checkpointed.is_compacted());
-        let wal_after = crate::io::wal::read(&wal).unwrap();
+        let wal_after = crate::io::shard::read_sharded_wal(&root, 1).unwrap();
         assert!(wal_after.ops.is_empty(), "checkpoint truncates the log");
         // Post-checkpoint writes land in the fresh log.
         v.insert_triple(
@@ -1443,9 +1232,9 @@ mod tests {
         let live = v.snapshot();
         drop(v);
 
-        let (base, epoch) = crate::io::binary::load(&snap_path).unwrap();
-        assert_eq!(epoch, checkpointed.epoch());
-        let (back, report) = VersionedGraph::recover(base, epoch, &wal).unwrap();
+        let manifest = crate::io::shard::read_manifest(&root).unwrap();
+        assert_eq!(manifest.epoch, checkpointed.epoch());
+        let (back, report) = reopen(&root).unwrap();
         assert_eq!(report.epochs_replayed, 1);
         assert_eq!(back.epoch(), live.epoch());
         assert_eq!(fingerprint(&back.snapshot()), fingerprint(&live));
@@ -1458,10 +1247,8 @@ mod tests {
         // the stale base CSR — resurrecting the committed deletion on
         // disk while dropping the staged re-insert from the log.
         let dir = TestDir::new("versioned_empty_dirty");
-        let wal = dir.path("wal.log");
-        let snap_path = dir.path("snapshot.kgb");
-        let v = VersionedGraph::new(base_graph());
-        v.enable_wal(&wal).unwrap();
+        let root = dir.path("dep");
+        let v = durable(&root);
         assert!(v.delete_triple("Audi_TT", "assembly", "Germany"));
         assert_eq!(v.commit().epoch(), 1);
         v.insert_triple(
@@ -1470,7 +1257,9 @@ mod tests {
             ("Germany", "Country"),
         );
         assert!(v.stats().staged);
-        let checkpointed = v.checkpoint(&snap_path).unwrap();
+        let checkpointed = v
+            .checkpoint_sharded(&root, Partitioner::new(1).unwrap())
+            .unwrap();
         assert_eq!(checkpointed.epoch(), 2, "staged resurrect must commit");
         assert_eq!(checkpointed.edge_count(), 3);
         assert_eq!(
@@ -1478,47 +1267,47 @@ mod tests {
             triples(&v.snapshot()),
             "checkpoint snapshot == live snapshot"
         );
-        let (base, epoch) = crate::io::binary::load(&snap_path).unwrap();
+        let (base, _, epoch) = crate::io::shard::load_sharded(&root).unwrap();
         assert_eq!(epoch, 2);
         assert_eq!(base.edge_count(), 3, "resurrected edge is on disk");
-        let (back, _) = VersionedGraph::recover(base, epoch, &wal).unwrap();
+        let (back, _) = reopen(&root).unwrap();
         assert_eq!(fingerprint(&back.snapshot()), fingerprint(&v.snapshot()));
     }
 
     #[test]
     fn recovery_tolerates_wal_caught_mid_create() {
-        // A crash inside WalWriter::create's truncate-then-write window
-        // leaves a file shorter than the magic; recovery must treat it as
-        // empty and recreate it, not zero-pad or hard-fail.
+        // A crash inside ShardedWalWriter::create's truncate-then-write
+        // window leaves a log shorter than the magic; recovery must treat
+        // it as empty and recreate it, not zero-pad or hard-fail.
         let dir = TestDir::new("versioned_short_wal");
-        let wal = dir.path("wal.log");
+        let root = dir.path("dep");
+        drop(durable(&root));
+        let wal = crate::io::shard::wal_path(&root, 0);
         for len in [0usize, 3, 7] {
-            std::fs::write(&wal, &crate::io::wal::MAGIC[..len]).unwrap();
-            let (store, report) = VersionedGraph::recover(base_graph(), 0, &wal).unwrap();
+            std::fs::write(&wal, &crate::io::shard::WAL_MAGIC[..len]).unwrap();
+            let (store, report) = reopen(&root).unwrap();
             assert!(report.torn_tail, "len {len}");
             assert_eq!(report.recovered_epoch, 0);
             store.insert_triple(("X", "T"), "p", ("Y", "T"));
             store.commit();
             drop(store);
-            let replay = crate::io::wal::read(&wal).unwrap();
+            let replay = crate::io::shard::read_sharded_wal(&root, 1).unwrap();
             assert!(!replay.torn, "len {len}: recreated log is clean");
             assert_eq!(replay.ops.len(), 2);
         }
         // Genuinely foreign short content still fails loudly.
         std::fs::write(&wal, b"zz").unwrap();
-        assert!(VersionedGraph::recover(base_graph(), 0, &wal).is_err());
+        assert!(reopen(&root).is_err());
     }
 
     #[test]
     fn recovery_skips_wal_prefix_already_in_snapshot() {
-        // Simulate a crash *between* a checkpoint's snapshot write and its
-        // WAL truncation: the snapshot already contains epochs the log
+        // Simulate a crash *between* a checkpoint's manifest flip and its
+        // WAL truncation: the snapshot set already contains epochs the log
         // still describes.
         let dir = TestDir::new("versioned_stale_prefix");
-        let wal = dir.path("wal.log");
-        let snap_path = dir.path("snapshot.kgb");
-        let v = VersionedGraph::new(base_graph());
-        v.enable_wal(&wal).unwrap();
+        let root = dir.path("dep");
+        let v = durable(&root);
         v.insert_triple(
             ("BMW_320", "Automobile"),
             "assembly",
@@ -1526,13 +1315,19 @@ mod tests {
         );
         v.commit();
         let compacted = v.compact();
-        // Snapshot saved, but the WAL still holds the full history.
-        crate::io::binary::save(compacted.base(), compacted.epoch(), &snap_path).unwrap();
+        // Snapshot set saved and the manifest flipped, but the WAL still
+        // holds the full history.
+        crate::io::shard::save_sharded(
+            compacted.base(),
+            &Partitioner::new(1).unwrap(),
+            compacted.epoch(),
+            &root,
+        )
+        .unwrap();
         let live = v.snapshot();
         drop(v);
 
-        let (base, epoch) = crate::io::binary::load(&snap_path).unwrap();
-        let (back, report) = VersionedGraph::recover(base, epoch, &wal).unwrap();
+        let (back, report) = reopen(&root).unwrap();
         assert!(report.skipped_ops > 0, "stale prefix skipped: {report:?}");
         assert_eq!(report.ops_replayed, 0);
         assert_eq!(back.epoch(), live.epoch());
@@ -1546,8 +1341,9 @@ mod tests {
         // or a log truncated by hand) — recovery must fail loudly rather
         // than silently renumber epochs.
         let dir = TestDir::new("versioned_mismatch");
-        let wal = dir.path("wal.log");
-        let mut w = crate::io::wal::WalWriter::create(&wal).unwrap();
+        let root = dir.path("dep");
+        let p = Partitioner::new(1).unwrap();
+        let mut w = ShardedWalWriter::create(&root, p.clone()).unwrap();
         w.append(&WalOp::Insert {
             head: ("X".into(), "T".into()),
             predicate: "p".into(),
@@ -1557,7 +1353,7 @@ mod tests {
         w.append(&WalOp::Commit { epoch: 5 }).unwrap();
         w.sync().unwrap();
         drop(w);
-        let err = VersionedGraph::recover(base_graph(), 0, &wal).unwrap_err();
+        let err = VersionedGraph::recover_sharded(base_graph(), 0, &root, p).unwrap_err();
         assert!(
             matches!(err, KgError::Wal { .. }),
             "epoch gap must fail loudly: {err:?}"
@@ -1635,11 +1431,9 @@ mod tests {
             );
         }
 
-        // Layout guards: the single-file checkpoint refuses sharded logs,
-        // and a sharded checkpoint aimed at a different directory or shard
-        // count than the attached logs refuses to split the deployment.
-        let err = recovered.checkpoint(dir.path("single.kgb")).unwrap_err();
-        assert!(err.to_string().contains("sharded"), "{err}");
+        // Layout guards: a checkpoint aimed at a different directory or
+        // shard count than the attached logs refuses to split the
+        // deployment.
         let err = recovered
             .checkpoint_sharded(&root, Partitioner::new(2).unwrap())
             .unwrap_err();

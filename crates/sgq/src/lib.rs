@@ -101,8 +101,8 @@ pub use decompose::{Decomposition, SubQuery};
 pub use engine::{PreparedQuery, SgqEngine};
 pub use error::{Result, SgqError};
 pub use live::{
-    CheckpointReport, EpochEngine, LiveDeployment, LivePreparedQuery, LiveQueryService,
-    RebalanceReport, ShardedDeployment, LIBRARY_FILE, SNAPSHOT_FILE, SPACE_FILE, WAL_FILE,
+    CheckpointReport, EpochEngine, LivePreparedQuery, LiveQueryService, RebalanceReport,
+    ShardedDeployment, LIBRARY_FILE, SPACE_FILE,
 };
 pub use query::{QEdgeId, QNodeId, QueryEdge, QueryGraph, QueryNode, QueryNodeKind};
 pub use rebalance::Rebalancer;

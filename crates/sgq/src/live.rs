@@ -36,7 +36,6 @@ use crate::service::{shard_gauges, PhaseHistograms, ServiceCounters, ServiceGaug
 use crate::timebound::TimeBoundConfig;
 use crate::trace::{tick_sampled, QueryTrace, TraceSink};
 use embedding::{PredicateSpace, SimilarityIndex, SimilarityIndexStats};
-use kgraph::io::binary::LoadStats;
 use kgraph::{
     GraphSnapshot, GraphView, KnowledgeGraph, Partitioner, RecoveryReport, VersionedGraph,
 };
@@ -46,10 +45,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, RwLock};
 
-/// File name of the binary graph snapshot inside a deployment directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.kgb";
-/// File name of the write-ahead log.
-pub const WAL_FILE: &str = "wal.log";
 /// File name of the saved predicate semantic space.
 pub const SPACE_FILE: &str = "space.kgv";
 /// File name of the transformation library (JSON — it is tiny and benefits
@@ -107,27 +102,16 @@ pub struct LiveQueryService<'a> {
     refreshes: Counter,
     checkpoints: Counter,
     rebalances: Counter,
-    /// On-disk layout when built via [`LiveDeployment::service`] or
-    /// [`ShardedDeployment::service`]; enables [`Self::checkpoint`].
-    durable: Option<DurableLayout>,
+    /// Deployment directory when built via [`ShardedDeployment::service`];
+    /// enables [`Self::checkpoint`] and [`Self::rebalance`]. No partitioner
+    /// is stored alongside it: the authoritative assignment lives with the
+    /// attached shard WALs ([`VersionedGraph::sharded_partitioner`]), so a
+    /// rebalance swaps it in one place and no stale copy survives here.
+    durable: Option<PathBuf>,
     /// Per-epoch cache of the sharded layout's heaviest-shard triple count
     /// (`(epoch, max_shard_edges)`), so [`Self::stats`] pays the O(m)
     /// ownership scan once per adopted epoch, not per call.
     shard_gauge_cache: Mutex<Option<(u64, u64)>>,
-}
-
-/// How a durable deployment lays its files out — one snapshot + one WAL,
-/// or the per-shard set coordinated by an epoch manifest. The sharded
-/// layout deliberately does **not** store a partitioner: the authoritative
-/// assignment lives with the attached shard WALs
-/// ([`VersionedGraph::sharded_partitioner`]), so a rebalance swaps it in
-/// one place and no stale copy survives here.
-#[derive(Debug, Clone)]
-enum DurableLayout {
-    /// `snapshot.kgb` + `wal.log` under the directory.
-    Single(PathBuf),
-    /// `manifest.kgm` + `meta-*.kgb` + `shard-*-*.kgb` + `wal-*.log`.
-    Sharded { dir: PathBuf },
 }
 
 impl<'a> LiveQueryService<'a> {
@@ -147,7 +131,7 @@ impl<'a> LiveQueryService<'a> {
         space: &'a PredicateSpace,
         library: &'a TransformationLibrary,
         config: SgqConfig,
-        durable: Option<DurableLayout>,
+        durable: Option<PathBuf>,
     ) -> Self {
         let sim_index = Arc::new(SimilarityIndex::with_transform(space, weight_transform));
         let pool = SgqEngine::<GraphSnapshot>::default_pool(&config);
@@ -198,10 +182,10 @@ impl<'a> LiveQueryService<'a> {
         }
     }
 
-    /// Publishes what recovery (and, on cold start, the streamed snapshot
-    /// loader) observed as registry gauges — called by the deployments so
-    /// WAL-replay and `LoadStats` figures surface in [`Self::metrics`].
-    fn record_boot(&self, recovery: &RecoveryReport, load: Option<&LoadStats>) {
+    /// Publishes what recovery observed as registry gauges — called by
+    /// [`ShardedDeployment::service`] so WAL-replay figures surface in
+    /// [`Self::metrics`].
+    fn record_boot(&self, recovery: &RecoveryReport) {
         let g = |name: &str, help: &str, v: i64| self.registry.gauge(name, help).set(v);
         g(
             "sgq_recovery_ops_replayed",
@@ -233,23 +217,6 @@ impl<'a> LiveQueryService<'a> {
             "clean but uncommitted WAL records dropped at boot",
             recovery.discarded_ops as i64,
         );
-        if let Some(load) = load {
-            g(
-                "sgq_snapshot_load_bytes",
-                "bytes the streamed loader consumed reading the boot snapshot",
-                load.bytes_read as i64,
-            );
-            g(
-                "sgq_snapshot_load_sections",
-                "snapshot sections the streamed loader decoded at boot",
-                load.sections as i64,
-            );
-            g(
-                "sgq_snapshot_load_peak_buffer_bytes",
-                "peak transient buffer of the streamed snapshot read at boot",
-                load.peak_buffer_bytes as i64,
-            );
-        }
     }
 
     /// The underlying versioned store (hand this to your writer thread).
@@ -470,7 +437,7 @@ impl<'a> LiveQueryService<'a> {
             ..self.counters.snapshot()
         };
         shard_gauges(snapshot, &mut stats);
-        if matches!(self.durable, Some(DurableLayout::Sharded { .. })) {
+        if self.durable.is_some() {
             if let Some(partitioner) = self.versioned.sharded_partitioner() {
                 stats.shard_count = partitioner.shards() as u64;
                 let epoch = snapshot.epoch();
@@ -518,8 +485,7 @@ impl<'a> LiveQueryService<'a> {
 
     /// Point-in-time snapshot of every registered metric — fleet counters,
     /// latency and phase histograms, epoch/delta/shard gauges, and (on
-    /// deployment-backed services) the recovery, snapshot-load and
-    /// checkpoint figures.
+    /// deployment-backed services) the recovery and checkpoint figures.
     pub fn metrics(&self) -> MetricsSnapshot {
         let stats = self.stats();
         self.gauges.refresh(&stats);
@@ -527,53 +493,36 @@ impl<'a> LiveQueryService<'a> {
     }
 
     /// Checkpoints the underlying store into the deployment directory:
-    /// compacts the overlay (committing staged changes), writes a fresh
-    /// snapshot — one binary file for a [`LiveDeployment`], the per-shard
-    /// set + manifest flip for a [`ShardedDeployment`] — and truncates the
-    /// WAL(s), after which cold start is one snapshot load plus empty
-    /// logs. The next query adopts the compacted epoch via the normal
-    /// refresh path.
+    /// compacts the overlay (committing staged changes), writes the
+    /// per-shard snapshot set, flips the manifest and truncates the WALs,
+    /// after which cold start is one snapshot-set load plus empty logs.
+    /// The next query adopts the compacted epoch via the normal refresh
+    /// path.
     ///
-    /// Only available on services built by [`LiveDeployment::service`] or
-    /// [`ShardedDeployment::service`]; run it from a maintenance thread —
-    /// writers stall for the duration, readers keep answering from pinned
-    /// snapshots.
+    /// Only available on services built by [`ShardedDeployment::service`];
+    /// run it from a maintenance thread — writers stall for the duration,
+    /// readers keep answering from pinned snapshots.
     pub fn checkpoint(&self) -> Result<CheckpointReport> {
-        let layout = self.durable.as_ref().ok_or_else(|| {
+        let dir = self.durable.as_ref().ok_or_else(|| {
             SgqError::Storage(
-                "service has no deployment directory (build it via LiveDeployment::service \
-                 or ShardedDeployment::service)"
+                "service has no deployment directory (build it via ShardedDeployment::service)"
                     .into(),
             )
         })?;
-        let (snapshot, snapshot_bytes) = match layout {
-            DurableLayout::Single(dir) => {
-                let snapshot_path = dir.join(SNAPSHOT_FILE);
-                let snapshot = self.versioned.checkpoint(&snapshot_path)?;
-                let bytes = std::fs::metadata(&snapshot_path)
+        let partitioner = self.sharded_partitioner()?;
+        let snapshot = self
+            .versioned
+            .checkpoint_sharded(dir, partitioner.clone())?;
+        let epoch = snapshot.epoch();
+        let mut snapshot_bytes = std::fs::metadata(kgraph::io::shard::meta_path(dir, epoch))
+            .map(|m| m.len())
+            .unwrap_or(0);
+        for shard in 0..partitioner.shards() {
+            snapshot_bytes +=
+                std::fs::metadata(kgraph::io::shard::shard_snapshot_path(dir, shard, epoch))
                     .map(|m| m.len())
                     .unwrap_or(0);
-                (snapshot, bytes)
-            }
-            DurableLayout::Sharded { dir } => {
-                let partitioner = self.sharded_partitioner()?;
-                let snapshot = self
-                    .versioned
-                    .checkpoint_sharded(dir, partitioner.clone())?;
-                let epoch = snapshot.epoch();
-                let mut bytes = std::fs::metadata(kgraph::io::shard::meta_path(dir, epoch))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-                for shard in 0..partitioner.shards() {
-                    bytes += std::fs::metadata(kgraph::io::shard::shard_snapshot_path(
-                        dir, shard, epoch,
-                    ))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-                }
-                (snapshot, bytes)
-            }
-        };
+        }
         self.checkpoints.inc();
         self.registry
             .gauge(
@@ -622,7 +571,7 @@ impl<'a> LiveQueryService<'a> {
     /// crash cycle). Run it from a maintenance thread — writers stall for
     /// the compaction, like [`Self::checkpoint`].
     pub fn rebalance(&self) -> Result<RebalanceReport> {
-        let Some(DurableLayout::Sharded { dir }) = &self.durable else {
+        let Some(dir) = &self.durable else {
             return Err(SgqError::Storage(
                 "service has no sharded deployment (build it via ShardedDeployment::service)"
                     .into(),
@@ -723,172 +672,26 @@ pub struct CheckpointReport {
     pub nodes: usize,
     /// Live edges in the snapshot.
     pub edges: usize,
-    /// Size of the snapshot file on disk.
+    /// On-disk size of the snapshot set (meta file + shard slices).
     pub snapshot_bytes: u64,
 }
 
-/// A whole query deployment rooted in one directory: the binary graph
-/// snapshot, the write-ahead log, the predicate semantic space and the
-/// transformation library. Owns everything a [`LiveQueryService`] borrows,
-/// so a service cold-starts from disk in two calls:
+/// A whole query deployment rooted in one directory: the epoch manifest
+/// (the single coordinator), the vocabulary meta file, one edge slice and
+/// one WAL per shard ([`kgraph::io::shard`]), plus the predicate semantic
+/// space and the transformation library. Owns everything a
+/// [`LiveQueryService`] borrows, so a service cold-starts from disk in two
+/// calls:
 ///
 /// ```ignore
-/// let deployment = LiveDeployment::open("/var/lib/semkg")?;
+/// let deployment = ShardedDeployment::open("/var/lib/semkg")?;
 /// let service = deployment.service(SgqConfig::default());
 /// ```
 ///
-/// [`LiveDeployment::create`] lays the directory out; [`LiveDeployment::open`]
-/// recovers it — replaying committed WAL epochs on top of the snapshot,
-/// tolerating a torn tail from a crash mid-append. Writes go through
-/// [`LiveDeployment::versioned`] exactly as for an in-memory store and are
-/// logged durably; [`LiveQueryService::checkpoint`] folds the log back into
-/// the snapshot.
-pub struct LiveDeployment {
-    dir: PathBuf,
-    space: PredicateSpace,
-    library: TransformationLibrary,
-    versioned: Arc<VersionedGraph>,
-    recovery: RecoveryReport,
-    /// Streamed-loader counters from [`LiveDeployment::open`] (`None` for a
-    /// freshly created deployment, which never read a snapshot). Surfaced
-    /// as registry gauges by [`LiveDeployment::service`].
-    load: Option<LoadStats>,
-}
-
-impl std::fmt::Debug for LiveDeployment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LiveDeployment")
-            .field("dir", &self.dir)
-            .field("predicates", &self.space.len())
-            .field("recovery", &self.recovery)
-            .field("store", &self.versioned.stats())
-            .finish()
-    }
-}
-
-impl LiveDeployment {
-    /// Initialises `dir` as a fresh deployment of `graph` (epoch 0) with
-    /// the given trained space and library, and an empty WAL. Refuses to
-    /// overwrite an existing deployment (open it instead).
-    pub fn create(
-        dir: impl AsRef<Path>,
-        graph: KnowledgeGraph,
-        space: PredicateSpace,
-        library: TransformationLibrary,
-    ) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| SgqError::Storage(format!("create {}: {e}", dir.display())))?;
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        if snapshot_path.exists() {
-            return Err(SgqError::Storage(format!(
-                "{} already holds a deployment (use LiveDeployment::open)",
-                dir.display()
-            )));
-        }
-        // A WAL without a snapshot is a half-deleted or half-created
-        // deployment; recovering it here would replay a *previous*
-        // deployment's ops into the supposedly fresh graph.
-        if dir.join(WAL_FILE).exists() {
-            return Err(SgqError::Storage(format!(
-                "{} holds a stale {WAL_FILE} with no {SNAPSHOT_FILE} — refusing to create over \
-                 the remains of another deployment (remove the file first)",
-                dir.display()
-            )));
-        }
-        // Snapshot goes LAST: it is the file the exists() guard (and
-        // open()) key off, so a crash mid-create leaves either a
-        // retryable directory (no snapshot yet — space/library are
-        // overwritten harmlessly) or a complete, openable deployment
-        // (snapshot present; a missing WAL is created by recovery).
-        space.save(dir.join(SPACE_FILE))?;
-        let library_file = std::fs::File::create(dir.join(LIBRARY_FILE))
-            .map_err(|e| SgqError::Storage(format!("create {LIBRARY_FILE}: {e}")))?;
-        serde_json::to_writer(std::io::BufWriter::new(library_file), &library)
-            .map_err(|e| SgqError::Storage(format!("write {LIBRARY_FILE}: {e}")))?;
-        kgraph::io::binary::save(&graph, 0, &snapshot_path)?;
-        let (versioned, recovery) = VersionedGraph::recover(graph, 0, dir.join(WAL_FILE))?;
-        Ok(Self {
-            dir,
-            space,
-            library,
-            versioned: Arc::new(versioned),
-            recovery,
-            load: None,
-        })
-    }
-
-    /// Cold-starts the deployment at `dir`: loads the space and library,
-    /// loads the binary snapshot, and replays the WAL's committed epochs on
-    /// top (see [`VersionedGraph::recover`] for the exact semantics,
-    /// including torn-tail tolerance).
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        let space = PredicateSpace::load(dir.join(SPACE_FILE))?;
-        let library_path = dir.join(LIBRARY_FILE);
-        let library_file = std::fs::File::open(&library_path)
-            .map_err(|e| SgqError::Storage(format!("open {}: {e}", library_path.display())))?;
-        let library: TransformationLibrary =
-            serde_json::from_reader(std::io::BufReader::new(library_file))
-                .map_err(|e| SgqError::Storage(format!("parse {}: {e}", library_path.display())))?;
-        let (base, epoch, load) = kgraph::io::binary::load_with_stats(dir.join(SNAPSHOT_FILE))?;
-        let (versioned, recovery) = VersionedGraph::recover(base, epoch, dir.join(WAL_FILE))?;
-        Ok(Self {
-            dir,
-            space,
-            library,
-            versioned: Arc::new(versioned),
-            recovery,
-            load: Some(load),
-        })
-    }
-
-    /// Stands up a query service over this deployment. The service borrows
-    /// the deployment (which owns the space/library), and can
-    /// [`LiveQueryService::checkpoint`] back into the directory.
-    pub fn service(&self, config: SgqConfig) -> LiveQueryService<'_> {
-        let service = LiveQueryService::with_durable(
-            Arc::clone(&self.versioned),
-            &self.space,
-            &self.library,
-            config,
-            Some(DurableLayout::Single(self.dir.clone())),
-        );
-        service.record_boot(&self.recovery, self.load.as_ref());
-        service
-    }
-
-    /// The durable versioned store (hand this to your writer thread; every
-    /// mutation is WAL-logged, every commit fsyncs an epoch marker).
-    pub fn versioned(&self) -> &Arc<VersionedGraph> {
-        &self.versioned
-    }
-
-    /// The loaded predicate semantic space.
-    pub fn space(&self) -> &PredicateSpace {
-        &self.space
-    }
-
-    /// The loaded transformation library.
-    pub fn library(&self) -> &TransformationLibrary {
-        &self.library
-    }
-
-    /// What recovery found in the WAL when this deployment was opened.
-    pub fn recovery(&self) -> &RecoveryReport {
-        &self.recovery
-    }
-
-    /// The deployment directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-}
-
-/// [`LiveDeployment`]'s sibling over the **per-shard** on-disk layout
-/// ([`kgraph::io::shard`]): one deployment directory holding the epoch
-/// manifest (the single coordinator), the vocabulary meta file, one edge
-/// slice per shard, one WAL per shard, and the shared space/library files.
+/// [`ShardedDeployment::create`] lays the directory out (one shard is the
+/// plain single-store case); [`ShardedDeployment::open`] recovers it —
+/// replaying committed WAL epochs on top of the snapshot set, tolerating
+/// torn tails from a crash mid-append.
 ///
 /// Scope: the live path shards the **durable layer** — snapshots, WALs,
 /// checkpointing, recovery. The in-memory epoch views its queries run
@@ -898,14 +701,15 @@ impl LiveDeployment {
 /// ([`crate::ShardedQueryService`]); [`LiveQueryService::stats`] still
 /// reports the deployment's shard gauges from the durable partitioner.
 ///
-/// Writes route to the shard WAL of the triple's source-node label; commits
-/// fsync an epoch marker into *every* shard log before the epoch
-/// publishes; [`LiveQueryService::checkpoint`] writes the whole per-shard
-/// snapshot set and flips the manifest as one commit point — so
+/// Writes go through [`ShardedDeployment::versioned`] exactly as for an
+/// in-memory store and route to the shard WAL of the triple's source-node
+/// label; commits fsync an epoch marker into *every* shard log before the
+/// epoch publishes; [`LiveQueryService::checkpoint`] writes the whole
+/// per-shard snapshot set and flips the manifest as one commit point — so
 /// [`ShardedDeployment::open`] always recovers **all shards to one
 /// consistent epoch**, bit-identical to a never-crashed store (the
 /// differential test drives a commit → checkpoint → crash → recover cycle
-/// against the unsharded path).
+/// against an in-memory reference).
 pub struct ShardedDeployment {
     dir: PathBuf,
     space: PredicateSpace,
@@ -950,7 +754,7 @@ impl ShardedDeployment {
         }
         // Shard WALs without a manifest are a half-deleted deployment;
         // recovering them into a supposedly fresh graph would replay
-        // another deployment's history (same guard as LiveDeployment).
+        // another deployment's history.
         if (0..shards).any(|s| kgraph::io::shard::wal_path(&dir, s).exists()) {
             return Err(SgqError::Storage(format!(
                 "{} holds stale shard WALs with no manifest — refusing to create over the \
@@ -981,8 +785,8 @@ impl ShardedDeployment {
 
     /// Cold-starts the deployment at `dir`: reads the manifest (shard
     /// count and epoch), recomposes the per-shard snapshot set into the
-    /// base graph,
-    /// and replays the shard WALs merged back into arrival order (see
+    /// base graph, and replays the shard WALs merged back into arrival
+    /// order (see
     /// [`kgraph::VersionedGraph::recover_sharded`] for the coordinated-
     /// epoch semantics, including partial marker fan-outs and torn tails).
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
@@ -1016,13 +820,9 @@ impl ShardedDeployment {
             &self.space,
             &self.library,
             config,
-            Some(DurableLayout::Sharded {
-                dir: self.dir.clone(),
-            }),
+            Some(self.dir.clone()),
         );
-        // The sharded loader recomposes per-shard slices without a single
-        // streamed read, so there is no `LoadStats` to surface here.
-        service.record_boot(&self.recovery, None);
+        service.record_boot(&self.recovery);
         service
     }
 
@@ -1134,14 +934,14 @@ mod tests {
 
     /// Live-service observability: sampled traces are stamped with the
     /// epoch they executed at, checkpoints register their gauges, and a
-    /// reopened deployment exposes the recovery report and snapshot
-    /// [`LoadStats`] through the same registry.
+    /// reopened deployment exposes the recovery report through the same
+    /// registry.
     #[test]
     fn live_metrics_stamp_epochs_and_record_boot() {
         let dir = TestDir::new("obs");
         let deploy_dir = dir.0.join("kg");
         let (g, space, lib) = fixture();
-        let deployment = LiveDeployment::create(&deploy_dir, g, space, lib).unwrap();
+        let deployment = ShardedDeployment::create(&deploy_dir, g, space, lib, 1).unwrap();
         let mut cfg = config();
         cfg.trace_sample_every = 1;
         let service = deployment.service(cfg.clone());
@@ -1173,7 +973,7 @@ mod tests {
         drop(v);
         drop(deployment);
 
-        let reopened = LiveDeployment::open(&deploy_dir).unwrap();
+        let reopened = ShardedDeployment::open(&deploy_dir).unwrap();
         let recovered = reopened.recovery().recovered_epoch;
         let service = reopened.service(cfg);
         let prom = service.metrics().to_prometheus();
@@ -1181,11 +981,6 @@ mod tests {
             prom.contains(&format!("sgq_recovery_recovered_epoch {recovered}")),
             "recovery report registers as gauges:\n{prom}"
         );
-        assert!(
-            prom.contains("sgq_snapshot_load_bytes"),
-            "snapshot LoadStats surfaces through the registry"
-        );
-        assert!(prom.contains("sgq_snapshot_load_peak_buffer_bytes"));
     }
 
     #[test]
@@ -1301,191 +1096,116 @@ mod tests {
         }
     }
 
+    /// A deployment — the plain single-store case at one shard, and a
+    /// sharded one — cold-starts with committed writes bit-identical and
+    /// staged-but-uncommitted writes discarded, and a checkpoint (per-shard
+    /// snapshot set + manifest flip + log truncation) compacts and
+    /// survives the next restart.
     #[test]
-    fn deployment_cold_starts_with_identical_answers() {
-        let dir = TestDir::new("deploy");
-        let deploy_dir = dir.0.join("kg");
-        let (g, space, lib) = fixture();
-        let deployment = LiveDeployment::create(&deploy_dir, g, space, lib).unwrap();
-        let service = deployment.service(config());
-        let v = Arc::clone(deployment.versioned());
-        v.insert_triple(
-            ("Lamando", "Automobile"),
-            "assembly",
-            ("Germany", "Country"),
-        );
-        v.delete_triple("Audi_TT", "assembly", "Germany");
-        v.commit();
-        service.refresh();
-        let live_answers = service.query(&product_query()).unwrap();
-        // Stage one more write that never commits: it must not survive.
-        v.insert_triple(("Ghost", "Automobile"), "assembly", ("Germany", "Country"));
-        drop(service);
-        // Crash: no checkpoint, only snapshot + WAL remain. (Dropping the
-        // last Arc flushes the buffered Ghost record, so the log really
-        // contains a clean-but-uncommitted tail for recovery to discard.)
-        drop(deployment);
-        drop(v);
+    fn sharded_deployment_cold_starts_and_checkpoints() {
+        for shards in [1usize, 4] {
+            let dir = TestDir::new("sharded_deploy");
+            let deploy_dir = dir.0.join("kg");
+            let (g, space, lib) = fixture();
+            let deployment = ShardedDeployment::create(&deploy_dir, g, space, lib, shards).unwrap();
+            assert_eq!(deployment.shards(), shards);
+            let service = deployment.service(config());
+            let v = Arc::clone(deployment.versioned());
+            v.insert_triple(
+                ("Lamando", "Automobile"),
+                "assembly",
+                ("Germany", "Country"),
+            );
+            v.delete_triple("Audi_TT", "assembly", "Germany");
+            v.commit();
+            service.refresh();
+            let live_answers = service.query(&product_query()).unwrap();
+            // Staged, never committed: must not survive the crash. (Dropping
+            // the last Arc flushes the buffered Ghost record, so the log
+            // really holds a clean-but-uncommitted tail to discard.)
+            v.insert_triple(("Ghost", "Automobile"), "assembly", ("Germany", "Country"));
+            drop(service);
+            drop(deployment);
+            drop(v);
 
-        let reopened = LiveDeployment::open(&deploy_dir).unwrap();
-        assert_eq!(reopened.recovery().recovered_epoch, 1);
-        assert_eq!(reopened.recovery().discarded_ops, 1);
-        let service = reopened.service(config());
-        let recovered = service.query(&product_query()).unwrap();
-        assert_eq!(recovered.matches, live_answers.matches, "bit-identical");
-        assert!(service.pin().graph().node_by_name("Ghost").is_none());
-    }
+            let reopened = ShardedDeployment::open(&deploy_dir).unwrap();
+            assert_eq!(reopened.recovery().recovered_epoch, 1);
+            assert_eq!(reopened.recovery().discarded_ops, 1);
+            let service = reopened.service(config());
+            let recovered = service.query(&product_query()).unwrap();
+            assert_eq!(recovered.matches, live_answers.matches, "bit-identical");
+            assert!(service.pin().graph().node_by_name("Ghost").is_none());
+            // The shard gauges reflect the durable layout, not the
+            // (monolithic) epoch view the engine queries.
+            let stats = service.stats();
+            assert_eq!(stats.shard_count, shards as u64);
+            // 2 base edges + Lamando insert − Audi_TT delete = 2 live edges.
+            assert_eq!(stats.graph_edges, 2);
+            assert!(stats.max_shard_edges >= 1 && stats.max_shard_edges <= 2);
+            assert!(stats.shard_skew() >= 1.0);
 
-    #[test]
-    fn checkpoint_compacts_and_survives_restart() {
-        let dir = TestDir::new("checkpoint");
-        let deploy_dir = dir.0.join("kg");
-        let (g, space, lib) = fixture();
-        let deployment = LiveDeployment::create(&deploy_dir, g, space, lib).unwrap();
-        let service = deployment.service(config());
-        let v = Arc::clone(deployment.versioned());
-        v.insert_triple(
-            ("Lamando", "Automobile"),
-            "assembly",
-            ("Germany", "Country"),
-        );
-        v.commit();
-        service.refresh();
-        let before = service.query(&product_query()).unwrap();
-        let report = service.checkpoint().unwrap();
-        assert_eq!(report.epoch, 2, "commit then compaction");
-        assert_eq!(report.edges, 3);
-        assert!(report.snapshot_bytes > 0);
-        // Post-checkpoint writes land in the fresh WAL.
-        v.insert_triple(("Peter", "Person"), "designer", ("Audi_TT", "Automobile"));
-        v.commit();
-        drop(service);
-        drop(deployment);
+            // Checkpoint: compaction + per-shard snapshot set + manifest flip.
+            let report = service.checkpoint().unwrap();
+            assert_eq!(report.epoch, 2, "commit then compaction");
+            assert_eq!(report.edges, 2);
+            assert!(report.snapshot_bytes > 0, "sums the meta + shard files");
+            // Post-checkpoint writes land in the fresh WALs.
+            let v = Arc::clone(reopened.versioned());
+            v.insert_triple(("Peter", "Person"), "designer", ("KIA_K5", "Automobile"));
+            v.commit();
+            service.refresh();
+            let before = service.query(&product_query()).unwrap();
+            drop(service);
+            drop(reopened);
 
-        let reopened = LiveDeployment::open(&deploy_dir).unwrap();
-        assert_eq!(reopened.recovery().skipped_ops, 0, "WAL was truncated");
-        assert_eq!(reopened.recovery().epochs_replayed, 1);
-        let service = reopened.service(config());
-        let after = service.query(&product_query()).unwrap();
-        assert_eq!(after.matches, before.matches);
-        assert_eq!(service.stats().epoch, 3);
+            let reopened = ShardedDeployment::open(&deploy_dir).unwrap();
+            assert_eq!(reopened.recovery().skipped_ops, 0, "logs were truncated");
+            assert_eq!(reopened.recovery().epochs_replayed, 1);
+            let service = reopened.service(config());
+            assert_eq!(
+                service.query(&product_query()).unwrap().matches,
+                before.matches
+            );
+            assert_eq!(service.stats().epoch, 3);
+        }
     }
 
     #[test]
     fn create_refuses_to_overwrite_and_checkpoint_needs_a_dir() {
-        let dir = TestDir::new("guards");
-        let deploy_dir = dir.0.join("kg");
         let (g, space, lib) = fixture();
-        let deployment =
-            LiveDeployment::create(&deploy_dir, g.clone(), space.clone(), lib.clone()).unwrap();
-        drop(deployment);
+        // Invalid shard count.
+        let dir = TestDir::new("guards");
         let err =
-            LiveDeployment::create(&deploy_dir, g.clone(), space.clone(), lib.clone()).unwrap_err();
-        assert!(matches!(err, SgqError::Storage(_)), "{err:?}");
-        assert!(err.to_string().contains("already holds"), "{err}");
+            ShardedDeployment::create(dir.0.join("kg"), g.clone(), space.clone(), lib.clone(), 0)
+                .unwrap_err();
+        assert!(err.to_string().contains("shard count"), "{err}");
+        for shards in [1usize, 2] {
+            let dir = TestDir::new("guards");
+            let deploy_dir = dir.0.join("kg");
+            let create = || {
+                ShardedDeployment::create(
+                    &deploy_dir,
+                    g.clone(),
+                    space.clone(),
+                    lib.clone(),
+                    shards,
+                )
+            };
+            drop(create().unwrap());
+            let err = create().unwrap_err();
+            assert!(matches!(err, SgqError::Storage(_)), "{err:?}");
+            assert!(err.to_string().contains("already holds"), "{err}");
+            // Stale shard WALs without a manifest are the remains of another
+            // deployment: refuse to replay them into a fresh one.
+            std::fs::remove_file(kgraph::io::shard::manifest_path(&deploy_dir)).unwrap();
+            let err = create().unwrap_err();
+            assert!(err.to_string().contains("stale"), "{err}");
+        }
 
-        // A stale WAL with no snapshot (half-deleted deployment) must not
-        // be replayed into a fresh one.
-        std::fs::remove_file(deploy_dir.join(SNAPSHOT_FILE)).unwrap();
-        let err = LiveDeployment::create(&deploy_dir, g.clone(), space.clone(), lib).unwrap_err();
-        assert!(err.to_string().contains("stale"), "{err}");
-
-        let lib = TransformationLibrary::new();
         let service =
             LiveQueryService::new(Arc::new(VersionedGraph::new(g)), &space, &lib, config());
         let err = service.checkpoint().unwrap_err();
         assert!(err.to_string().contains("deployment directory"), "{err}");
-    }
-
-    /// The sharded deployment mirrors `deployment_cold_starts_with_identical_answers`:
-    /// committed writes survive a crash bit-identically, staged-but-
-    /// uncommitted writes are discarded, and a checkpoint (per-shard
-    /// snapshot set + manifest flip + log truncation) cold-starts cleanly.
-    #[test]
-    fn sharded_deployment_cold_starts_and_checkpoints() {
-        let dir = TestDir::new("sharded_deploy");
-        let deploy_dir = dir.0.join("kg");
-        let (g, space, lib) = fixture();
-        let deployment = ShardedDeployment::create(&deploy_dir, g, space, lib, 4).unwrap();
-        assert_eq!(deployment.shards(), 4);
-        let service = deployment.service(config());
-        let v = Arc::clone(deployment.versioned());
-        v.insert_triple(
-            ("Lamando", "Automobile"),
-            "assembly",
-            ("Germany", "Country"),
-        );
-        v.delete_triple("Audi_TT", "assembly", "Germany");
-        v.commit();
-        service.refresh();
-        let live_answers = service.query(&product_query()).unwrap();
-        // Staged, never committed: must not survive the crash.
-        v.insert_triple(("Ghost", "Automobile"), "assembly", ("Germany", "Country"));
-        drop(service);
-        drop(deployment);
-        drop(v);
-
-        let reopened = ShardedDeployment::open(&deploy_dir).unwrap();
-        assert_eq!(reopened.recovery().recovered_epoch, 1);
-        assert_eq!(reopened.recovery().discarded_ops, 1);
-        let service = reopened.service(config());
-        let recovered = service.query(&product_query()).unwrap();
-        assert_eq!(recovered.matches, live_answers.matches, "bit-identical");
-        assert!(service.pin().graph().node_by_name("Ghost").is_none());
-        // The shard gauges reflect the durable layout, not the (monolithic)
-        // epoch view the engine queries.
-        let stats = service.stats();
-        assert_eq!(stats.shard_count, 4);
-        // 2 base edges + Lamando insert − Audi_TT delete = 2 live edges.
-        assert_eq!(stats.graph_edges, 2);
-        assert!(stats.max_shard_edges >= 1 && stats.max_shard_edges <= 2);
-        assert!(stats.shard_skew() >= 1.0);
-
-        // Checkpoint: compaction + per-shard snapshot set + manifest flip.
-        let report = service.checkpoint().unwrap();
-        assert_eq!(report.epoch, 2);
-        assert!(report.snapshot_bytes > 0, "sums the meta + shard files");
-        let v = Arc::clone(reopened.versioned());
-        v.insert_triple(("Peter", "Person"), "designer", ("KIA_K5", "Automobile"));
-        v.commit();
-        service.refresh();
-        let before = service.query(&product_query()).unwrap();
-        drop(service);
-        drop(reopened);
-
-        let reopened = ShardedDeployment::open(&deploy_dir).unwrap();
-        assert_eq!(reopened.recovery().skipped_ops, 0, "logs were truncated");
-        assert_eq!(reopened.recovery().epochs_replayed, 1);
-        let service = reopened.service(config());
-        assert_eq!(
-            service.query(&product_query()).unwrap().matches,
-            before.matches
-        );
-        assert_eq!(service.stats().epoch, 3);
-    }
-
-    #[test]
-    fn sharded_create_guards() {
-        let dir = TestDir::new("sharded_guards");
-        let deploy_dir = dir.0.join("kg");
-        let (g, space, lib) = fixture();
-        // Invalid shard count.
-        let err = ShardedDeployment::create(&deploy_dir, g.clone(), space.clone(), lib.clone(), 0)
-            .unwrap_err();
-        assert!(err.to_string().contains("shard count"), "{err}");
-        // Refuses to overwrite.
-        let deployment =
-            ShardedDeployment::create(&deploy_dir, g.clone(), space.clone(), lib.clone(), 2)
-                .unwrap();
-        drop(deployment);
-        let err = ShardedDeployment::create(&deploy_dir, g.clone(), space.clone(), lib.clone(), 2)
-            .unwrap_err();
-        assert!(err.to_string().contains("already holds"), "{err}");
-        // Stale shard WALs without a manifest are the remains of another
-        // deployment: refuse to replay them into a fresh one.
-        std::fs::remove_file(kgraph::io::shard::manifest_path(&deploy_dir)).unwrap();
-        let err = ShardedDeployment::create(&deploy_dir, g, space, lib, 2).unwrap_err();
-        assert!(err.to_string().contains("stale"), "{err}");
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! the *current* epoch resolves at submit time — it never enters the
 //! admission queue and never touches the engine. Requests may carry their
 //! own `(k, τ)` via [`QueryParams`]; a request **dominated** by a cached
-//! entry (smaller `k`, larger `τ`, same structure) is answered by trimming
+//! entry (same structure, equal `τ`, smaller `k`) is answered by trimming
 //! the cached certified result, provably bit-identical to a from-scratch
 //! run (`tests/cache_differential.rs`). Entries invalidate by epoch stamp
 //! exactly like the plan cache, so an answer computed before a commit,

@@ -1,18 +1,20 @@
-//! Durable deployments: snapshot + WAL + crash recovery, end to end.
+//! Durable deployments: snapshot set + WAL + crash recovery, end to end.
 //!
-//! Builds a synthetic dataset, lays a deployment directory on disk, serves
-//! and mutates it, checkpoints, then simulates a crash (more committed
-//! writes plus a staged-but-uncommitted tail, no clean shutdown) and cold
-//! starts from disk — verifying the recovered service answers the whole
-//! workload bit-identically to the service that never went down.
+//! Builds a synthetic dataset, lays a 1-shard deployment directory on disk,
+//! serves and mutates it, checkpoints, then simulates a crash (more
+//! committed writes plus a staged-but-uncommitted tail, no clean shutdown)
+//! and cold starts from disk — verifying the recovered service answers the
+//! whole workload bit-identically to the service that never went down.
 //!
 //! ```sh
 //! cargo run --example persistence --release
 //! ```
 
 use semkg::datagen::workload::produced_workload;
+use semkg::kgraph::io::shard::{
+    manifest_path, meta_path, read_manifest, shard_snapshot_path, wal_path,
+};
 use semkg::prelude::*;
-use semkg::sgq::{SNAPSHOT_FILE, WAL_FILE};
 use std::sync::Arc;
 
 fn main() {
@@ -26,13 +28,14 @@ fn main() {
         ..SgqConfig::default()
     };
 
-    // 1. Lay out the deployment: binary snapshot, predicate space,
-    //    transformation library, empty WAL.
-    let deployment = LiveDeployment::create(
+    // 1. Lay out the deployment: manifest + snapshot set at epoch 0,
+    //    predicate space, transformation library, empty WAL — one shard.
+    let deployment = ShardedDeployment::create(
         &dir,
         ds.graph.clone(),
         ds.oracle_space(),
         ds.library.clone(),
+        1,
     )
     .expect("create deployment");
     println!(
@@ -55,7 +58,8 @@ fn main() {
     }
     service.refresh();
 
-    // 3. Checkpoint: compact, fresh snapshot, truncated WAL.
+    // 3. Checkpoint: compact, fresh snapshot set, manifest flip, truncated
+    //    WAL.
     let report = service.checkpoint().expect("checkpoint");
     println!(
         "checkpoint: epoch {} | {} nodes, {} edges | snapshot {} KiB | wal truncated",
@@ -90,11 +94,11 @@ fn main() {
     );
     drop(service);
     drop(deployment);
-    drop(live); // crash: only snapshot.kgb + wal.log survive
+    drop(live); // crash: only the snapshot set + WAL survive
 
-    // 5. Cold start: snapshot load + committed-epoch WAL replay.
+    // 5. Cold start: snapshot-set load + committed-epoch WAL replay.
     let t0 = std::time::Instant::now();
-    let reopened = LiveDeployment::open(&dir).expect("open deployment");
+    let reopened = ShardedDeployment::open(&dir).expect("open deployment");
     let elapsed = t0.elapsed();
     let recovery = reopened.recovery();
     println!(
@@ -126,10 +130,15 @@ fn main() {
         "verified: {} queries, {matches} matches, all bit-identical across the restart",
         workload.len()
     );
-    println!(
-        "files: {} + {}",
-        dir.join(SNAPSHOT_FILE).display(),
-        dir.join(WAL_FILE).display()
-    );
+    let snapshot_epoch = read_manifest(&dir).expect("manifest").epoch;
+    println!("files:");
+    for path in [
+        manifest_path(&dir),
+        meta_path(&dir, snapshot_epoch),
+        shard_snapshot_path(&dir, 0, snapshot_epoch),
+        wal_path(&dir, 0),
+    ] {
+        println!("  {}", path.display());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

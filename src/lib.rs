@@ -68,10 +68,10 @@ pub mod prelude {
     pub use lexicon::{NodeMatcher, TransformationLibrary};
     pub use obs::{MetricsRegistry, MetricsSnapshot};
     pub use sgq::{
-        BatchScheduler, CheckpointReport, FinalMatch, LiveDeployment, LivePreparedQuery,
-        LiveQueryService, PivotStrategy, PreparedQuery, Priority, QueryGraph, QueryResult,
-        QueryService, QueryTrace, SchedConfig, SchedOutcome, SchedResponse, SchedStats,
-        ServiceStats, SgqConfig, SgqEngine, ShedReason, TimeBoundConfig, TraceSink,
+        BatchScheduler, CheckpointReport, FinalMatch, LivePreparedQuery, LiveQueryService,
+        PivotStrategy, PreparedQuery, Priority, QueryGraph, QueryResult, QueryService, QueryTrace,
+        SchedConfig, SchedOutcome, SchedResponse, SchedStats, ServiceStats, SgqConfig, SgqEngine,
+        ShardedDeployment, ShedReason, TimeBoundConfig, TraceSink,
     };
 }
 

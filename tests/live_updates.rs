@@ -190,7 +190,7 @@ fn idle_live_service_matches_static_service() {
 /// snapshot.
 #[test]
 fn refresh_racing_checkpoint_keeps_epochs_monotonic() {
-    use sgq::LiveDeployment;
+    use sgq::ShardedDeployment;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     struct TestDir(std::path::PathBuf);
@@ -205,11 +205,12 @@ fn refresh_racing_checkpoint_keeps_epochs_monotonic() {
 
     let ds = DatasetSpec::tiny().build();
     let space = ds.oracle_space();
-    let deployment = LiveDeployment::create(
+    let deployment = ShardedDeployment::create(
         dir.0.join("kg"),
         ds.graph.clone(),
         space.clone(),
         ds.library.clone(),
+        1,
     )
     .expect("create deployment");
     let service = deployment.service(config());
@@ -290,7 +291,7 @@ fn refresh_racing_checkpoint_keeps_epochs_monotonic() {
 #[test]
 fn answer_cache_never_serves_stale_epochs_across_the_durable_lifecycle() {
     use sgq::sched::{BatchScheduler, Priority, SchedOutcome};
-    use sgq::{LiveDeployment, QueryGraph, SchedConfig};
+    use sgq::{QueryGraph, SchedConfig, ShardedDeployment};
     use std::time::Duration;
 
     struct TestDir(std::path::PathBuf);
@@ -311,11 +312,12 @@ fn answer_cache_never_serves_stale_epochs_across_the_durable_lifecycle() {
         .map(|q| q.graph)
         .collect();
 
-    let deployment = LiveDeployment::create(
+    let deployment = ShardedDeployment::create(
         &deploy_dir,
         ds.graph.clone(),
         space.clone(),
         ds.library.clone(),
+        1,
     )
     .expect("create deployment");
     {
@@ -409,7 +411,7 @@ fn answer_cache_never_serves_stale_epochs_across_the_durable_lifecycle() {
     // Boundary 3: recovery. A fresh process opens the deployment; its
     // scheduler starts cold (nothing can be stale), re-warms, and serves —
     // every response equals the recovered direct path.
-    let deployment = LiveDeployment::open(&deploy_dir).expect("recover");
+    let deployment = ShardedDeployment::open(&deploy_dir).expect("recover");
     let service = deployment.service(config());
     let recovered: Vec<_> = queries
         .iter()

@@ -1,5 +1,7 @@
-//! Integration tests for the durable storage layer: binary snapshots, the
-//! write-ahead log, and whole-deployment cold start.
+//! Integration tests for the durable storage layer: the deployment
+//! directory's snapshot set, the write-ahead logs, and whole-deployment
+//! cold start — at one shard, the plain single-store case, unless a test
+//! says otherwise.
 //!
 //! The load-bearing property throughout is *restart fidelity*: a service
 //! reopened from disk answers every query bit-identically (same pivots,
@@ -9,9 +11,10 @@
 use datagen::dataset::DatasetSpec;
 use datagen::workload::produced_workload;
 use datagen::{apply_churn, apply_churn_stream, churn_stream};
-use kgraph::{GraphView, VersionedGraph};
+use kgraph::io::shard::{load_sharded, save_sharded, wal_path};
+use kgraph::{GraphView, Partitioner, VersionedGraph};
 use proptest::prelude::*;
-use sgq::{LiveDeployment, LiveQueryService, QueryService, SgqConfig, WAL_FILE};
+use sgq::{LiveQueryService, QueryService, SgqConfig, ShardedDeployment};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,8 +92,8 @@ fn assert_services_agree(
     assert!(compared > 0, "{label}: workload produced no matches");
 }
 
-/// A frozen graph's answers survive a binary save→load round trip exactly,
-/// and agree with the JSON snapshot path.
+/// A frozen graph's answers survive a snapshot-set save→load round trip
+/// exactly.
 #[test]
 fn binary_snapshot_round_trips_query_answers() {
     let dir = TestDir::new("binary_roundtrip");
@@ -98,19 +101,15 @@ fn binary_snapshot_round_trips_query_answers() {
     let space = ds.oracle_space();
     let workload = produced_workload(&ds);
 
-    let bin_path = dir.0.join("g.kgb");
-    let json_path = dir.0.join("g.json");
-    kgraph::io::binary::save(&ds.graph, 0, &bin_path).unwrap();
-    kgraph::io::save_snapshot(&ds.graph, &json_path).unwrap();
-
-    let (from_bin, epoch) = kgraph::io::binary::load(&bin_path).unwrap();
+    let partitioner = Partitioner::new(1).unwrap();
+    save_sharded(&ds.graph, &partitioner, 0, &dir.0).unwrap();
+    let (reloaded_graph, reloaded_partitioner, epoch) = load_sharded(&dir.0).unwrap();
     assert_eq!(epoch, 0);
-    let from_json = kgraph::io::load_snapshot(&json_path).unwrap();
-    assert_eq!(fingerprint(&from_bin), fingerprint(&ds.graph));
-    assert_eq!(fingerprint(&from_json), fingerprint(&ds.graph));
+    assert_eq!(reloaded_partitioner, partitioner);
+    assert_eq!(fingerprint(&reloaded_graph), fingerprint(&ds.graph));
 
     let original = QueryService::build(&ds.graph, &space, &ds.library, config());
-    let reloaded = QueryService::build(&from_bin, &space, &ds.library, config());
+    let reloaded = QueryService::build(&reloaded_graph, &space, &ds.library, config());
     for q in &workload {
         let a = original.query(&q.graph).unwrap();
         let b = reloaded.query(&q.graph).unwrap();
@@ -129,11 +128,12 @@ fn restart_fidelity_after_churn_checkpoint_and_crash() {
     let ds = DatasetSpec::tiny().build();
     let workload = produced_workload(&ds);
 
-    let deployment = LiveDeployment::create(
+    let deployment = ShardedDeployment::create(
         &deploy_dir,
         ds.graph.clone(),
         ds.oracle_space(),
         ds.library.clone(),
+        1,
     )
     .unwrap();
     let service = deployment.service(config());
@@ -147,7 +147,7 @@ fn restart_fidelity_after_churn_checkpoint_and_crash() {
             live.commit();
         }
         if i + 1 == 600 {
-            // Mid-stream durability maintenance: compaction + snapshot +
+            // Mid-stream durability maintenance: compaction + snapshot set +
             // WAL truncation, all while the service keeps serving.
             let report = service.checkpoint().unwrap();
             assert!(report.edges > 0);
@@ -163,7 +163,7 @@ fn restart_fidelity_after_churn_checkpoint_and_crash() {
     // Reopen from disk while the original service keeps running (the
     // original's WAL is synced through the last commit marker, which is
     // all recovery is allowed to use).
-    let reopened = LiveDeployment::open(&deploy_dir).unwrap();
+    let reopened = ShardedDeployment::open(&deploy_dir).unwrap();
     let recovery = *reopened.recovery();
     assert!(recovery.epochs_replayed > 0, "{recovery:?}");
     assert_eq!(recovery.recovered_epoch, live.epoch());
@@ -186,22 +186,23 @@ fn restart_fidelity_after_churn_checkpoint_and_crash() {
     );
 }
 
-/// Crash-truncate the WAL at *every* byte offset: recovery must always
-/// succeed and recover exactly the epochs whose commit markers survived,
-/// with the graph matching an in-memory replay of the same op prefix.
-#[test]
-fn recovery_from_truncated_wal_matches_replay_prefix() {
+/// Crash-truncates shard 0's WAL of a `shards`-shard deployment at a spread
+/// of byte offsets: recovery must always succeed and recover exactly the
+/// epochs whose commit markers survived in every log, with the graph
+/// matching an in-memory replay of the same op prefix.
+fn truncated_wal_recovers_replay_prefix(shards: usize) {
     const COMMIT_EVERY: usize = 25;
     let dir = TestDir::new("truncated_wal");
     let deploy_dir = dir.0.join("kg");
     let ds = DatasetSpec::tiny().build();
     let ops = churn_stream(&ds, 150, 11);
 
-    let deployment = LiveDeployment::create(
+    let deployment = ShardedDeployment::create(
         &deploy_dir,
         ds.graph.clone(),
         ds.oracle_space(),
         ds.library.clone(),
+        shards,
     )
     .unwrap();
     {
@@ -214,16 +215,23 @@ fn recovery_from_truncated_wal_matches_replay_prefix() {
         }
     }
     drop(deployment); // flush
-    let wal_path = deploy_dir.join(WAL_FILE);
-    let wal_bytes = std::fs::read(&wal_path).unwrap();
+                      // Recovery truncates every log, so all of them are restored per cut.
+    let logs: Vec<(PathBuf, Vec<u8>)> = (0..shards)
+        .map(|s| {
+            let path = wal_path(&deploy_dir, s);
+            let bytes = std::fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect();
+    let (cut_path, cut_bytes) = &logs[0];
     let full_epochs = (ops.len() / COMMIT_EVERY) as u64;
 
     // A spread of cut points including ragged mid-record offsets.
-    let cuts: Vec<usize> = (8..wal_bytes.len()).step_by(97).collect();
-    assert!(cuts.len() > 10);
+    let cuts: Vec<usize> = (8..cut_bytes.len()).step_by(97).collect();
+    assert!(cuts.len() > 10, "{shards} shards: log too short to sweep");
     for &cut in &cuts {
-        std::fs::write(&wal_path, &wal_bytes[..cut]).unwrap();
-        let reopened = LiveDeployment::open(&deploy_dir).expect("recovery must not fail");
+        std::fs::write(cut_path, &cut_bytes[..cut]).unwrap();
+        let reopened = ShardedDeployment::open(&deploy_dir).expect("recovery must not fail");
         let epoch = reopened.versioned().epoch();
         assert!(epoch <= full_epochs, "cut {cut}: epoch {epoch}");
         // Reference: replay exactly the ops covered by the recovered epochs.
@@ -235,21 +243,37 @@ fn recovery_from_truncated_wal_matches_replay_prefix() {
             fingerprint(&reference.snapshot()),
             "cut {cut}: recovered graph diverged from replay prefix"
         );
-        // Recovery truncated the log; it must now be clean and reopenable.
+        // Recovery truncated the logs; they must now be clean and
+        // reopenable.
         drop(reopened);
-        let second = LiveDeployment::open(&deploy_dir).unwrap();
+        let second = ShardedDeployment::open(&deploy_dir).unwrap();
         assert!(!second.recovery().torn_tail);
         assert_eq!(second.versioned().epoch(), epoch);
         drop(second);
-        std::fs::write(&wal_path, &wal_bytes).unwrap();
+        for (path, bytes) in &logs {
+            std::fs::write(path, bytes).unwrap();
+        }
     }
+}
+
+#[test]
+fn recovery_from_truncated_wal_matches_replay_prefix() {
+    truncated_wal_recovers_replay_prefix(1);
+}
+
+/// At two shards a cut in one log leaves the other log ahead of it: the
+/// epochs whose markers the cut removed roll back in both.
+#[test]
+fn recovery_from_one_truncated_shard_wal_matches_replay_prefix() {
+    truncated_wal_recovers_replay_prefix(2);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     /// Codec round trip under arbitrary churn: any op stream, committed and
-    /// compacted, survives binary save→load with an identical adjacency
-    /// fingerprint — and WAL recovery of the same stream agrees.
+    /// compacted, recovers from the WAL with an identical adjacency
+    /// fingerprint — and a checkpoint's snapshot set of the compacted CSR
+    /// reloads identically too.
     #[test]
     fn prop_codec_roundtrip_of_churned_graphs(
         op_count in 1usize..300,
@@ -259,10 +283,12 @@ proptest! {
         let dir = TestDir::new("prop_codec");
         let ds = DatasetSpec::tiny().build();
         let ops = churn_stream(&ds, op_count, seed);
+        let partitioner = Partitioner::new(1).unwrap();
+        save_sharded(&ds.graph, &partitioner, 0, &dir.0).unwrap();
 
-        let live = VersionedGraph::new(ds.graph.clone());
-        let wal_path = dir.0.join("wal.log");
-        live.enable_wal(&wal_path).unwrap();
+        let (live, _) =
+            VersionedGraph::recover_sharded(ds.graph.clone(), 0, &dir.0, partitioner.clone())
+                .unwrap();
         apply_churn_stream(&live, &ops);
         live.commit();
         if compact_first {
@@ -273,18 +299,18 @@ proptest! {
 
         // WAL recovery replays to the same fingerprint as the pre-crash
         // snapshot (same epoch, same edge ids — compactions included).
-        let (recovered, report) = VersionedGraph::recover(ds.graph.clone(), 0, &wal_path).unwrap();
+        let (base, _, epoch) = load_sharded(&dir.0).unwrap();
+        let (recovered, report) =
+            VersionedGraph::recover_sharded(base, epoch, &dir.0, partitioner.clone()).unwrap();
         prop_assert_eq!(report.recovered_epoch, snapshot.epoch());
         prop_assert_eq!(
             fingerprint(&recovered.snapshot()),
             fingerprint(&snapshot)
         );
 
-        // Binary snapshot round trip of the compacted CSR.
-        let compacted = recovered.compact(); // no-op if already compacted
-        let path = dir.0.join("g.kgb");
-        kgraph::io::binary::save(compacted.base(), compacted.epoch(), &path).unwrap();
-        let (back, epoch) = kgraph::io::binary::load(&path).unwrap();
+        // Snapshot-set round trip of the compacted CSR.
+        let compacted = recovered.checkpoint_sharded(&dir.0, partitioner).unwrap();
+        let (back, _, epoch) = load_sharded(&dir.0).unwrap();
         prop_assert_eq!(epoch, compacted.epoch());
         prop_assert_eq!(fingerprint(&back), fingerprint(compacted.base()));
     }

@@ -4,7 +4,7 @@
 //! storage re-layout — per-node adjacency rows, candidate gathers, and the
 //! seeded search frontier are bit-identical to the monolithic build — so
 //! every answer of the sharded path must equal the unsharded path's,
-//! byte for byte. These tests drive that claim across shard counts 2/4/8
+//! byte for byte. These tests drive that claim across shard counts 1/2/4/8
 //! on the seeded workloads, on the shard-hostile skew stream, through the
 //! deadline scheduler, and through a full commit → checkpoint → crash →
 //! recover cycle of the per-shard durable layout.
@@ -75,7 +75,7 @@ impl Drop for TestDir {
     }
 }
 
-/// Static path: sharded (2, 4, 8) answers equal the unsharded path on every
+/// Static path: sharded (1, 2, 4, 8) answers equal the unsharded path on every
 /// query of the seeded workload, including prepared replay.
 #[test]
 fn sharded_static_answers_are_bit_identical() {
@@ -87,7 +87,7 @@ fn sharded_static_answers_are_bit_identical() {
         .map(|q| mono.query(q).expect("unsharded path answers").matches)
         .collect();
 
-    for shards in [2usize, 4, 8] {
+    for shards in [1usize, 2, 4, 8] {
         let service =
             QueryService::build_sharded(ds.graph.clone(), shards, &space, &ds.library, config())
                 .expect("valid shard count");
@@ -234,7 +234,7 @@ fn durable_cycle_stays_bit_identical() {
     let queries = workload(&ds);
     let ops = churn_stream(&ds, 400, 0xD1FF);
 
-    for shards in [2usize, 4, 8] {
+    for shards in [1usize, 2, 4, 8] {
         let dir = TestDir::new("cycle");
         let deploy_dir = dir.0.join(format!("kg{shards}"));
 
