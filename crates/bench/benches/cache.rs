@@ -22,16 +22,18 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::dataset::DatasetSpec;
 use datagen::workload::{produced_workload, skewed_triples, RequestMix, SkewSpec};
 use embedding::PredicateSpace;
+use kgraph::VersionedGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 use sgq::sched::{BatchScheduler, Priority, SchedOutcome};
 use sgq::{
-    QueryGraph, QueryService, RebalanceConfig, Rebalancer, SchedConfig, SgqConfig,
+    LiveQueryService, QueryGraph, RebalanceConfig, Rebalancer, SchedConfig, SgqConfig, SgqEngine,
     ShardedDeployment,
 };
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 16;
@@ -75,7 +77,7 @@ struct CacheReport {
 /// Closed-loop scheduled throughput under `sched` config: q/s over
 /// `duration`, plus the final scheduler stats snapshot.
 fn run_closed_loop(
-    service: &QueryService<'_>,
+    service: &LiveQueryService<'_>,
     queries: &[QueryGraph],
     sched: SchedConfig,
     duration: Duration,
@@ -225,18 +227,20 @@ fn bench_cache(c: &mut Criterion) {
         .into_iter()
         .map(|q| q.graph)
         .collect();
-    let service = QueryService::build(
-        &ds.graph,
+    let config = SgqConfig {
+        k: 20,
+        ..SgqConfig::default()
+    };
+    let service = LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
         &space,
         &ds.library,
-        SgqConfig {
-            k: 20,
-            ..SgqConfig::default()
-        },
+        config.clone(),
     );
+    let direct = SgqEngine::new(&ds.graph, &space, &ds.library, config);
 
     // Bit-identity gate before any timing: a warm cache answers every
-    // workload query exactly like the direct path.
+    // workload query exactly like the direct engine.
     BatchScheduler::serve(&service, SchedConfig::default(), |handle| {
         for _pass in 0..2 {
             for (idx, q) in queries.iter().enumerate() {
@@ -246,7 +250,7 @@ fn bench_cache(c: &mut Criterion) {
                 {
                     SchedOutcome::Exact(r) => assert_eq!(
                         r.matches,
-                        service.query(q).expect("direct").matches,
+                        direct.query(q).expect("direct").matches,
                         "cached answer diverged on query {idx}"
                     ),
                     other => panic!("slack deadline must stay exact, got {other:?}"),

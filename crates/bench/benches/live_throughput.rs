@@ -2,11 +2,12 @@
 //!
 //! Three configurations, same workload and client count:
 //!
-//! * **static** — the PR-1 [`QueryService`] over the frozen CSR (the
-//!   no-regression baseline for the live read path);
+//! * **static** — a bare [`SgqEngine`] over the frozen CSR (the
+//!   no-regression baseline for the service's read path);
 //! * **live idle** — [`LiveQueryService`] over a [`VersionedGraph`] nobody
-//!   writes to (measures the pure cost of epoch pinning: one atomic epoch
-//!   check + two `Arc` bumps per query);
+//!   writes to, which is how a static graph is served (measures what the
+//!   service wrapper costs: epoch pinning — one atomic epoch check + two
+//!   `Arc` bumps per query — plus its counters and latency histogram);
 //! * **live churn** — the same service while a writer thread streams edge
 //!   updates with periodic commits and compactions.
 
@@ -15,7 +16,7 @@ use datagen::churn::{apply_churn, churn_stream};
 use datagen::dataset::DatasetSpec;
 use datagen::workload::produced_workload;
 use kgraph::VersionedGraph;
-use sgq::{LiveQueryService, QueryService, SgqConfig};
+use sgq::{LiveQueryService, SgqConfig, SgqEngine};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -37,7 +38,7 @@ fn bench_live_throughput(c: &mut Criterion) {
     let space = ds.oracle_space();
     let workload = produced_workload(&ds);
 
-    let static_service = QueryService::build(&ds.graph, &space, &ds.library, config());
+    let static_engine = SgqEngine::new(&ds.graph, &space, &ds.library, config());
     // Two independent live stores: the idle one is never written, so idle
     // measurements stay clean no matter when the churn rounds run.
     let live_idle = LiveQueryService::new(
@@ -60,7 +61,7 @@ fn bench_live_throughput(c: &mut Criterion) {
     let read_round = |use_live: bool| {
         std::thread::scope(|s| {
             for client in 0..CLIENTS {
-                let static_service = &static_service;
+                let static_engine = &static_engine;
                 let live_idle = &live_idle;
                 let workload = &workload;
                 s.spawn(move || {
@@ -69,7 +70,7 @@ fn bench_live_throughput(c: &mut Criterion) {
                         let r = if use_live {
                             live_idle.query(q)
                         } else {
-                            static_service.query(q)
+                            static_engine.query(q)
                         };
                         black_box(r.expect("query succeeds").matches.len());
                     }

@@ -2,7 +2,7 @@
 //!
 //! Two measurements, each comparing [`sgq::ScanMode::ScalarReference`]
 //! (the pre-kernel loops) against [`sgq::ScanMode::Kernel`] on the same
-//! service and workload, with answers asserted bit-identical first:
+//! engine setup and workload, with answers asserted bit-identical first:
 //!
 //! * **seed scoring** — a vocabulary-scale hub workload (4k φ candidates ×
 //!   degree 64 over ~133k distinct predicates, so each φ row is a ~1 MiB
@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use kgraph::{GraphBuilder, KnowledgeGraph};
 use lexicon::TransformationLibrary;
 use serde::Serialize;
-use sgq::{QueryGraph, QueryService, ScanMode, SgqConfig};
+use sgq::{QueryGraph, ScanMode, SgqConfig, SgqEngine};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -165,13 +165,13 @@ fn bench_scan(c: &mut Criterion) {
     let q = query();
 
     // --- Seed scoring: τ = 0.8 prunes ~3/4 of the candidates at the seed.
-    let scalar = QueryService::build(
+    let scalar = SgqEngine::new(
         &graph,
         &space,
         &library,
         config(ScanMode::ScalarReference, 0.8, 10),
     );
-    let kernel = QueryService::build(&graph, &space, &library, config(ScanMode::Kernel, 0.8, 10));
+    let kernel = SgqEngine::new(&graph, &space, &library, config(ScanMode::Kernel, 0.8, 10));
     let scalar_prep = scalar.prepare(&q).expect("prepares");
     let kernel_prep = kernel.prepare(&q).expect("prepares");
     let reference = scalar.execute(&scalar_prep).expect("reference");
@@ -206,13 +206,13 @@ fn bench_scan(c: &mut Criterion) {
     // every source pops and every adjacency edge is weighted; the kernel
     // seed prefilter is bypassed (τ = 0) and the measured difference is the
     // per-edge `ln` lookup.
-    let scalar_drain = QueryService::build(
+    let scalar_drain = SgqEngine::new(
         &graph,
         &space,
         &library,
         config(ScanMode::ScalarReference, 0.0, 100_000),
     );
-    let kernel_drain = QueryService::build(
+    let kernel_drain = SgqEngine::new(
         &graph,
         &space,
         &library,
@@ -276,33 +276,27 @@ fn bench_scan(c: &mut Criterion) {
     ) / edges as f64;
 
     // --- Tracing overhead: the same seed workload with phase tracing off
-    // (the default — the `kernel` service above) vs sampling every query
-    // (`trace_sample_every = 1`). The off path adds one branch per phase
-    // and must not regress; the on path pays the clock reads and the sink
-    // push, bounded loosely because the point of sampling is that nobody
-    // runs it at 1-in-1 in production.
-    let traced = QueryService::build(&graph, &space, &library, {
-        let mut cfg = config(ScanMode::Kernel, 0.8, 10);
-        cfg.trace_sample_every = 1;
-        cfg
-    });
-    let traced_prep = traced.prepare(&q).expect("prepares");
-    let traced_ref = traced.execute(&traced_prep).expect("traced");
+    // (the default `execute` of the `kernel` engine above) vs tracing every
+    // execution (`execute_with_trace`, what 1-in-1 sampling runs). The off
+    // path adds one branch per phase and must not regress; the on path pays
+    // the clock reads, bounded loosely because the point of sampling is
+    // that nobody runs it at 1-in-1 in production.
+    let (traced_ref, trace) = kernel.execute_with_trace(&kernel_prep).expect("traced");
     assert_eq!(
         traced_ref.matches, reference.matches,
         "traced answers must stay bit-identical"
     );
+    assert!(trace.total_ns > 0, "a traced execution records its phases");
     let off_exec_ns = time_per_exec(
         &|| kernel.execute(&kernel_prep).expect("answers").matches.len(),
         seed_rounds,
     );
     let on_exec_ns = time_per_exec(
-        &|| traced.execute(&traced_prep).expect("answers").matches.len(),
+        &|| {
+            let (result, _) = kernel.execute_with_trace(&kernel_prep).expect("answers");
+            result.matches.len()
+        },
         seed_rounds,
-    );
-    assert!(
-        traced.traces().recorded() > 0,
-        "1-in-1 sampling must record traces"
     );
     // Hard gate: a tracing-off execution costing more than 2x a fully
     // traced one means the "free when off" claim broke — the off path

@@ -1,14 +1,17 @@
 //! Deadline-aware batch scheduler vs the unscheduled service path.
 //!
-//! Three measurements over one `QueryService` (one engine, one similarity
-//! cache, one worker pool), on a production-shaped workload where 80% of
-//! traffic hits a small hot set of queries:
+//! Three measurements over one `LiveQueryService` on a store that never
+//! commits (one engine, one similarity cache, one worker pool), on a
+//! production-shaped workload where 80% of traffic hits a small hot set of
+//! queries. The answer cache is off in every phase, so every request
+//! reaches batching and admission control (`benches/cache.rs` measures the
+//! cache):
 //!
 //! 1. criterion smoke: scheduled single-query round-trip;
 //! 2. **sustained throughput at 16 closed-loop clients** — direct
 //!    `service.query` vs `handle.query_within` with slack deadlines. The
-//!    scheduler must win ≥1.3×: concurrent duplicate requests coalesce
-//!    into one prepared execution and plans are cached across requests;
+//!    target is ≥1.3×: concurrent duplicate requests coalesce into one
+//!    prepared execution and plans are cached across requests;
 //! 3. **2× overload, open loop** — requests arrive at twice the measured
 //!    scheduled capacity with a 25 ms deadline. The scheduler sheds and
 //!    degrades to keep the p99 latency of *served* responses bounded by
@@ -17,12 +20,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::dataset::DatasetSpec;
 use datagen::workload::{produced_workload, RequestMix};
+use kgraph::VersionedGraph;
+use obs::Histogram;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sgq::sched::{BatchScheduler, Priority, SchedOutcome, Ticket};
-use sgq::{QueryGraph, QueryService, SchedConfig, SgqConfig};
+use sgq::{LiveQueryService, QueryGraph, SchedConfig, SgqConfig};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 16;
@@ -36,17 +42,21 @@ fn pick(rng: &mut StdRng, len: usize) -> usize {
     MIX.pick(rng, len)
 }
 
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
+/// The scheduler alone: the answer cache would serve the hot set at
+/// submit time and hide batching and admission control.
+fn sched_config() -> SchedConfig {
+    SchedConfig {
+        answer_cache_capacity: 0,
+        ..SchedConfig::default()
     }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let idx = ((samples.len() as f64 - 1.0) * p).round() as usize;
-    samples[idx]
 }
 
 /// Closed-loop direct-path throughput: q/s over `duration`.
-fn run_unscheduled(service: &QueryService<'_>, queries: &[QueryGraph], duration: Duration) -> f64 {
+fn run_unscheduled(
+    service: &LiveQueryService<'_>,
+    queries: &[QueryGraph],
+    duration: Duration,
+) -> f64 {
     let stop = AtomicBool::new(false);
     let completed = AtomicU64::new(0);
     let start = Instant::now();
@@ -70,11 +80,15 @@ fn run_unscheduled(service: &QueryService<'_>, queries: &[QueryGraph], duration:
 }
 
 /// Closed-loop scheduled throughput (slack deadlines): q/s over `duration`.
-fn run_scheduled(service: &QueryService<'_>, queries: &[QueryGraph], duration: Duration) -> f64 {
+fn run_scheduled(
+    service: &LiveQueryService<'_>,
+    queries: &[QueryGraph],
+    duration: Duration,
+) -> f64 {
     let stop = AtomicBool::new(false);
     let completed = AtomicU64::new(0);
     let start = Instant::now();
-    BatchScheduler::serve(service, SchedConfig::default(), |handle| {
+    BatchScheduler::serve(service, sched_config(), |handle| {
         std::thread::scope(|s| {
             for client in 0..CLIENTS {
                 let stop = &stop;
@@ -110,18 +124,18 @@ fn run_scheduled(service: &QueryService<'_>, queries: &[QueryGraph], duration: D
 /// deadlines. Returns (sample p99 of served in ms, histogram p99 in ms
 /// from the scheduler's latency registry, served, degraded, shed).
 fn run_overload(
-    service: &QueryService<'_>,
+    service: &LiveQueryService<'_>,
     queries: &[QueryGraph],
     offered: f64,
     duration: Duration,
 ) -> (f64, f64, u64, u64, u64) {
     let deadline = Duration::from_millis(25);
-    let mut latencies_ms: Vec<f64> = Vec::new();
+    let served_us = Histogram::detached();
     let mut served = 0u64;
     let mut degraded = 0u64;
     let mut shed = 0u64;
     let mut hist_p99_ms = 0.0f64;
-    BatchScheduler::serve(service, SchedConfig::default(), |handle| {
+    BatchScheduler::serve(service, sched_config(), |handle| {
         let per_client = offered / CLIENTS as f64;
         let interval = Duration::from_secs_f64(1.0 / per_client.max(1.0));
         let results: Vec<Vec<(SchedOutcome, Duration)>> = std::thread::scope(|s| {
@@ -159,12 +173,12 @@ fn run_overload(
             match outcome {
                 SchedOutcome::Exact(_) => {
                     served += 1;
-                    latencies_ms.push(latency.as_secs_f64() * 1e3);
+                    served_us.record(latency.as_micros() as u64);
                 }
                 SchedOutcome::Degraded { .. } => {
                     served += 1;
                     degraded += 1;
-                    latencies_ms.push(latency.as_secs_f64() * 1e3);
+                    served_us.record(latency.as_micros() as u64);
                 }
                 SchedOutcome::Shed(_) => shed += 1,
                 SchedOutcome::Failed(e) => panic!("overload run failed: {e}"),
@@ -177,7 +191,7 @@ fn run_overload(
     })
     .expect("scheduler config");
     (
-        percentile(&mut latencies_ms, 0.99),
+        served_us.snapshot().p99() as f64 / 1e3,
         hist_p99_ms,
         served,
         degraded,
@@ -192,8 +206,8 @@ fn bench_scheduler(c: &mut Criterion) {
         .into_iter()
         .map(|q| q.graph)
         .collect();
-    let service = QueryService::build(
-        &ds.graph,
+    let service = LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
         &space,
         &ds.library,
         SgqConfig {
@@ -205,7 +219,7 @@ fn bench_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler");
     group.sample_size(10);
     group.bench_function("scheduled_single_query_roundtrip", |b| {
-        BatchScheduler::serve(&service, SchedConfig::default(), |handle| {
+        BatchScheduler::serve(&service, sched_config(), |handle| {
             b.iter(|| {
                 black_box(handle.query_within(
                     &queries[0],

@@ -20,7 +20,7 @@ use datagen::workload::{skewed_triples, SkewSpec};
 use embedding::PredicateSpace;
 use kgraph::{GraphBuilder, GraphStats, KnowledgeGraph, ShardedGraph};
 use lexicon::TransformationLibrary;
-use sgq::{QueryGraph, QueryService, SgqConfig};
+use sgq::{QueryGraph, SgqConfig, SgqEngine};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -108,7 +108,7 @@ fn bench_sharded(c: &mut Criterion) {
     let q = query();
 
     // Unsharded reference + bit-identity anchor.
-    let mono = QueryService::build(&graph, &space, &library, config());
+    let mono = SgqEngine::new(&graph, &space, &library, config());
     let mono_prepared = mono.prepare(&q).expect("prepares");
     let reference = mono.execute(&mono_prepared).expect("reference").matches;
     assert!(!reference.is_empty());
@@ -122,26 +122,25 @@ fn bench_sharded(c: &mut Criterion) {
             }
         })
     });
-    let mut sharded_services = Vec::new();
+    let mut sharded_engines = Vec::new();
     for shards in SHARD_COUNTS {
         let build_start = Instant::now();
-        let service =
-            QueryService::build_sharded(graph.clone(), shards, &space, &library, config())
-                .expect("valid shard count");
+        let sharded = ShardedGraph::from_graph(graph.clone(), shards).expect("valid shard count");
+        let engine = SgqEngine::new(sharded, &space, &library, config());
         let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
-        let prepared = service.prepare(&q).expect("prepares");
+        let prepared = engine.prepare(&q).expect("prepares");
         assert_eq!(
-            service.execute(&prepared).expect("sharded").matches,
+            engine.execute(&prepared).expect("sharded").matches,
             reference,
             "sharded answers must stay bit-identical"
         );
-        sharded_services.push((shards, service, prepared, build_ms));
+        sharded_engines.push((shards, engine, prepared, build_ms));
     }
-    for (shards, service, prepared, _) in &sharded_services {
+    for (shards, engine, prepared, _) in &sharded_engines {
         group.bench_function(format!("shards_{shards}"), |b| {
             b.iter(|| {
                 for _ in 0..QUERIES_PER_ROUND {
-                    black_box(service.execute(prepared).expect("answers").matches.len());
+                    black_box(engine.execute(prepared).expect("answers").matches.len());
                 }
             })
         });
@@ -181,9 +180,9 @@ fn bench_sharded(c: &mut Criterion) {
     let base = timed("unsharded", &|| {
         mono.execute(&mono_prepared).expect("answers").matches.len()
     });
-    for (shards, service, prepared, build_ms) in &sharded_services {
+    for (shards, engine, prepared, build_ms) in &sharded_engines {
         let rate = timed(&format!("{shards} shards"), &|| {
-            service.execute(prepared).expect("answers").matches.len()
+            engine.execute(prepared).expect("answers").matches.len()
         });
         println!(
             "    ({:>4.2}x vs unsharded; split + per-shard φ-index build {build_ms:.0} ms)",

@@ -1,16 +1,18 @@
 //! Concurrent query throughput over the shared runtime.
 //!
-//! N client threads hammer one [`QueryService`] — one engine, one
-//! similarity-row cache, one persistent worker pool — with the produced
-//! workload. Reported per client count: wall-clock per round (criterion)
+//! N client threads hammer one [`LiveQueryService`] over a store that never
+//! commits — one engine, one similarity-row cache, one persistent worker
+//! pool — with the produced workload. Reported per client count: wall-clock per round (criterion)
 //! plus an explicit queries/second summary, for both ad-hoc queries and
 //! prepared-query execution (plans compiled once, executed per request).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::dataset::DatasetSpec;
 use datagen::workload::produced_workload;
-use sgq::{PreparedQuery, QueryService, SgqConfig};
+use kgraph::VersionedGraph;
+use sgq::{LivePreparedQuery, LiveQueryService, SgqConfig};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 const CLIENT_COUNTS: [usize; 3] = [1, 4, 16];
@@ -21,8 +23,8 @@ fn bench_throughput(c: &mut Criterion) {
     let ds = DatasetSpec::dbpedia_like(1.5).build();
     let space = ds.oracle_space();
     let workload = produced_workload(&ds);
-    let service = QueryService::build(
-        &ds.graph,
+    let service = LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
         &space,
         &ds.library,
         SgqConfig {
@@ -30,7 +32,7 @@ fn bench_throughput(c: &mut Criterion) {
             ..SgqConfig::default()
         },
     );
-    let prepared: Vec<PreparedQuery> = workload
+    let prepared: Vec<LivePreparedQuery> = workload
         .iter()
         .map(|q| service.prepare(&q.graph).expect("workload query prepares"))
         .collect();

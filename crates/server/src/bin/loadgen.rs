@@ -226,15 +226,6 @@ impl PriorityHists {
     }
 }
 
-fn percentile_us(samples: &mut [u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let idx = ((samples.len() as f64 - 1.0) * p).round() as usize;
-    samples[idx.min(samples.len() - 1)]
-}
-
 /// Closed loop: one in-flight request per connection. Returns the
 /// aggregate tally and the measured q/s.
 fn run_closed(
@@ -434,7 +425,7 @@ fn run() -> Result<(), String> {
 
     let hists = PriorityHists::new();
     let mut total = Tally::default();
-    let mut open_phase_us: Vec<u64> = Vec::new();
+    let open_phase_us = Histogram::detached();
 
     match args.mode {
         Mode::Closed => {
@@ -459,7 +450,10 @@ fn run() -> Result<(), String> {
                 "open loop: {} connections, {:.0} q/s offered ({} sent)",
                 args.connections, args.rate, tally.sent
             );
-            open_phase_us.extend(tally.served_us.iter().copied());
+            tally
+                .served_us
+                .iter()
+                .for_each(|&us| open_phase_us.record(us));
             total.absorb(tally);
         }
         Mode::Overload => {
@@ -485,7 +479,10 @@ fn run() -> Result<(), String> {
                 "overload phase: {} sent, {} exact, {} degraded, {} shed, {} failed",
                 tally.sent, tally.exact, tally.degraded, tally.shed, tally.failed
             );
-            open_phase_us.extend(tally.served_us.iter().copied());
+            tally
+                .served_us
+                .iter()
+                .for_each(|&us| open_phase_us.record(us));
             total.absorb(tally);
         }
     }
@@ -566,7 +563,7 @@ fn run() -> Result<(), String> {
         // additionally includes unbounded kernel socket-buffer queueing,
         // which no admission control behind the socket can bound.
         if args.mode != Mode::Closed {
-            let client_p99_us = percentile_us(&mut open_phase_us, 0.99);
+            let client_p99_us = open_phase_us.snapshot().p99();
             println!(
                 "open-loop client-observed served p99: {:.2} ms (includes socket queueing)",
                 client_p99_us as f64 / 1e3

@@ -164,10 +164,9 @@ pub struct SchedConfig {
     /// batching ([`crate::sched`] module docs): certified results are
     /// reused for repeat signatures — exactly, or by dominance-trimming a
     /// cached superset answer (entry τ = request τ, entry k ≥ request k).
-    /// `0` disables the cache — including when the field is absent from a
-    /// hand-written config (full round-trips always carry it). Answers are
+    /// `0` disables the cache. A serialized config must carry the field:
+    /// the one default is [`SchedConfig::default`]'s 256. Answers are
     /// bit-identical either way (`tests/cache_differential.rs`).
-    #[serde(default)]
     pub answer_cache_capacity: usize,
 }
 
@@ -333,8 +332,8 @@ mod tests {
     #[test]
     fn answer_cache_capacity_serde_round_trip() {
         // A full round-trip preserves the capacity; a pre-cache config
-        // with the field absent parses as 0 (cache off) rather than
-        // failing to deserialize.
+        // with the field absent is rejected with a typed error instead of
+        // silently turning the cache off.
         let full = serde_json::to_string(&SchedConfig::default()).unwrap();
         let parsed: SchedConfig = serde_json::from_str(&full).unwrap();
         assert_eq!(parsed.answer_cache_capacity, 256);
@@ -345,8 +344,12 @@ mod tests {
             "per_match_ta_cost": {"secs": 0, "nanos": 300},
             "plan_cache_capacity": 16
         }"#;
-        let parsed: SchedConfig = serde_json::from_str(old).unwrap();
-        assert_eq!(parsed.answer_cache_capacity, 0);
+        let err = serde_json::from_str::<SchedConfig>(old).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("missing field `answer_cache_capacity`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
 
     /// The pool an engine gets for `config`: the default `workers == 0`
     /// resolves to the **process-wide shared pool**
-    /// ([`WorkerPool::shared`]) — N engines (live epochs × sharded services
+    /// ([`WorkerPool::shared`]) — N engines (live epochs × sharded engines
     /// × whatever else the process runs) share one core-sized thread set
     /// instead of each spawning their own and oversubscribing the machine
     /// N×. An explicit count gets a dedicated pool; an invalid

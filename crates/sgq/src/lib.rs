@@ -32,14 +32,14 @@
 //!   bit-identical results;
 //! * a cross-query similarity-row cache ([`embedding::SimilarityIndex`])
 //!   handing plans shared `Arc` rows instead of per-query `Vec`s;
-//! * [`service`] — a [`service::QueryService`] front-end serving many
-//!   concurrent client threads over one engine with aggregated
-//!   [`service::ServiceStats`];
-//! * [`live`] — a [`live::LiveQueryService`] over a
-//!   [`kgraph::VersionedGraph`]: queries pin epoch snapshots while a writer
-//!   streams edge updates, commits, and compactions underneath;
+//! * [`live`] — the [`live::LiveQueryService`] front-end serving many
+//!   concurrent client threads over a [`kgraph::VersionedGraph`]: queries
+//!   pin epoch snapshots while a writer streams edge updates, commits, and
+//!   compactions underneath; a static graph is a store that never commits;
+//! * [`service`] — the service's aggregated [`service::ServiceStats`] and
+//!   registry instruments;
 //! * [`sched`] — a deadline-aware [`sched::BatchScheduler`] in front of
-//!   either service: a bounded admission queue, batching of compatible
+//!   the service: a bounded admission queue, batching of compatible
 //!   requests (one prepared execution answers a whole batch),
 //!   earliest-deadline-first dispatch on the shared worker pool, and
 //!   shed/degrade admission control driven by the Algorithm-3 estimator —
@@ -111,6 +111,6 @@ pub use sched::{
     BatchScheduler, Priority, QueryParams, SchedBackend, SchedHandle, SchedOutcome, SchedResponse,
     SchedStats, ShedReason, Ticket,
 };
-pub use service::{QueryService, ServiceStats, ShardedQueryService};
+pub use service::ServiceStats;
 pub use timebound::TimeBoundConfig;
 pub use trace::{QueryTrace, TraceSink};

@@ -1,9 +1,11 @@
-//! Live query service: the multi-client front-end over a
+//! The query service: the multi-client front-end over a
 //! [`VersionedGraph`].
 //!
-//! [`LiveQueryService`] is [`crate::QueryService`]'s sibling for graphs
-//! that change underneath the traffic. The moving part is the **epoch
-//! engine**: one `Arc<SgqEngine<GraphSnapshot>>` built against one
+//! [`LiveQueryService`] serves graphs that change underneath the traffic,
+//! and static graphs as a store that never commits
+//! (`LiveQueryService::new(Arc::new(VersionedGraph::new(graph)), …)`).
+//! The moving part is the **epoch engine**: one
+//! `Arc<SgqEngine<GraphSnapshot>>` built against one
 //! published epoch. Every query *pins* the current epoch engine for its
 //! whole execution — a commit or compaction landing mid-query cannot tear
 //! its view — and the service lazily swaps in a fresh engine when it
@@ -32,7 +34,7 @@ use crate::error::{Result, SgqError};
 use crate::query::QueryGraph;
 use crate::runtime::WorkerPool;
 use crate::semgraph::weight_transform;
-use crate::service::{shard_gauges, PhaseHistograms, ServiceCounters, ServiceGauges, ServiceStats};
+use crate::service::{PhaseHistograms, ServiceCounters, ServiceGauges, ServiceStats};
 use crate::timebound::TimeBoundConfig;
 use crate::trace::{tick_sampled, QueryTrace, TraceSink};
 use embedding::{PredicateSpace, SimilarityIndex, SimilarityIndexStats};
@@ -421,7 +423,8 @@ impl<'a> LiveQueryService<'a> {
 
     /// Aggregated counters, including the live epoch/delta gauges.
     ///
-    /// On a [`ShardedDeployment`]-backed service the shard gauges reflect
+    /// An in-memory store reports one shard holding every triple. On a
+    /// [`ShardedDeployment`]-backed service the shard gauges reflect
     /// the **durable layout**: the epoch snapshot the engine queries is the
     /// monolithic overlay view (live execution shards the on-disk layer,
     /// not the in-memory epoch view), so the ownership split is computed
@@ -429,14 +432,17 @@ impl<'a> LiveQueryService<'a> {
     pub fn stats(&self) -> ServiceStats {
         let engine = self.current.read().unwrap().clone();
         let snapshot = engine.graph();
+        let graph_edges = snapshot.edge_count() as u64;
         let mut stats = ServiceStats {
             epoch: snapshot.epoch(),
             engine_refreshes: self.refreshes.get(),
             delta_edges: snapshot.delta_added_edges() as u64,
             delta_tombstones: snapshot.tombstone_count() as u64,
+            shard_count: 1,
+            graph_edges,
+            max_shard_edges: graph_edges,
             ..self.counters.snapshot()
         };
-        shard_gauges(snapshot, &mut stats);
         if self.durable.is_some() {
             if let Some(partitioner) = self.versioned.sharded_partitioner() {
                 stats.shard_count = partitioner.shards() as u64;
@@ -697,9 +703,9 @@ pub struct CheckpointReport {
 /// checkpointing, recovery. The in-memory epoch views its queries run
 /// against remain the monolithic base ∪ overlay composition (an overlay
 /// cannot be sliced without breaking the epoch-pinning contract), so the
-/// scatter-gather *execution* phases live on the static path
-/// ([`crate::ShardedQueryService`]); [`LiveQueryService::stats`] still
-/// reports the deployment's shard gauges from the durable partitioner.
+/// scatter-gather *execution* phases live on an engine over a frozen
+/// [`kgraph::ShardedGraph`]; [`LiveQueryService::stats`] still reports the
+/// deployment's shard gauges from the durable partitioner.
 ///
 /// Writes go through [`ShardedDeployment::versioned`] exactly as for an
 /// in-memory store and route to the shard WAL of the triple's source-node

@@ -126,7 +126,7 @@ impl WorkerPool {
     /// "one worker per core" (`workers == 0`). Before it existed, each such
     /// engine resolved `available_parallelism` *independently* and spawned
     /// its own full-size pool — a live service's epoch engines already
-    /// shared one, but N engines (or N sharded services) stacked N× the
+    /// shared one, but N engines (or N sharded engines) stacked N× the
     /// machine's cores in threads. Sharing one pool keeps the total thread
     /// budget at the hardware's parallelism no matter how many engines,
     /// services, or shards a process stands up; work-helping scopes (see

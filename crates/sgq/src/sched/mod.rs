@@ -1,7 +1,7 @@
 //! Deadline-aware batch scheduling in front of the query engine.
 //!
-//! [`QueryService`] and [`crate::live::LiveQueryService`] answer whatever
-//! arrives, immediately, one query per calling thread. Under overload that
+//! [`crate::live::LiveQueryService`] answers whatever arrives,
+//! immediately, one query per calling thread. Under overload that
 //! is exactly wrong: every client pays full decomposition and search cost,
 //! duplicate requests burn the engine twice, and the TBQ estimator can only
 //! shrink *individual* searches — it cannot shed or reorder load, so p99
@@ -85,16 +85,13 @@ pub use cache::QueryParams;
 
 use crate::answer::{QueryResult, QueryStats};
 use crate::config::{SchedConfig, SgqConfig};
-use crate::engine::PreparedQuery;
 use crate::error::{Result, SgqError};
 use crate::live::LiveQueryService;
 use crate::query::QueryGraph;
 use crate::runtime::WorkerPool;
-use crate::service::QueryService;
 use crate::timebound::{estimate_ns, TimeBoundConfig};
 use crate::trace::{tick_sampled, QueryTrace, TraceSink};
 use cache::{family_fingerprint, tuned_fingerprint, AnswerCache, AnswerLookup};
-use kgraph::GraphView;
 use obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
@@ -225,9 +222,8 @@ pub struct SchedResponse {
 }
 
 /// What the engine the scheduler fronts must provide. Implemented by
-/// [`QueryService`] (static graphs; epoch constantly 0) and
 /// [`LiveQueryService`] (prepared queries pin the epoch they were built
-/// against).
+/// against; a store that never commits stays at epoch 0).
 pub trait SchedBackend: Sync {
     /// The backend's compiled-query handle.
     type Prepared: Send + Sync;
@@ -271,54 +267,6 @@ pub trait SchedBackend: Sync {
 
     /// The persistent worker pool batches are dispatched onto.
     fn pool(&self) -> &WorkerPool;
-}
-
-impl<'a, G> SchedBackend for QueryService<'a, G>
-where
-    G: GraphView + Clone + Send + Sync,
-    QueryService<'a, G>: Sync,
-{
-    type Prepared = PreparedQuery;
-
-    fn current_epoch(&self) -> u64 {
-        0
-    }
-
-    fn config(&self) -> &SgqConfig {
-        self.engine().config()
-    }
-
-    fn prepare(&self, query: &QueryGraph) -> Result<PreparedQuery> {
-        QueryService::prepare(self, query)
-    }
-
-    fn prepare_tuned(&self, query: &QueryGraph, config: &SgqConfig) -> Result<PreparedQuery> {
-        QueryService::prepare_with(self, query, config)
-    }
-
-    fn prepared_epoch(&self, _prepared: &PreparedQuery) -> u64 {
-        0
-    }
-
-    fn execute(&self, prepared: &PreparedQuery) -> Result<QueryResult> {
-        QueryService::execute(self, prepared)
-    }
-
-    fn execute_traced(&self, prepared: &PreparedQuery) -> Result<(QueryResult, QueryTrace)> {
-        QueryService::execute_traced(self, prepared)
-    }
-
-    fn execute_time_bounded(
-        &self,
-        prepared: &PreparedQuery,
-        tb: &TimeBoundConfig,
-    ) -> Result<QueryResult> {
-        QueryService::execute_time_bounded(self, prepared, tb)
-    }
-
-    fn pool(&self) -> &WorkerPool {
-        self.engine().pool()
-    }
 }
 
 impl<'a> SchedBackend for LiveQueryService<'a> {
@@ -1391,7 +1339,7 @@ impl<B: SchedBackend> SchedHandle<'_, B> {
     }
 
     /// Submits and blocks for the response — the scheduled counterpart of
-    /// [`QueryService::query`].
+    /// [`LiveQueryService::query`].
     pub fn query_within(
         &self,
         query: &QueryGraph,
@@ -1772,6 +1720,21 @@ mod tests {
         q
     }
 
+    /// A service over a store that never commits — the static case.
+    fn idle_service<'a>(
+        g: &KnowledgeGraph,
+        space: &'a PredicateSpace,
+        lib: &'a TransformationLibrary,
+        config: SgqConfig,
+    ) -> LiveQueryService<'a> {
+        LiveQueryService::new(
+            Arc::new(kgraph::VersionedGraph::new(g.clone())),
+            space,
+            lib,
+            config,
+        )
+    }
+
     fn sched_config() -> SchedConfig {
         SchedConfig::default()
     }
@@ -1779,7 +1742,7 @@ mod tests {
     #[test]
     fn scheduled_exact_matches_direct_path() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -1804,7 +1767,7 @@ mod tests {
     #[test]
     fn concurrent_identical_requests_coalesce() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -1849,7 +1812,7 @@ mod tests {
     #[test]
     fn zero_deadline_requests_are_shed_not_answered_wrong() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -1990,7 +1953,7 @@ mod tests {
     #[test]
     fn overload_burst_resolves_every_ticket() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -2038,7 +2001,7 @@ mod tests {
     #[test]
     fn mid_traffic_snapshots_never_overcount_outcomes() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -2096,7 +2059,7 @@ mod tests {
     #[test]
     fn sampled_batches_are_traced_and_metrics_expose_percentiles() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -2228,7 +2191,7 @@ mod tests {
     #[test]
     fn answer_cache_serves_repeats_without_execution() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -2281,7 +2244,7 @@ mod tests {
     #[test]
     fn answer_cache_serves_dominated_requests_by_trimming() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -2372,7 +2335,7 @@ mod tests {
     #[test]
     fn submit_after_drain_is_shed_shutdown() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -2403,7 +2366,7 @@ mod tests {
     #[test]
     fn invalid_engine_config_surfaces_as_failed() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
@@ -2424,7 +2387,7 @@ mod tests {
     #[test]
     fn invalid_sched_config_is_rejected() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(&g, &space, &lib, SgqConfig::default());
+        let service = idle_service(&g, &space, &lib, SgqConfig::default());
         let err = BatchScheduler::serve(
             &service,
             SchedConfig {

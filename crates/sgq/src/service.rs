@@ -1,28 +1,17 @@
-//! Multi-client query service over one shared engine.
+//! Fleet statistics and instruments of the query service.
 //!
-//! [`QueryService`] is the layer a server embeds: many client threads issue
-//! `&self` queries against one [`SgqEngine`] — sharing its similarity-row
-//! cache and its persistent worker pool — while the service aggregates
-//! fleet-level statistics (query counts, error counts, certification and
-//! time-bound-hit rates, cumulative latency) with lock-free atomics.
-//!
-//! Prepared queries pass straight through: a hot query can be
-//! [`QueryService::prepare`]d once and [`QueryService::execute`]d per
-//! request, skipping decomposition and plan building on the request path.
+//! [`crate::live::LiveQueryService`] is the layer a server embeds: many
+//! client threads issue `&self` queries against one shared engine runtime
+//! (similarity-row cache, persistent worker pool) while the service
+//! aggregates fleet-level statistics (query counts, error counts,
+//! certification and time-bound-hit rates, latency percentiles) with
+//! lock-free atomics. This module holds those statistics and the
+//! registry instruments behind them.
 
 use crate::answer::QueryResult;
-use crate::config::SgqConfig;
-use crate::engine::{PreparedQuery, SgqEngine};
 use crate::error::Result;
-use crate::query::QueryGraph;
-use crate::timebound::TimeBoundConfig;
-use crate::trace::{tick_sampled, QueryTrace, TraceSink};
-use embedding::{PredicateSpace, SimilarityIndexStats};
-use kgraph::{GraphView, KnowledgeGraph};
-use lexicon::TransformationLibrary;
-use obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use crate::trace::QueryTrace;
+use obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// Aggregated service counters (a consistent-enough snapshot; counters are
 /// updated independently, so ratios across fields can be off by in-flight
@@ -44,10 +33,9 @@ pub struct ServiceStats {
     /// Summed final matches returned across successful queries.
     pub total_matches: u64,
     /// Epoch of the graph snapshot the service currently answers from
-    /// (always 0 for a static [`QueryService`] over a frozen graph).
+    /// (stays 0 for a store that never commits).
     pub epoch: u64,
-    /// Engine rebuilds triggered by new epochs
-    /// ([`crate::live::LiveQueryService`] only).
+    /// Engine rebuilds triggered by new epochs.
     pub engine_refreshes: u64,
     /// Edges the current snapshot's delta overlay added on top of its base
     /// CSR (0 when static or freshly compacted).
@@ -112,27 +100,12 @@ impl ServiceStats {
     }
 }
 
-/// Fills the shard gauges of a [`ServiceStats`] from any graph view.
-pub(crate) fn shard_gauges<G: GraphView>(graph: &G, stats: &mut ServiceStats) {
-    let shards = graph.shard_count();
-    stats.shard_count = shards as u64;
-    stats.graph_edges = graph.edge_count() as u64;
-    stats.max_shard_edges = if shards > 1 {
-        (0..shards)
-            .map(|s| graph.shard_edge_count(s))
-            .max()
-            .unwrap_or(0) as u64
-    } else {
-        stats.graph_edges
-    };
-}
-
-/// Lock-free fleet counters, shared by the static [`QueryService`] and the
-/// live [`crate::live::LiveQueryService`]. All instruments live in the
-/// owning service's [`MetricsRegistry`], so they surface in its
-/// [`MetricsSnapshot`] exposition for free; [`ServiceCounters::snapshot`]
-/// derives the latency aggregates (sum, mean, percentiles, max) from the
-/// registry histogram instead of tracking them separately.
+/// Lock-free fleet counters of [`crate::live::LiveQueryService`]. All
+/// instruments live in the owning service's [`MetricsRegistry`], so they
+/// surface in its [`obs::MetricsSnapshot`] exposition for free;
+/// [`ServiceCounters::snapshot`] derives the latency aggregates (sum, mean,
+/// percentiles, max) from the registry histogram instead of tracking them
+/// separately.
 pub(crate) struct ServiceCounters {
     queries: Counter,
     errors: Counter,
@@ -224,8 +197,7 @@ impl ServiceCounters {
 }
 
 /// Per-phase wall-time histograms fed by sampled / explicit
-/// [`QueryTrace`]s, shared by every service front-end (and the scheduler,
-/// which adds its own fan-out histogram).
+/// [`QueryTrace`]s.
 pub(crate) struct PhaseHistograms {
     plan_ns: Histogram,
     seed_ns: Histogram,
@@ -269,8 +241,8 @@ impl PhaseHistograms {
     }
 }
 
-/// Shard/epoch/delta gauges refreshed on every [`QueryService::metrics`]
-/// (or [`crate::live::LiveQueryService::metrics`]) call.
+/// Shard/epoch/delta gauges refreshed on every
+/// [`crate::live::LiveQueryService::metrics`] call.
 pub(crate) struct ServiceGauges {
     epoch: Gauge,
     shard_count: Gauge,
@@ -314,222 +286,15 @@ impl ServiceGauges {
     }
 }
 
-/// A query front-end serving many concurrent clients over one engine.
-///
-/// Every service owns a [`MetricsRegistry`] that its counters, latency
-/// histogram and phase histograms register into — [`QueryService::metrics`]
-/// snapshots the lot for Prometheus/JSON exposition — plus a bounded
-/// [`TraceSink`] receiving the [`QueryTrace`]s sampled via
-/// [`SgqConfig::trace_sample_every`].
-pub struct QueryService<'a, G: GraphView + Clone = &'a KnowledgeGraph> {
-    engine: SgqEngine<'a, G>,
-    registry: Arc<MetricsRegistry>,
-    counters: ServiceCounters,
-    phases: PhaseHistograms,
-    gauges: ServiceGauges,
-    traces: TraceSink,
-    trace_tick: AtomicU64,
-}
-
-/// A service over sharded storage: candidate generation scatters one scan
-/// job per shard on the worker pool, answers stay bit-identical to the
-/// monolithic path (see [`kgraph::shard`]).
-pub type ShardedQueryService<'a> = QueryService<'a, kgraph::ShardedGraph>;
-
-impl<'a> ShardedQueryService<'a> {
-    /// Splits `graph` into `shards` per-shard CSR slices and stands the
-    /// service up over the composed view. Fails on an invalid shard count
-    /// (`1..=`[`kgraph::Partitioner::MAX_SHARDS`]).
-    pub fn build_sharded(
-        graph: kgraph::KnowledgeGraph,
-        shards: usize,
-        space: &'a PredicateSpace,
-        library: &'a TransformationLibrary,
-        config: SgqConfig,
-    ) -> Result<Self> {
-        let sharded = kgraph::ShardedGraph::from_graph(graph, shards)?;
-        Ok(Self::new(SgqEngine::new(sharded, space, library, config)))
-    }
-}
-
-impl<'a, G: GraphView + Clone> QueryService<'a, G> {
-    /// Wraps an existing engine.
-    pub fn new(engine: SgqEngine<'a, G>) -> Self {
-        let registry = Arc::new(MetricsRegistry::new());
-        let counters = ServiceCounters::new(&registry);
-        let phases = PhaseHistograms::new(&registry);
-        let gauges = ServiceGauges::new(&registry);
-        Self {
-            engine,
-            registry,
-            counters,
-            phases,
-            gauges,
-            traces: TraceSink::default(),
-            trace_tick: AtomicU64::new(0),
-        }
-    }
-
-    /// Builds the engine and the service in one step.
-    pub fn build(
-        graph: G,
-        space: &'a PredicateSpace,
-        library: &'a TransformationLibrary,
-        config: SgqConfig,
-    ) -> Self {
-        Self::new(SgqEngine::new(graph, space, library, config))
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &SgqEngine<'a, G> {
-        &self.engine
-    }
-
-    /// Compiles a query for repeated execution.
-    pub fn prepare(&self, query: &QueryGraph) -> Result<PreparedQuery> {
-        self.engine.prepare(query)
-    }
-
-    /// [`QueryService::prepare`] under an explicit configuration — the
-    /// scheduler's per-request (k, τ) override path.
-    pub fn prepare_with(&self, query: &QueryGraph, config: &SgqConfig) -> Result<PreparedQuery> {
-        self.engine.prepare_with(query, config)
-    }
-
-    /// Exact top-k query (SGQ). When [`SgqConfig::trace_sample_every`] is
-    /// non-zero, every N-th call is invisibly traced: its [`QueryTrace`]
-    /// lands in the service's [`TraceSink`] and phase histograms, while the
-    /// answer stays bit-identical to the untraced path.
-    pub fn query(&self, query: &QueryGraph) -> Result<QueryResult> {
-        if self.trace_sampled() {
-            return self.record_sampled(self.engine.query_with_trace(query), false);
-        }
-        self.record(self.engine.query(query), false)
-    }
-
-    /// Executes a prepared query (exact), with the same invisible sampling
-    /// as [`QueryService::query`].
-    pub fn execute(&self, prepared: &PreparedQuery) -> Result<QueryResult> {
-        if self.trace_sampled() {
-            return self.record_sampled(self.engine.execute_with_trace(prepared), false);
-        }
-        self.record(self.engine.execute(prepared), false)
-    }
-
-    /// Exact top-k query returning its [`QueryTrace`] to the caller.
-    /// Explicitly traced calls feed the phase histograms but do *not* enter
-    /// the sampled [`TraceSink`] — the sink tracks background sampling, the
-    /// returned trace belongs to the requester.
-    pub fn query_traced(&self, query: &QueryGraph) -> Result<(QueryResult, QueryTrace)> {
-        self.record_traced(self.engine.query_with_trace(query))
-    }
-
-    /// Executes a prepared query, returning its [`QueryTrace`] (see
-    /// [`QueryService::query_traced`]).
-    pub fn execute_traced(&self, prepared: &PreparedQuery) -> Result<(QueryResult, QueryTrace)> {
-        self.record_traced(self.engine.execute_with_trace(prepared))
-    }
-
-    /// Time-bounded approximate query (TBQ).
-    pub fn query_time_bounded(
-        &self,
-        query: &QueryGraph,
-        tb: &TimeBoundConfig,
-    ) -> Result<QueryResult> {
-        self.record(self.engine.query_time_bounded(query, tb), true)
-    }
-
-    /// Executes a prepared query under a time bound.
-    pub fn execute_time_bounded(
-        &self,
-        prepared: &PreparedQuery,
-        tb: &TimeBoundConfig,
-    ) -> Result<QueryResult> {
-        self.record(self.engine.execute_time_bounded(prepared, tb), true)
-    }
-
-    fn record(&self, result: Result<QueryResult>, time_bounded: bool) -> Result<QueryResult> {
-        self.counters.record(result, time_bounded)
-    }
-
-    /// Whether this call was picked by the deterministic 1-in-N sampler.
-    fn trace_sampled(&self) -> bool {
-        tick_sampled(&self.trace_tick, self.engine.config().trace_sample_every)
-    }
-
-    /// Records a sampled execution: the trace feeds the phase histograms
-    /// and the sink, the result flows through the normal counters.
-    fn record_sampled(
-        &self,
-        traced: Result<(QueryResult, QueryTrace)>,
-        time_bounded: bool,
-    ) -> Result<QueryResult> {
-        match traced {
-            Ok((result, trace)) => {
-                self.phases.observe(&trace);
-                self.traces.push(trace);
-                self.record(Ok(result), time_bounded)
-            }
-            Err(e) => self.record(Err(e), time_bounded),
-        }
-    }
-
-    /// Records an explicitly traced execution: phase histograms yes, sink
-    /// no — the trace goes back to the caller.
-    fn record_traced(
-        &self,
-        traced: Result<(QueryResult, QueryTrace)>,
-    ) -> Result<(QueryResult, QueryTrace)> {
-        match traced {
-            Ok((result, trace)) => {
-                self.phases.observe(&trace);
-                let result = self.record(Ok(result), false)?;
-                Ok((result, trace))
-            }
-            Err(e) => self
-                .record(Err(e), false)
-                .map(|r| (r, QueryTrace::default())),
-        }
-    }
-
-    /// Snapshot of the aggregated counters, including the shard gauges of
-    /// the served graph and the latency percentiles from the registry
-    /// histogram.
-    pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.counters.snapshot();
-        shard_gauges(self.engine.graph(), &mut stats);
-        stats
-    }
-
-    /// The service's metrics registry (for registering extra instruments
-    /// next to the built-in ones).
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// The sink holding recently sampled [`QueryTrace`]s.
-    pub fn traces(&self) -> &TraceSink {
-        &self.traces
-    }
-
-    /// Point-in-time snapshot of every registered metric, with the shard
-    /// and epoch gauges refreshed first. Render with
-    /// [`MetricsSnapshot::to_prometheus`] or [`MetricsSnapshot::to_json`].
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.gauges.refresh(&self.stats());
-        self.registry.snapshot()
-    }
-
-    /// Similarity-row cache counters of the shared engine.
-    pub fn similarity_stats(&self) -> SimilarityIndexStats {
-        self.engine.similarity_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use kgraph::GraphBuilder;
+    use crate::config::SgqConfig;
+    use crate::live::LiveQueryService;
+    use crate::query::QueryGraph;
+    use embedding::PredicateSpace;
+    use kgraph::{GraphBuilder, KnowledgeGraph, VersionedGraph};
+    use lexicon::TransformationLibrary;
+    use std::sync::Arc;
 
     fn fixture() -> (KnowledgeGraph, PredicateSpace, TransformationLibrary) {
         let mut b = GraphBuilder::new();
@@ -555,19 +320,35 @@ mod tests {
         q
     }
 
+    /// A service over a store that never commits — the static case.
+    fn idle_service<'a>(
+        g: &KnowledgeGraph,
+        space: &'a PredicateSpace,
+        lib: &'a TransformationLibrary,
+        config: SgqConfig,
+    ) -> LiveQueryService<'a> {
+        LiveQueryService::new(Arc::new(VersionedGraph::new(g.clone())), space, lib, config)
+    }
+
+    fn config() -> SgqConfig {
+        SgqConfig {
+            k: 5,
+            tau: 0.0,
+            ..SgqConfig::default()
+        }
+    }
+
+    fn invalid_config() -> SgqConfig {
+        SgqConfig {
+            k: 0,
+            ..SgqConfig::default()
+        }
+    }
+
     #[test]
     fn service_counts_queries_and_matches() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
-            &g,
-            &space,
-            &lib,
-            SgqConfig {
-                k: 5,
-                tau: 0.0,
-                ..SgqConfig::default()
-            },
-        );
+        let service = idle_service(&g, &space, &lib, config());
         let q = product_query();
         for _ in 0..3 {
             let r = service.query(&q).unwrap();
@@ -581,24 +362,6 @@ mod tests {
         assert!(stats.mean_latency_us() > 0.0);
     }
 
-    #[test]
-    fn service_counts_errors() {
-        let (g, space, lib) = fixture();
-        let service = QueryService::build(
-            &g,
-            &space,
-            &lib,
-            SgqConfig {
-                k: 0, // invalid
-                ..SgqConfig::default()
-            },
-        );
-        assert!(service.query(&product_query()).is_err());
-        let stats = service.stats();
-        assert_eq!(stats.errors, 1);
-        assert_eq!(stats.queries, 0);
-    }
-
     /// Regression: the latency gauge must average over completed queries
     /// only. A service interleaving successes with failures must report
     /// exactly the mean of the successful runs — errors add nothing to the
@@ -608,16 +371,7 @@ mod tests {
     #[test]
     fn mean_latency_ignores_failed_queries() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
-            &g,
-            &space,
-            &lib,
-            SgqConfig {
-                k: 5,
-                tau: 0.0,
-                ..SgqConfig::default()
-            },
-        );
+        let service = idle_service(&g, &space, &lib, config());
         let good = product_query();
         let bad = QueryGraph::new(); // no target node: always an error
         for _ in 0..3 {
@@ -637,49 +391,21 @@ mod tests {
         assert!(stats.mean_latency_us() > 0.0);
 
         // A service that has only ever failed reports 0, not NaN.
-        let failing = QueryService::build(
-            &g,
-            &space,
-            &lib,
-            SgqConfig {
-                k: 0, // invalid
-                ..SgqConfig::default()
-            },
-        );
+        let failing = idle_service(&g, &space, &lib, invalid_config());
         assert!(failing.query(&good).is_err());
         assert_eq!(failing.stats().mean_latency_us(), 0.0);
     }
 
-    /// The sharded service answers bit-identically to the monolithic one
-    /// and surfaces the per-shard imbalance gauges operators watch.
+    /// An in-memory store is one shard: the imbalance gauges report the
+    /// whole graph on it and a skew of exactly 1.
     #[test]
-    fn sharded_service_is_identical_and_reports_shard_gauges() {
+    fn in_memory_store_reports_monolithic_shard_gauges() {
         let (g, space, lib) = fixture();
-        let config = SgqConfig {
-            k: 5,
-            tau: 0.0,
-            ..SgqConfig::default()
-        };
-        let mono = QueryService::build(&g, &space, &lib, config.clone());
-        let sharded =
-            QueryService::build_sharded(g.clone(), 4, &space, &lib, config.clone()).unwrap();
-        let q = product_query();
-        assert_eq!(
-            sharded.query(&q).unwrap().matches,
-            mono.query(&q).unwrap().matches
-        );
-        let stats = sharded.stats();
-        assert_eq!(stats.shard_count, 4);
+        let stats = idle_service(&g, &space, &lib, config()).stats();
+        assert_eq!(stats.shard_count, 1);
         assert_eq!(stats.graph_edges, 2);
-        assert!(stats.max_shard_edges <= 2);
-        assert!(stats.shard_skew() >= 1.0);
-        let mono_stats = mono.stats();
-        assert_eq!(mono_stats.shard_count, 1);
-        assert_eq!(mono_stats.graph_edges, 2);
-        assert_eq!(mono_stats.max_shard_edges, 2);
-        assert_eq!(mono_stats.shard_skew(), 1.0);
-        // Invalid shard counts are rejected at construction.
-        assert!(QueryService::build_sharded(g, 0, &space, &lib, config).is_err());
+        assert_eq!(stats.max_shard_edges, 2);
+        assert_eq!(stats.shard_skew(), 1.0);
     }
 
     /// [`ServiceStats`] percentiles come straight from the registry's
@@ -689,15 +415,13 @@ mod tests {
     #[test]
     fn stats_expose_registry_percentiles_and_sampling_fills_the_sink() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
+        let service = idle_service(
             &g,
             &space,
             &lib,
             SgqConfig {
-                k: 5,
-                tau: 0.0,
                 trace_sample_every: 2,
-                ..SgqConfig::default()
+                ..config()
             },
         );
         let q = product_query();
@@ -741,16 +465,7 @@ mod tests {
 
         // An untouched sampler records nothing and the off path never
         // registers a trace.
-        let quiet = QueryService::build(
-            &g,
-            &space,
-            &lib,
-            SgqConfig {
-                k: 5,
-                tau: 0.0,
-                ..SgqConfig::default()
-            },
-        );
+        let quiet = idle_service(&g, &space, &lib, config());
         quiet.query(&q).unwrap();
         assert_eq!(quiet.traces().recorded(), 0);
         assert!(quiet.traces().is_empty());
@@ -761,16 +476,7 @@ mod tests {
     #[test]
     fn query_traced_returns_the_trace_and_counts_the_query() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
-            &g,
-            &space,
-            &lib,
-            SgqConfig {
-                k: 5,
-                tau: 0.0,
-                ..SgqConfig::default()
-            },
-        );
+        let service = idle_service(&g, &space, &lib, config());
         let (result, trace) = service.query_traced(&product_query()).unwrap();
         assert_eq!(result.matches.len(), 2);
         assert!(trace.total_ns > 0);
@@ -786,16 +492,7 @@ mod tests {
     #[test]
     fn prepared_execution_shares_cached_rows() {
         let (g, space, lib) = fixture();
-        let service = QueryService::build(
-            &g,
-            &space,
-            &lib,
-            SgqConfig {
-                k: 5,
-                tau: 0.0,
-                ..SgqConfig::default()
-            },
-        );
+        let service = idle_service(&g, &space, &lib, config());
         let prepared = service.prepare(&product_query()).unwrap();
         let fresh = service.query(&product_query()).unwrap();
         let replay = service.execute(&prepared).unwrap();

@@ -9,7 +9,7 @@
 //! time spent resolving one prepared execution to every coalesced ticket).
 //!
 //! Tracing is opt-in per request ([`crate::SgqEngine::query_with_trace`],
-//! [`crate::QueryService::query_traced`]) or sampled deterministically
+//! [`crate::LiveQueryService::query_traced`]) or sampled deterministically
 //! 1-in-N via [`crate::SgqConfig::trace_sample_every`]. The untraced path
 //! takes one branch per phase and allocates nothing, and tracing never
 //! feeds back into search decisions — `tests/trace_differential.rs` proves

@@ -1,9 +1,10 @@
 //! The shared query runtime serving concurrent clients.
 //!
-//! Builds a synthetic DBpedia-like dataset, stands up one [`QueryService`]
-//! (one engine, one similarity-row cache, one persistent worker pool) and
-//! hammers it from several client threads with prepared queries, then
-//! prints the aggregated service statistics.
+//! Builds a synthetic DBpedia-like dataset, stands up one
+//! [`LiveQueryService`] over a store that never commits (one engine, one
+//! similarity-row cache, one persistent worker pool) and hammers it from
+//! several client threads with prepared queries, then prints the
+//! aggregated service statistics.
 //!
 //! ```sh
 //! cargo run --example concurrent_service --release
@@ -11,12 +12,13 @@
 
 use semkg::datagen::workload::produced_workload;
 use semkg::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let ds = DatasetSpec::dbpedia_like(1.5).build();
     let space = ds.oracle_space();
-    let service = QueryService::build(
-        &ds.graph,
+    let service = LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
         &space,
         &ds.library,
         SgqConfig {
@@ -28,7 +30,7 @@ fn main() {
     // Compile the workload once; clients then skip decomposition and plan
     // building on every request.
     let workload = produced_workload(&ds);
-    let prepared: Vec<PreparedQuery> = workload
+    let prepared: Vec<LivePreparedQuery> = workload
         .iter()
         .map(|q| service.prepare(&q.graph).expect("workload query prepares"))
         .collect();
@@ -74,6 +76,6 @@ fn main() {
     );
     println!(
         "worker pool: {} persistent workers, zero per-query thread spawns",
-        service.engine().workers()
+        service.pin().workers()
     );
 }

@@ -5,8 +5,9 @@
 //! cargo run --release --example overload
 //! ```
 //!
-//! The demo builds a DBpedia-like graph, stands a `QueryService` up behind
-//! a `BatchScheduler`, and drives it through three phases:
+//! The demo builds a DBpedia-like graph, stands a `LiveQueryService` over
+//! a store that never commits up behind a `BatchScheduler`, and drives it
+//! through three phases:
 //!
 //! 1. steady traffic with slack deadlines — every answer is exact and
 //!    concurrent duplicate requests coalesce into shared executions;
@@ -21,6 +22,7 @@ use semkg::prelude::*;
 use semkg::sgq::sched::{BatchScheduler, Priority, SchedOutcome};
 use semkg::sgq::SchedConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
@@ -38,8 +40,8 @@ fn main() {
         queries.len()
     );
 
-    let service = QueryService::build(
-        &ds.graph,
+    let service = LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
         &space,
         &ds.library,
         SgqConfig {

@@ -6,8 +6,9 @@
 //! ```
 //!
 //! 1. Builds the seeded benchmark dataset and splits it into 4 shards —
-//!    answers are bit-identical to the monolithic build (asserted here,
-//!    proven exhaustively in `tests/sharded_differential.rs`).
+//!    `SgqEngine<ShardedGraph>` answers are bit-identical to the monolithic
+//!    engine (asserted here, proven exhaustively in
+//!    `tests/sharded_differential.rs`).
 //! 2. Prints the per-shard edge counts and skew ratio, for the balanced
 //!    dataset and for the shard-hostile zipfian stream.
 //! 3. Stands up a `ShardedDeployment` (per-shard snapshots + WALs under
@@ -17,7 +18,7 @@
 use datagen::dataset::DatasetSpec;
 use datagen::workload::{produced_workload, skewed_triples, SkewSpec};
 use kgraph::{GraphStats, GraphView, ShardedGraph};
-use sgq::{QueryService, SgqConfig, ShardedDeployment};
+use sgq::{SgqConfig, SgqEngine, ShardedDeployment};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,17 +28,13 @@ fn main() {
     let config = SgqConfig {
         k: 10,
         tau: 0.3,
-        // Phase-trace every 4th query; tracing never affects answers (the
-        // bit-identity asserts below still hold).
-        trace_sample_every: 4,
         ..SgqConfig::default()
     };
 
     // --- 1. Scatter-gather queries over 4 shards -------------------------
-    let mono = QueryService::build(&ds.graph, &space, &ds.library, config.clone());
-    let sharded =
-        QueryService::build_sharded(ds.graph.clone(), 4, &space, &ds.library, config.clone())
-            .expect("valid shard count");
+    let mono = SgqEngine::new(&ds.graph, &space, &ds.library, config.clone());
+    let balanced = ShardedGraph::from_graph(ds.graph.clone(), 4).expect("split");
+    let sharded = SgqEngine::new(balanced, &space, &ds.library, config.clone());
     let workload = produced_workload(&ds);
     let t0 = Instant::now();
     let mut identical = 0;
@@ -54,32 +51,20 @@ fn main() {
         "ran {identical} queries on 1 and 4 shards in {:?} — every answer bit-identical",
         t0.elapsed()
     );
-    let stats = sharded.stats();
+    let (_, tr) = sharded
+        .query_with_trace(&workload[0].graph)
+        .expect("traced answers");
     println!(
-        "service gauges: shards={} graph_edges={} max_shard_edges={} skew={:.2}",
-        stats.shard_count,
-        stats.graph_edges,
-        stats.max_shard_edges,
-        stats.shard_skew()
+        "phase trace: seed {} us | expand {} us over {} rounds | merge {} us | total {} us",
+        tr.seed_ns / 1_000,
+        tr.expand_ns / 1_000,
+        tr.rounds,
+        tr.merge_ns / 1_000,
+        tr.total_ns / 1_000
     );
-    println!(
-        "latency percentiles (registry histogram): p50={} p90={} p99={} max={} us",
-        stats.latency_p50_us, stats.latency_p90_us, stats.latency_p99_us, stats.latency_max_us
-    );
-    if let Some(tr) = sharded.traces().recent().first() {
-        println!(
-            "sampled phase trace (1-in-4): seed {} us | expand {} us over {} rounds | merge {} us | total {} us",
-            tr.seed_ns / 1_000,
-            tr.expand_ns / 1_000,
-            tr.rounds,
-            tr.merge_ns / 1_000,
-            tr.total_ns / 1_000
-        );
-    }
 
     // --- 2. Imbalance gauges ---------------------------------------------
-    let balanced = ShardedGraph::from_graph(ds.graph.clone(), 4).expect("split");
-    println!("balanced dataset: {}", GraphStats::of(&balanced));
+    println!("balanced dataset: {}", GraphStats::of(sharded.graph()));
     let hostile = kgraph::io::graph_from_triples(skewed_triples(&SkewSpec::default()));
     let hostile = ShardedGraph::from_graph(hostile, 4).expect("split");
     println!("shard-hostile stream: {}", GraphStats::of(&hostile));

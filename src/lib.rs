@@ -69,8 +69,8 @@ pub mod prelude {
     pub use obs::{MetricsRegistry, MetricsSnapshot};
     pub use sgq::{
         BatchScheduler, CheckpointReport, FinalMatch, LivePreparedQuery, LiveQueryService,
-        PivotStrategy, PreparedQuery, Priority, QueryGraph, QueryResult, QueryService, QueryTrace,
-        SchedConfig, SchedOutcome, SchedResponse, SchedStats, ServiceStats, SgqConfig, SgqEngine,
+        PivotStrategy, PreparedQuery, Priority, QueryGraph, QueryResult, QueryTrace, SchedConfig,
+        SchedOutcome, SchedResponse, SchedStats, ServiceStats, SgqConfig, SgqEngine,
         ShardedDeployment, ShedReason, TimeBoundConfig, TraceSink,
     };
 }

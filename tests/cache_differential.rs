@@ -20,7 +20,7 @@ use embedding::PredicateSpace;
 use kgraph::VersionedGraph;
 use sgq::sched::{BatchScheduler, Priority, QueryParams, SchedOutcome};
 use sgq::{
-    FinalMatch, LiveQueryService, QueryGraph, QueryResult, QueryService, SchedConfig, SgqConfig,
+    FinalMatch, LiveQueryService, QueryGraph, QueryResult, SchedConfig, SgqConfig, SgqEngine,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,6 +38,20 @@ fn setup() -> (BenchDataset, PredicateSpace) {
     let ds = DatasetSpec::dbpedia_like(1.0).build();
     let space = ds.oracle_space();
     (ds, space)
+}
+
+/// The service over a store that never commits.
+fn idle_service<'a>(
+    ds: &'a BenchDataset,
+    space: &'a PredicateSpace,
+    config: SgqConfig,
+) -> LiveQueryService<'a> {
+    LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
+        space,
+        &ds.library,
+        config,
+    )
 }
 
 /// The seeded differential workload, as in `scheduler_differential.rs`.
@@ -82,11 +96,12 @@ fn exact(outcome: SchedOutcome) -> QueryResult {
 #[test]
 fn exact_hits_are_bit_identical_including_deterministic_stats() {
     let (ds, space) = setup();
-    let service = QueryService::build(&ds.graph, &space, &ds.library, config());
+    let service = idle_service(&ds, &space, config());
     let queries = workload(&ds);
+    let direct = SgqEngine::new(&ds.graph, &space, &ds.library, config());
     let baseline: Vec<QueryResult> = queries
         .iter()
-        .map(|q| service.query(q).expect("direct path answers"))
+        .map(|q| direct.query(q).expect("direct path answers"))
         .collect();
 
     BatchScheduler::serve(&service, SchedConfig::default(), |handle| {
@@ -135,7 +150,7 @@ fn exact_hits_are_bit_identical_including_deterministic_stats() {
 
 /// Dominance serving over a k grid at the donor's τ: a request at
 /// (k' ≤ k, same τ) answered by truncating the cached (k, τ) superset
-/// equals a service built from scratch at exactly (k', τ) — matches,
+/// equals an engine built from scratch at exactly (k', τ) — matches,
 /// scores and per-part path edge ids. The trimmed response carries the
 /// donor's deterministic stats (it *is* the donor execution, truncated),
 /// which is asserted too. A cross-τ phase is the negative control: the
@@ -149,7 +164,7 @@ fn dominance_trimmed_answers_equal_from_scratch() {
     // Donor (k = 20, τ = 0.3); the equal-τ prefix rule needs no
     // exhaustiveness — top-k' is a prefix of top-k for every k' ≤ k.
     let donor_config = config();
-    let service = QueryService::build(&ds.graph, &space, &ds.library, donor_config.clone());
+    let service = idle_service(&ds, &space, donor_config.clone());
     let queries: Vec<QueryGraph> = produced_workload(&ds)
         .into_iter()
         .map(|q| q.graph)
@@ -164,7 +179,7 @@ fn dominance_trimmed_answers_equal_from_scratch() {
     let miss_grid: Vec<(usize, f64)> = vec![(20, 0.45), (1, 0.6)];
 
     let reference = |k: usize, tau: f64| {
-        QueryService::build(
+        SgqEngine::new(
             &ds.graph,
             &space,
             &ds.library,
@@ -175,11 +190,11 @@ fn dominance_trimmed_answers_equal_from_scratch() {
             },
         )
     };
-    let trim_refs: Vec<QueryService<'_>> = trim_grid
+    let trim_refs: Vec<SgqEngine<'_>> = trim_grid
         .iter()
         .map(|&(k, tau)| reference(k, tau))
         .collect();
-    let miss_refs: Vec<QueryService<'_>> = miss_grid
+    let miss_refs: Vec<SgqEngine<'_>> = miss_grid
         .iter()
         .map(|&(k, tau)| reference(k, tau))
         .collect();
@@ -217,7 +232,7 @@ fn dominance_trimmed_answers_equal_from_scratch() {
                 assert_eq!(
                     r.matches, from_scratch.matches,
                     "trimmed answer diverged from a from-scratch (k={k}, τ={tau}) \
-                     service on query {idx}"
+                     engine on query {idx}"
                 );
                 assert_eq!(
                     det_stats(&r),
@@ -258,7 +273,7 @@ fn dominance_trimmed_answers_equal_from_scratch() {
                 assert_eq!(
                     r.matches, from_scratch.matches,
                     "cross-τ answer diverged from a from-scratch (k={k}, τ={tau}) \
-                     service on query {idx}"
+                     engine on query {idx}"
                 );
                 assert_eq!(
                     det_stats(&r),

@@ -6,6 +6,7 @@
 use semkg::datagen::workload::produced_workload;
 use semkg::prelude::*;
 use semkg::sgq::PreparedQuery;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn setup() -> (BenchDataset, PredicateSpace) {
@@ -106,8 +107,8 @@ fn similarity_rows_are_computed_once_and_shared() {
 #[test]
 fn service_aggregates_stats_under_concurrent_load() {
     let (ds, space) = setup();
-    let service = QueryService::build(
-        &ds.graph,
+    let service = LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
         &space,
         &ds.library,
         SgqConfig {

@@ -13,7 +13,8 @@
 use datagen::dataset::{BenchDataset, DatasetSpec};
 use datagen::workload::{chain_query, produced_workload, q117_variants, soccer_query};
 use embedding::PredicateSpace;
-use sgq::{QueryGraph, QueryResult, QueryService, ScanMode, SgqConfig};
+use kgraph::ShardedGraph;
+use sgq::{QueryGraph, QueryResult, ScanMode, SgqConfig, SgqEngine};
 
 fn config(scan: ScanMode, tau: f64) -> SgqConfig {
     SgqConfig {
@@ -70,7 +71,7 @@ fn kernel_answers_are_bit_identical_to_scalar_reference() {
     let queries = workload(&ds);
 
     for tau in [0.3f64, 0.0] {
-        let scalar = QueryService::build(
+        let scalar = SgqEngine::new(
             &ds.graph,
             &space,
             &ds.library,
@@ -82,7 +83,7 @@ fn kernel_answers_are_bit_identical_to_scalar_reference() {
             .collect();
 
         // Monolithic kernel path.
-        let kernel = QueryService::build(
+        let kernel = SgqEngine::new(
             &ds.graph,
             &space,
             &ds.library,
@@ -110,16 +111,12 @@ fn kernel_answers_are_bit_identical_to_scalar_reference() {
         // Sharded kernel path (scatter seeding runs the two-pass pipeline
         // per shard job).
         for shards in [2usize, 4, 8] {
-            let service = QueryService::build_sharded(
-                ds.graph.clone(),
-                shards,
-                &space,
-                &ds.library,
-                config(ScanMode::Kernel, tau),
-            )
-            .expect("valid shard count");
+            let sharded =
+                ShardedGraph::from_graph(ds.graph.clone(), shards).expect("valid shard count");
+            let engine =
+                SgqEngine::new(sharded, &space, &ds.library, config(ScanMode::Kernel, tau));
             for (idx, q) in queries.iter().enumerate() {
-                let r = service.query(q).expect("sharded kernel answers");
+                let r = engine.query(q).expect("sharded kernel answers");
                 assert_eq!(
                     r.matches, baseline[idx].matches,
                     "tau={tau}, {shards} shards: kernel answer diverged on query {idx}"
@@ -129,9 +126,9 @@ fn kernel_answers_are_bit_identical_to_scalar_reference() {
                     scrub(&baseline[idx]),
                     "tau={tau}, {shards} shards: kernel stats diverged on query {idx}"
                 );
-                let prepared = service.prepare(q).expect("prepare");
+                let prepared = engine.prepare(q).expect("prepare");
                 assert_eq!(
-                    service.execute(&prepared).expect("replay").matches,
+                    engine.execute(&prepared).expect("replay").matches,
                     baseline[idx].matches,
                     "tau={tau}, {shards} shards: prepared replay diverged on query {idx}"
                 );
@@ -141,13 +138,13 @@ fn kernel_answers_are_bit_identical_to_scalar_reference() {
 }
 
 /// `edges_examined` must itself be deterministic: equal across scan modes
-/// (checked above) and across repeat runs of the same service, and non-zero
+/// (checked above) and across repeat runs of the same engine, and non-zero
 /// on queries that actually expand.
 #[test]
 fn edges_examined_is_deterministic_and_populated() {
     let (ds, space) = setup();
     let queries = workload(&ds);
-    let service = QueryService::build(
+    let engine = SgqEngine::new(
         &ds.graph,
         &space,
         &ds.library,
@@ -155,8 +152,8 @@ fn edges_examined_is_deterministic_and_populated() {
     );
     let mut expanded_any = false;
     for q in &queries {
-        let a = service.query(q).expect("first run");
-        let b = service.query(q).expect("second run");
+        let a = engine.query(q).expect("first run");
+        let b = engine.query(q).expect("second run");
         assert_eq!(a.stats.edges_examined, b.stats.edges_examined);
         if a.stats.popped > 0 {
             assert!(a.stats.edges_examined > 0, "popped states imply expansions");

@@ -6,7 +6,7 @@ use datagen::dataset::DatasetSpec;
 use datagen::workload::produced_workload;
 use datagen::{apply_churn_stream, churn_stream};
 use kgraph::{GraphView, VersionedGraph};
-use sgq::{LiveQueryService, QueryService, SgqConfig};
+use sgq::{LiveQueryService, SgqConfig, SgqEngine};
 use std::sync::Arc;
 
 fn config() -> SgqConfig {
@@ -51,15 +51,15 @@ fn overlay_with_heavy_churn_matches_full_rebuild() {
     assert_eq!(overlayed.node_count(), rebuilt.node_count());
 
     let lib = &ds.library;
-    let overlay_service = QueryService::build(overlayed.clone(), &space, lib, config());
-    let rebuild_service = QueryService::build(rebuilt.clone(), &space, lib, config());
+    let overlay_engine = SgqEngine::new(overlayed.clone(), &space, lib, config());
+    let rebuild_engine = SgqEngine::new(rebuilt.clone(), &space, lib, config());
 
     let workload = produced_workload(&ds);
     assert!(!workload.is_empty());
     let mut compared = 0usize;
     for q in &workload {
-        let a = overlay_service.query(&q.graph).expect("overlay query");
-        let b = rebuild_service.query(&q.graph).expect("rebuild query");
+        let a = overlay_engine.query(&q.graph).expect("overlay query");
+        let b = rebuild_engine.query(&q.graph).expect("rebuild query");
         assert_eq!(
             a.matches.len(),
             b.matches.len(),
@@ -158,13 +158,14 @@ fn pinned_queries_are_bit_identical_across_concurrent_commits() {
     assert_eq!(stats.errors, 0);
 }
 
-/// A live service over a store that never changes behaves exactly like the
-/// static service on the frozen graph.
+/// A live service over a store that never changes — how a static graph is
+/// served — answers exactly like the engine over the frozen CSR: matches,
+/// scores and path edge ids.
 #[test]
 fn idle_live_service_matches_static_service() {
     let ds = DatasetSpec::tiny().build();
     let space = ds.oracle_space();
-    let static_service = QueryService::build(&ds.graph, &space, &ds.library, config());
+    let engine = SgqEngine::new(&ds.graph, &space, &ds.library, config());
     let live_service = LiveQueryService::new(
         Arc::new(VersionedGraph::new(ds.graph.clone())),
         &space,
@@ -172,7 +173,7 @@ fn idle_live_service_matches_static_service() {
         config(),
     );
     for q in produced_workload(&ds) {
-        let a = static_service.query(&q.graph).unwrap();
+        let a = engine.query(&q.graph).unwrap();
         let b = live_service.query(&q.graph).unwrap();
         assert_eq!(a.matches, b.matches, "diverged on {}", q.id);
     }
@@ -273,7 +274,7 @@ fn refresh_racing_checkpoint_keeps_epochs_monotonic() {
     // engine over the final published snapshot.
     service.refresh();
     let snapshot = v.snapshot();
-    let direct = QueryService::build(snapshot, &space, &ds.library, config());
+    let direct = SgqEngine::new(snapshot, &space, &ds.library, config());
     for q in produced_workload(&ds) {
         let live = service.query(&q.graph).unwrap();
         let fresh = direct.query(&q.graph).unwrap();

@@ -14,7 +14,7 @@ use datagen::{apply_churn, apply_churn_stream, churn_stream};
 use kgraph::io::shard::{load_sharded, save_sharded, wal_path};
 use kgraph::{GraphView, Partitioner, VersionedGraph};
 use proptest::prelude::*;
-use sgq::{LiveQueryService, QueryService, SgqConfig, ShardedDeployment};
+use sgq::{LiveQueryService, SgqConfig, SgqEngine, ShardedDeployment};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -108,8 +108,8 @@ fn binary_snapshot_round_trips_query_answers() {
     assert_eq!(reloaded_partitioner, partitioner);
     assert_eq!(fingerprint(&reloaded_graph), fingerprint(&ds.graph));
 
-    let original = QueryService::build(&ds.graph, &space, &ds.library, config());
-    let reloaded = QueryService::build(&reloaded_graph, &space, &ds.library, config());
+    let original = SgqEngine::new(&ds.graph, &space, &ds.library, config());
+    let reloaded = SgqEngine::new(&reloaded_graph, &space, &ds.library, config());
     for q in &workload {
         let a = original.query(&q.graph).unwrap();
         let b = reloaded.query(&q.graph).unwrap();

@@ -2,9 +2,9 @@
 //!
 //! The scheduler's contract (see `sgq::sched`): with slack deadlines, a
 //! scheduled response is **bit-identical** to the direct, unscheduled
-//! [`QueryService`] path; under deadline pressure every response is either
-//! exact, a *flagged* TBQ degradation, or an explicit shed — never a
-//! silently wrong answer. The workloads are the seeded `datagen::workload`
+//! `SgqEngine` over the frozen graph; under deadline pressure every
+//! response is either exact, a *flagged* TBQ degradation, or an explicit
+//! shed — never a silently wrong answer. The workloads are the seeded `datagen::workload`
 //! streams (dataset seeds fix both graph and queries), so every run
 //! compares the same scheduled traffic against the same reference answers.
 
@@ -15,7 +15,7 @@ use kgraph::VersionedGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sgq::sched::{BatchScheduler, Priority, SchedOutcome, SchedResponse};
-use sgq::{FinalMatch, LiveQueryService, QueryGraph, QueryService, SchedConfig, SgqConfig};
+use sgq::{FinalMatch, LiveQueryService, QueryGraph, SchedConfig, SgqConfig, SgqEngine};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,6 +34,29 @@ fn setup() -> (BenchDataset, PredicateSpace) {
     (ds, space)
 }
 
+/// The service over a store that never commits.
+fn idle_service<'a>(ds: &'a BenchDataset, space: &'a PredicateSpace) -> LiveQueryService<'a> {
+    LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
+        space,
+        &ds.library,
+        config(),
+    )
+}
+
+/// The direct, unscheduled engine's answers over the frozen graph.
+fn direct_answers(
+    ds: &BenchDataset,
+    space: &PredicateSpace,
+    queries: &[QueryGraph],
+) -> Vec<Vec<FinalMatch>> {
+    let engine = SgqEngine::new(&ds.graph, space, &ds.library, config());
+    queries
+        .iter()
+        .map(|q| engine.query(q).expect("direct path answers").matches)
+        .collect()
+}
+
 /// The full seeded differential workload: the bulk produced stream, the
 /// four Fig. 1 Q117 variants, a Fig. 3(a) chain and a Fig. 16 soccer query
 /// — simple through complex decompositions.
@@ -50,17 +73,14 @@ fn workload(ds: &BenchDataset) -> Vec<QueryGraph> {
 }
 
 /// With no deadline pressure, every scheduled answer must be bit-identical
-/// to the direct `QueryService` path — across many concurrent clients,
-/// arbitrary per-client orderings, and batched (coalesced) execution.
+/// to the direct engine path — across many concurrent clients, arbitrary
+/// per-client orderings, and batched (coalesced) execution.
 #[test]
 fn scheduled_equals_direct_when_deadlines_are_slack() {
     let (ds, space) = setup();
-    let service = QueryService::build(&ds.graph, &space, &ds.library, config());
+    let service = idle_service(&ds, &space);
     let queries = workload(&ds);
-    let baseline: Vec<Vec<FinalMatch>> = queries
-        .iter()
-        .map(|q| service.query(q).expect("direct path answers").matches)
-        .collect();
+    let baseline = direct_answers(&ds, &space, &queries);
 
     let stats = BatchScheduler::serve(&service, SchedConfig::default(), |handle| {
         std::thread::scope(|s| {
@@ -119,12 +139,9 @@ fn scheduled_equals_direct_when_deadlines_are_slack() {
 #[test]
 fn under_pressure_every_response_is_exact_flagged_or_shed() {
     let (ds, space) = setup();
-    let service = QueryService::build(&ds.graph, &space, &ds.library, config());
+    let service = idle_service(&ds, &space);
     let queries = workload(&ds);
-    let baseline: Vec<Vec<FinalMatch>> = queries
-        .iter()
-        .map(|q| service.query(q).expect("direct path answers").matches)
-        .collect();
+    let baseline = direct_answers(&ds, &space, &queries);
 
     // Deadline schedule per request: slack, tight (microseconds — around
     // the per-query cost, forcing degradations and unmeetable sheds on

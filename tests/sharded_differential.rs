@@ -4,10 +4,13 @@
 //! storage re-layout — per-node adjacency rows, candidate gathers, and the
 //! seeded search frontier are bit-identical to the monolithic build — so
 //! every answer of the sharded path must equal the unsharded path's,
-//! byte for byte. These tests drive that claim across shard counts 1/2/4/8
-//! on the seeded workloads, on the shard-hostile skew stream, through the
-//! deadline scheduler, and through a full commit → checkpoint → crash →
-//! recover cycle of the per-shard durable layout.
+//! byte for byte. These tests drive that claim on `SgqEngine<ShardedGraph>`
+//! across shard counts 1/2/4/8 on the seeded workloads and on the
+//! shard-hostile skew stream, through the served configuration (the
+//! deadline scheduler over a sharded deployment), and through a full
+//! commit → checkpoint → crash → recover cycle of the per-shard durable
+//! layout. The reference is always the unsharded `SgqEngine` over the
+//! frozen CSR.
 
 use datagen::churn::{apply_churn, churn_stream};
 use datagen::dataset::{BenchDataset, DatasetSpec};
@@ -15,11 +18,10 @@ use datagen::workload::{
     chain_query, produced_workload, q117_variants, skewed_triples, soccer_query, SkewSpec,
 };
 use embedding::PredicateSpace;
-use kgraph::{GraphView, ShardedGraph};
+use kgraph::{GraphStats, GraphView, ShardedGraph};
 use sgq::sched::{BatchScheduler, Priority, SchedOutcome};
 use sgq::{
-    FinalMatch, LiveQueryService, QueryGraph, QueryService, SchedConfig, SgqConfig,
-    ShardedDeployment,
+    FinalMatch, LiveQueryService, QueryGraph, SchedConfig, SgqConfig, SgqEngine, ShardedDeployment,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,12 +77,12 @@ impl Drop for TestDir {
     }
 }
 
-/// Static path: sharded (1, 2, 4, 8) answers equal the unsharded path on every
-/// query of the seeded workload, including prepared replay.
+/// Scatter path: sharded (1, 2, 4, 8) engine answers equal the unsharded
+/// engine on every query of the seeded workload, including prepared replay.
 #[test]
 fn sharded_static_answers_are_bit_identical() {
     let (ds, space) = setup();
-    let mono = QueryService::build(&ds.graph, &space, &ds.library, config());
+    let mono = SgqEngine::new(&ds.graph, &space, &ds.library, config());
     let queries = workload(&ds);
     let baseline: Vec<Vec<FinalMatch>> = queries
         .iter()
@@ -88,25 +90,25 @@ fn sharded_static_answers_are_bit_identical() {
         .collect();
 
     for shards in [1usize, 2, 4, 8] {
-        let service =
-            QueryService::build_sharded(ds.graph.clone(), shards, &space, &ds.library, config())
-                .expect("valid shard count");
+        let sharded =
+            ShardedGraph::from_graph(ds.graph.clone(), shards).expect("valid shard count");
+        let engine = SgqEngine::new(sharded, &space, &ds.library, config());
         for (idx, q) in queries.iter().enumerate() {
-            let r = service.query(q).expect("sharded path answers");
+            let r = engine.query(q).expect("sharded path answers");
             assert_eq!(
                 r.matches, baseline[idx],
                 "{shards}-shard answer diverged on query {idx}"
             );
-            let prepared = service.prepare(q).expect("prepare");
+            let prepared = engine.prepare(q).expect("prepare");
             assert_eq!(
-                service.execute(&prepared).expect("replay").matches,
+                engine.execute(&prepared).expect("replay").matches,
                 baseline[idx],
                 "{shards}-shard prepared replay diverged on query {idx}"
             );
         }
-        let stats = service.stats();
-        assert_eq!(stats.shard_count, shards as u64);
-        assert_eq!(stats.graph_edges, ds.graph.edge_count() as u64);
+        let stats = GraphStats::of(engine.graph());
+        assert_eq!(engine.graph().shard_count(), shards);
+        assert_eq!(engine.graph().edge_count(), ds.graph.edge_count());
         assert!(stats.shard_skew() >= 1.0);
     }
 }
@@ -165,36 +167,44 @@ fn skewed_data_stays_bit_identical_under_imbalance() {
         })
         .collect();
 
-    let mono = QueryService::build(&graph, &space, &library, config.clone());
+    let mono = SgqEngine::new(&graph, &space, &library, config.clone());
     let sharded = ShardedGraph::from_graph(graph.clone(), spec.shards).unwrap();
-    let skew = kgraph::GraphStats::of(&sharded).shard_skew();
+    let skew = GraphStats::of(&sharded).shard_skew();
     assert!(skew > 1.5, "stream must actually be hostile, got {skew:.2}");
-    let service = QueryService::new(sgq::SgqEngine::new(sharded, &space, &library, config));
+    let engine = SgqEngine::new(sharded, &space, &library, config);
     for (idx, q) in queries.iter().enumerate() {
         assert_eq!(
-            service.query(q).expect("sharded").matches,
+            engine.query(q).expect("sharded").matches,
             mono.query(q).expect("mono").matches,
             "skewed query {idx} diverged"
         );
     }
 }
 
-/// The scheduler over a sharded backend: batches plan and execute against
-/// the composed view (candidate scans dispatched per shard on the shared
-/// pool), and with slack deadlines every response is exact and
-/// bit-identical to the *unsharded, unscheduled* reference.
+/// The configuration `semkg-server` runs: the scheduler over a 2-shard
+/// `ShardedDeployment` service. With slack deadlines every response is
+/// exact and bit-identical — matches, scores and path edge ids — to the
+/// *unsharded, unscheduled* engine over the frozen CSR.
 #[test]
 fn scheduled_sharded_equals_direct_unsharded() {
     let (ds, space) = setup();
-    let mono = QueryService::build(&ds.graph, &space, &ds.library, config());
+    let mono = SgqEngine::new(&ds.graph, &space, &ds.library, config());
     let queries = workload(&ds);
     let baseline: Vec<Vec<FinalMatch>> = queries
         .iter()
         .map(|q| mono.query(q).expect("reference").matches)
         .collect();
 
-    let service =
-        QueryService::build_sharded(ds.graph.clone(), 4, &space, &ds.library, config()).unwrap();
+    let dir = TestDir::new("served");
+    let deployment = ShardedDeployment::create(
+        dir.0.join("kg"),
+        ds.graph.clone(),
+        space.clone(),
+        ds.library.clone(),
+        2,
+    )
+    .expect("create sharded deployment");
+    let service = deployment.service(config());
     let stats = BatchScheduler::serve(&service, SchedConfig::default(), |handle| {
         std::thread::scope(|s| {
             for _client in 0..4 {
@@ -222,6 +232,7 @@ fn scheduled_sharded_equals_direct_unsharded() {
     let expected = 4 * queries.len() as u64;
     assert_eq!(stats.exact, expected);
     assert_eq!(stats.degraded + stats.shed() + stats.failed, 0);
+    assert_eq!(service.stats().shard_count, 2);
 }
 
 /// Acceptance criterion: the sharded deployment stays bit-identical to an

@@ -4,15 +4,18 @@
 //! section): enabling `trace_sample_every` — or calling the explicit
 //! `*_traced` APIs — only *observes* an execution. Every answer, every path
 //! edge id and every deterministic search counter must equal the
-//! tracing-off path's, byte for byte, monolithic and at 2/4/8 shards,
-//! because the trace plumbing adds one branch per phase and never touches
-//! the search state. These tests drive that claim over the seeded
-//! workloads.
+//! tracing-off path's, byte for byte, through the service and on the
+//! engine at 2/4/8 shards, because the trace plumbing adds one branch per
+//! phase and never touches the search state. These tests drive that claim
+//! over the seeded workloads against the untraced `SgqEngine` over the
+//! frozen CSR.
 
 use datagen::dataset::{BenchDataset, DatasetSpec};
 use datagen::workload::{chain_query, produced_workload, q117_variants, soccer_query};
 use embedding::PredicateSpace;
-use sgq::{QueryGraph, QueryResult, QueryService, SgqConfig};
+use kgraph::{ShardedGraph, VersionedGraph};
+use sgq::{LiveQueryService, QueryGraph, QueryResult, SgqConfig, SgqEngine};
+use std::sync::Arc;
 
 fn config(trace_sample_every: u64) -> SgqConfig {
     SgqConfig {
@@ -28,6 +31,20 @@ fn setup() -> (BenchDataset, PredicateSpace) {
     let ds = DatasetSpec::dbpedia_like(1.0).build();
     let space = ds.oracle_space();
     (ds, space)
+}
+
+/// The service over a store that never commits.
+fn idle_service<'a>(
+    ds: &'a BenchDataset,
+    space: &'a PredicateSpace,
+    config: SgqConfig,
+) -> LiveQueryService<'a> {
+    LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
+        space,
+        &ds.library,
+        config,
+    )
 }
 
 /// The seeded differential workload: the bulk produced stream, the four
@@ -59,29 +76,24 @@ fn scrub(r: &QueryResult) -> (usize, usize, usize, usize, usize, bool, usize) {
     )
 }
 
-/// Tracing on (sampled 1-in-1 and 1-in-3) vs tracing off: answers
-/// (including path edge ids via `FinalMatch` equality), deterministic
-/// stats and prepared replay are bit-identical, monolithic and at 2/4/8
-/// shards — and the sampled services actually record traces while the
-/// baseline records none.
+/// Tracing on vs tracing off: answers (including path edge ids via
+/// `FinalMatch` equality), deterministic stats and prepared replay are
+/// bit-identical — through the service sampled 1-in-1, 1-in-3 and never,
+/// and on the sharded engine at 2/4/8 shards with every execution traced.
+/// The sampled services record exactly their share of traces.
 #[test]
 fn traced_answers_are_bit_identical_to_untraced() {
     let (ds, space) = setup();
     let queries = workload(&ds);
 
-    let untraced = QueryService::build(&ds.graph, &space, &ds.library, config(0));
+    let untraced = SgqEngine::new(&ds.graph, &space, &ds.library, config(0));
     let baseline: Vec<QueryResult> = queries
         .iter()
         .map(|q| untraced.query(q).expect("untraced path answers"))
         .collect();
-    assert!(
-        untraced.traces().is_empty(),
-        "sample_every = 0 must never record a trace"
-    );
 
-    for sample_every in [1u64, 3] {
-        // Monolithic traced path.
-        let service = QueryService::build(&ds.graph, &space, &ds.library, config(sample_every));
+    for sample_every in [0u64, 1, 3] {
+        let service = idle_service(&ds, &space, config(sample_every));
         for (idx, q) in queries.iter().enumerate() {
             let r = service.query(q).expect("traced path answers");
             assert_eq!(
@@ -101,41 +113,37 @@ fn traced_answers_are_bit_identical_to_untraced() {
             );
         }
         // query() + execute() above both tick the sampler: 2 ticks per
-        // query, every `sample_every`-th one recorded.
+        // query, every `sample_every`-th one recorded, none when off.
         let ticks = 2 * queries.len() as u64;
-        let expected = ticks.div_ceil(sample_every);
+        let expected = if sample_every == 0 {
+            0
+        } else {
+            ticks.div_ceil(sample_every)
+        };
         assert_eq!(
             service.traces().recorded(),
             expected,
             "deterministic 1-in-{sample_every} sampling over {ticks} executions"
         );
+    }
 
-        // Sharded traced path.
-        for shards in [2usize, 4, 8] {
-            let service = QueryService::build_sharded(
-                ds.graph.clone(),
-                shards,
-                &space,
-                &ds.library,
-                config(sample_every),
-            )
-            .expect("valid shard count");
-            for (idx, q) in queries.iter().enumerate() {
-                let r = service.query(q).expect("sharded traced answers");
-                assert_eq!(
-                    r.matches, baseline[idx].matches,
-                    "sample={sample_every}, {shards} shards: answer diverged on query {idx}"
-                );
-                assert_eq!(
-                    scrub(&r),
-                    scrub(&baseline[idx]),
-                    "sample={sample_every}, {shards} shards: stats diverged on query {idx}"
-                );
-            }
-            assert!(
-                service.traces().recorded() > 0,
-                "sample={sample_every}, {shards} shards: sampling must record traces"
+    // Sharded traced path: the scatter phases run under the tracer.
+    for shards in [2usize, 4, 8] {
+        let sharded =
+            ShardedGraph::from_graph(ds.graph.clone(), shards).expect("valid shard count");
+        let engine = SgqEngine::new(sharded, &space, &ds.library, config(0));
+        for (idx, q) in queries.iter().enumerate() {
+            let (r, trace) = engine.query_with_trace(q).expect("sharded traced answers");
+            assert_eq!(
+                r.matches, baseline[idx].matches,
+                "{shards} shards: traced answer diverged on query {idx}"
             );
+            assert_eq!(
+                scrub(&r),
+                scrub(&baseline[idx]),
+                "{shards} shards: traced stats diverged on query {idx}"
+            );
+            assert_eq!(trace.matches as usize, r.matches.len());
         }
     }
 }
@@ -148,7 +156,7 @@ fn traced_answers_are_bit_identical_to_untraced() {
 fn explicit_traces_report_coherent_phases() {
     let (ds, space) = setup();
     let queries = workload(&ds);
-    let service = QueryService::build(&ds.graph, &space, &ds.library, config(0));
+    let service = idle_service(&ds, &space, config(0));
 
     let mut expanded_any = false;
     for (idx, q) in queries.iter().enumerate() {
