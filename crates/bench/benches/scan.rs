@@ -14,9 +14,9 @@
 //!   reported as ns per examined edge (`QueryStats::edges_examined` is the
 //!   exact denominator), the precomputed-`ln` lookup's target.
 //!
-//! The numbers land in `BENCH_scan.json` at the workspace root for the PR
-//! report; as in `benches/sharded.rs` there is deliberately **no** hard
-//! speedup assert — CI runners jitter — only the bit-identity asserts gate.
+//! The numbers land in `BENCH_scan.json` at the workspace root; there is
+//! deliberately **no** hard speedup assert — CI runners jitter — only the
+//! bit-identity asserts gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kgraph::{GraphBuilder, KnowledgeGraph};

@@ -6,7 +6,7 @@
 //!   little-endian snapshot files (interner tables, node arrays, per-shard
 //!   edge slices) and one write-ahead log per shard, so a
 //!   [`crate::VersionedGraph`]'s committed epochs survive a crash (see
-//!   [`crate::VersionedGraph::recover_sharded`]). It is the only durable
+//!   [`crate::VersionedGraph::recover`]). It is the only durable
 //!   layout; a single-store deployment is its 1-shard case. The [`wal`]
 //!   module defines the logged records.
 //!

@@ -18,7 +18,7 @@
 //!
 //! ## Checkpoint atomicity (the epoch coordinator)
 //!
-//! [`save_sharded`] writes every `meta-E`/`shard-*-E` file for the new
+//! [`save`] writes every `meta-E`/`shard-*-E` file for the new
 //! epoch `E` via tmp + rename, fsyncs the directory, and only then flips
 //! `manifest.kgm` (itself tmp + rename + dir fsync). The manifest is the
 //! single commit point: a crash anywhere before the flip leaves the old
@@ -30,11 +30,11 @@
 //!
 //! Mutations are routed to the WAL of the shard owning the *source-node
 //! label* ([`crate::Partitioner::shard_of_label`] — the same hash that
-//! places the edge's CSR row). Because node and edge ids are assigned by
-//! *global arrival order*, every record carries a monotonically increasing
-//! sequence number; recovery merges the per-shard logs back into arrival
-//! order by `seq`, which reproduces the exact id assignment (and therefore
-//! bit-identical answers) of the pre-crash store.
+//! places the edge in its shard slice). Because node and edge ids are
+//! assigned by *global arrival order*, every record carries a monotonically
+//! increasing sequence number; recovery merges the per-shard logs back into
+//! arrival order by `seq`, which reproduces the exact id assignment (and
+//! therefore bit-identical answers) of the pre-crash store.
 //!
 //! ```text
 //! log    := magic "KGSWAL01" record*
@@ -272,7 +272,7 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest> {
 /// Saves `graph` as a per-shard snapshot set at `epoch` and flips the
 /// manifest to it (see module docs for the atomicity argument). Stale files
 /// from other epochs are garbage-collected afterwards, best-effort.
-pub fn save_sharded(
+pub fn save(
     graph: &KnowledgeGraph,
     partitioner: &Partitioner,
     epoch: u64,
@@ -364,7 +364,7 @@ fn parse_epoch_suffix(name: &str, prefix: &str) -> Option<u64> {
 /// adjacency order and all — the CSR is rebuilt with the same counting
 /// sort the [`crate::GraphBuilder`] uses). Returns the graph, the
 /// partitioner of the layout, and the manifest epoch.
-pub fn load_sharded(dir: impl AsRef<Path>) -> Result<(KnowledgeGraph, Partitioner, u64)> {
+pub fn load(dir: impl AsRef<Path>) -> Result<(KnowledgeGraph, Partitioner, u64)> {
     let dir = dir.as_ref();
     let manifest = read_manifest(dir)?;
     let partitioner = match manifest.assignment.clone() {
@@ -594,7 +594,7 @@ impl ShardLog {
 impl ShardedWalWriter {
     /// Creates (or truncates) one fresh log per shard, each with its magic
     /// fsynced: the truncate-then-write is not atomic, so the magic is made
-    /// durable immediately and [`read_sharded_wal`] treats a log caught
+    /// durable immediately and [`read_wal`] treats a log caught
     /// inside this window (shorter than the magic) as empty, not corrupt.
     pub fn create(dir: impl AsRef<Path>, partitioner: Partitioner) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
@@ -625,7 +625,7 @@ impl ShardedWalWriter {
     }
 
     /// Reopens the logs for appending at each shard's committed prefix (as
-    /// reported by [`read_sharded_wal`]), truncating torn tails and
+    /// reported by [`read_wal`]), truncating torn tails and
     /// uncommitted records first. A length of 0 (missing file, or one caught
     /// inside `create`'s truncate-then-write window) recreates that log.
     pub fn open_append(
@@ -747,7 +747,7 @@ pub struct ShardedReplay {
 /// unambiguous corruption (every record fan-in happens after all logs
 /// exist) and recovery fails loudly instead of silently rolling every
 /// epoch since the last checkpoint back to the snapshot.
-pub fn read_sharded_wal(dir: impl AsRef<Path>, shards: usize) -> Result<ShardedReplay> {
+pub fn read_wal(dir: impl AsRef<Path>, shards: usize) -> Result<ShardedReplay> {
     let dir = dir.as_ref();
     struct Rec {
         seq: u64,
@@ -948,8 +948,8 @@ mod tests {
         let dir = TestDir::new("shard_snap");
         let g = sample();
         let p = Partitioner::new(4).unwrap();
-        save_sharded(&g, &p, 7, dir.path("")).unwrap();
-        let (back, p2, epoch) = load_sharded(dir.path("")).unwrap();
+        save(&g, &p, 7, dir.path("")).unwrap();
+        let (back, p2, epoch) = load(dir.path("")).unwrap();
         assert_eq!(epoch, 7);
         assert_eq!(p2, p);
         assert_eq!(back.node_count(), g.node_count());
@@ -974,13 +974,13 @@ mod tests {
         let dir = TestDir::new("shard_gc");
         let g = sample();
         let p = Partitioner::new(2).unwrap();
-        save_sharded(&g, &p, 1, dir.path("")).unwrap();
+        save(&g, &p, 1, dir.path("")).unwrap();
         assert!(meta_path(&dir.path(""), 1).exists());
-        save_sharded(&g, &p, 2, dir.path("")).unwrap();
+        save(&g, &p, 2, dir.path("")).unwrap();
         assert!(!meta_path(&dir.path(""), 1).exists(), "epoch 1 GC'd");
         assert!(!shard_snapshot_path(&dir.path(""), 0, 1).exists());
         assert!(meta_path(&dir.path(""), 2).exists());
-        let (_, _, epoch) = load_sharded(dir.path("")).unwrap();
+        let (_, _, epoch) = load(dir.path("")).unwrap();
         assert_eq!(epoch, 2);
     }
 
@@ -988,7 +988,7 @@ mod tests {
     fn mixed_layout_is_rejected() {
         let dir = TestDir::new("shard_mixed");
         let g = sample();
-        save_sharded(&g, &Partitioner::new(2).unwrap(), 1, dir.path("")).unwrap();
+        save(&g, &Partitioner::new(2).unwrap(), 1, dir.path("")).unwrap();
         // Forge a manifest claiming 3 shards: the 2-shard files disagree.
         write_manifest(
             &dir.path(""),
@@ -999,7 +999,7 @@ mod tests {
             },
         )
         .unwrap();
-        let err = load_sharded(dir.path("")).unwrap_err();
+        let err = load(dir.path("")).unwrap_err();
         assert!(err.to_string().contains("disagrees"), "{err}");
     }
 
@@ -1025,7 +1025,7 @@ mod tests {
         }
         w.sync().unwrap();
         drop(w);
-        let replay = read_sharded_wal(dir.path(""), 4).unwrap();
+        let replay = read_wal(dir.path(""), 4).unwrap();
         assert_eq!(replay.ops, ops, "merged replay reproduces arrival order");
         assert!(!replay.torn);
         assert_eq!(replay.discarded_ops, 0);
@@ -1033,7 +1033,7 @@ mod tests {
         // collide, in which case they still merge correctly — the key
         // assertion above already proved the order).
         let shard_a = p.shard_of_label("A");
-        let in_a = read_sharded_wal(dir.path(""), 4).unwrap();
+        let in_a = read_wal(dir.path(""), 4).unwrap();
         assert!(in_a.committed_len[shard_a] > WAL_MAGIC.len() as u64);
     }
 
@@ -1047,7 +1047,7 @@ mod tests {
         w.append(&insert("C", "q", "D")).unwrap(); // never committed
         w.sync().unwrap();
         drop(w);
-        let replay = read_sharded_wal(dir.path(""), 2).unwrap();
+        let replay = read_wal(dir.path(""), 2).unwrap();
         assert_eq!(replay.ops.len(), 2);
         assert_eq!(replay.discarded_ops, 1);
         // Reattach + append: the discarded record must be gone for good.
@@ -1058,7 +1058,7 @@ mod tests {
         w.append(&WalOp::Commit { epoch: 2 }).unwrap();
         w.sync().unwrap();
         drop(w);
-        let replay = read_sharded_wal(dir.path(""), 2).unwrap();
+        let replay = read_wal(dir.path(""), 2).unwrap();
         assert_eq!(
             replay.ops,
             vec![
@@ -1076,21 +1076,21 @@ mod tests {
         let g = sample();
         // Hash-routed first: the manifest must stay in the legacy format.
         let hash = Partitioner::new(4).unwrap();
-        save_sharded(&g, &hash, 1, dir.path("")).unwrap();
+        save(&g, &hash, 1, dir.path("")).unwrap();
         let m = read_manifest(&dir.path("")).unwrap();
         assert_eq!(m.assignment, None, "legacy layout keeps legacy manifest");
 
         // Rebalanced: assignment publishes with the same manifest flip and
         // the loaded partitioner routes through it.
         let rebalanced = hash.rebalanced(&vec![1u64; Partitioner::BUCKETS]).unwrap();
-        save_sharded(&g, &rebalanced, 2, dir.path("")).unwrap();
+        save(&g, &rebalanced, 2, dir.path("")).unwrap();
         let m = read_manifest(&dir.path("")).unwrap();
         assert_eq!(
             m.assignment.as_deref(),
             rebalanced.assignment(),
             "assignment travels with the epoch flip"
         );
-        let (back, p, epoch) = load_sharded(dir.path("")).unwrap();
+        let (back, p, epoch) = load(dir.path("")).unwrap();
         assert_eq!(epoch, 2);
         assert_eq!(p, rebalanced);
         assert_eq!(back.edge_count(), g.edge_count());
@@ -1112,7 +1112,7 @@ mod tests {
             },
         )
         .unwrap();
-        let err = load_sharded(dir.path("")).unwrap_err();
+        let err = load(dir.path("")).unwrap_err();
         assert!(err.to_string().contains("outside"), "{err}");
     }
 
@@ -1137,7 +1137,7 @@ mod tests {
         log.append_frame(99, &WalOp::Commit { epoch: 2 }).unwrap();
         log.sync().unwrap();
         drop(log);
-        let replay = read_sharded_wal(dir.path(""), 2).unwrap();
+        let replay = read_wal(dir.path(""), 2).unwrap();
         let epochs: Vec<u64> = replay
             .ops
             .iter()
@@ -1163,7 +1163,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[42, 0, 0, 0, 7]);
         std::fs::write(&path, &bytes).unwrap();
-        let replay = read_sharded_wal(dir.path(""), 2).unwrap();
+        let replay = read_wal(dir.path(""), 2).unwrap();
         assert!(replay.torn);
         assert_eq!(replay.ops.len(), 2);
     }
@@ -1172,7 +1172,7 @@ mod tests {
     fn missing_logs_read_as_empty_only_on_fresh_deployments() {
         // All missing (deployment being created): empty replay.
         let dir = TestDir::new("shard_wal_missing");
-        let replay = read_sharded_wal(dir.path(""), 3).unwrap();
+        let replay = read_wal(dir.path(""), 3).unwrap();
         assert!(replay.ops.is_empty());
         assert_eq!(replay.committed_len, vec![0, 0, 0]);
         assert_eq!(replay.next_seq, 0);
@@ -1187,7 +1187,7 @@ mod tests {
         w.sync().unwrap();
         drop(w);
         std::fs::remove_file(wal_path(&dir.path(""), 1)).unwrap();
-        let err = read_sharded_wal(dir.path(""), 2).unwrap_err();
+        let err = read_wal(dir.path(""), 2).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
         assert!(err.to_string().contains("roll back"), "{err}");
     }
@@ -1199,7 +1199,7 @@ mod tests {
         // naming the file — never a panic, never a mis-loaded graph.
         let dir = TestDir::new("shard_hostile");
         let root = dir.path("");
-        save_sharded(&sample(), &Partitioner::new(2).unwrap(), 3, &root).unwrap();
+        save(&sample(), &Partitioner::new(2).unwrap(), 3, &root).unwrap();
         for path in [
             manifest_path(&root),
             meta_path(&root, 3),
@@ -1222,7 +1222,7 @@ mod tests {
             }
             for (bytes, expected) in cases {
                 std::fs::write(&path, &bytes).unwrap();
-                let err = load_sharded(&root).unwrap_err();
+                let err = load(&root).unwrap_err();
                 assert!(matches!(err, KgError::Snapshot { .. }), "{err:?}");
                 let msg = err.to_string();
                 assert!(msg.contains(expected), "{msg}");
@@ -1230,7 +1230,7 @@ mod tests {
             }
             std::fs::write(&path, &good).unwrap();
         }
-        load_sharded(&root).expect("restored files load again");
+        load(&root).expect("restored files load again");
     }
 
     #[test]
@@ -1240,13 +1240,13 @@ mod tests {
         // was read, aborting the process; it must fail typed instead.
         let dir = TestDir::new("shard_hostile_count");
         let root = dir.path("");
-        save_sharded(&sample(), &Partitioner::new(1).unwrap(), 1, &root).unwrap();
+        save(&sample(), &Partitioner::new(1).unwrap(), 1, &root).unwrap();
         let meta = meta_path(&root, 1);
         let mut body = read_blob(&meta, META_MAGIC).unwrap();
         let count_at = body.len() - 4; // the edge count ends the body
         body[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
         write_blob_atomic(&meta, META_MAGIC, &body).unwrap();
-        let err = load_sharded(&root).unwrap_err();
+        let err = load(&root).unwrap_err();
         assert!(matches!(err, KgError::Snapshot { .. }), "{err:?}");
         assert!(err.to_string().contains("edge count"), "{err}");
     }

@@ -5,7 +5,7 @@
 //! [`commit`]/[`compact`] logs an epoch marker followed by an fsync.
 //! [`crate::io::shard`] frames the records into one log per shard (magic,
 //! sequence numbers, checksums, torn-tail tolerance), and
-//! [`crate::VersionedGraph::recover_sharded`] replays them on top of a
+//! [`crate::VersionedGraph::recover`] replays them on top of a
 //! base snapshot set to the exact pre-crash epoch.
 //!
 //! ## Record body
@@ -135,10 +135,10 @@ impl WalOp {
 }
 
 // The records as one shard log frames them, read back through
-// `read_sharded_wal` at one shard.
+// `read_wal` at one shard.
 #[cfg(test)]
 mod tests {
-    use super::super::shard::{read_sharded_wal, wal_path, ShardedWalWriter, WAL_MAGIC};
+    use super::super::shard::{read_wal, wal_path, ShardedWalWriter, WAL_MAGIC};
     use super::super::test_dir::TestDir;
     use super::*;
     use crate::shard::Partitioner;
@@ -178,7 +178,7 @@ mod tests {
             WalOp::Compact { epoch: 2 },
         ];
         write_log(&dir.path(""), &ops);
-        let replay = read_sharded_wal(dir.path(""), 1).unwrap();
+        let replay = read_wal(dir.path(""), 1).unwrap();
         assert_eq!(replay.ops, ops);
         assert!(!replay.torn);
         assert_eq!(replay.discarded_ops, 0);
@@ -194,7 +194,7 @@ mod tests {
             insert("C", "q", "D"),
         ];
         let bytes = write_log(&root, &ops);
-        let full = read_sharded_wal(&root, 1).unwrap();
+        let full = read_wal(&root, 1).unwrap();
         assert!(!full.torn);
         assert_eq!(full.ops, ops[..2], "trailing insert is uncommitted");
         assert_eq!(full.discarded_ops, 1);
@@ -214,7 +214,7 @@ mod tests {
         // a frame, and must recover the commit only once its marker fits.
         for cut in 0..bytes.len() {
             std::fs::write(wal_path(&root, 0), &bytes[..cut]).unwrap();
-            let replay = read_sharded_wal(&root, 1).unwrap();
+            let replay = read_wal(&root, 1).unwrap();
             assert_eq!(replay.torn, !ends.contains(&cut), "cut {cut}");
             let committed = if cut >= ends[2] { 2 } else { 0 };
             assert_eq!(replay.ops, ops[..committed], "cut {cut}");
@@ -229,7 +229,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // corrupt the final record's checksum
         std::fs::write(wal_path(&root, 0), &bytes).unwrap();
-        let replay = read_sharded_wal(&root, 1).unwrap();
+        let replay = read_wal(&root, 1).unwrap();
         assert!(replay.torn);
         assert!(
             replay.ops.is_empty(),
@@ -243,7 +243,7 @@ mod tests {
         let dir = TestDir::new("wal_magic");
         let root = dir.path("");
         std::fs::write(wal_path(&root, 0), b"definitely not a wal").unwrap();
-        let err = read_sharded_wal(&root, 1).unwrap_err();
+        let err = read_wal(&root, 1).unwrap_err();
         assert!(err.to_string().contains("bad magic"), "{err}");
         assert!(err.to_string().contains("wal-0000.log"), "{err}");
     }
@@ -256,7 +256,7 @@ mod tests {
         // Simulate a torn append.
         bytes.extend_from_slice(&[9, 0, 0, 0, 1, 2]); // half a frame
         std::fs::write(wal_path(&root, 0), &bytes).unwrap();
-        let replay = read_sharded_wal(&root, 1).unwrap();
+        let replay = read_wal(&root, 1).unwrap();
         assert!(replay.torn);
 
         let mut w = ShardedWalWriter::open_append(
@@ -270,7 +270,7 @@ mod tests {
         w.append(&WalOp::Commit { epoch: 2 }).unwrap();
         w.sync().unwrap();
         drop(w);
-        let replay = read_sharded_wal(&root, 1).unwrap();
+        let replay = read_wal(&root, 1).unwrap();
         assert!(!replay.torn, "torn bytes were truncated before appending");
         assert_eq!(replay.ops.len(), 4);
         assert_eq!(replay.ops[2], insert("C", "q", "D"));

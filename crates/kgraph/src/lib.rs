@@ -44,7 +44,7 @@ pub use error::{KgError, Result};
 pub use graph::{EdgeRecord, GraphBuilder, KnowledgeGraph, NeighborRef};
 pub use ids::{EdgeId, NodeId, PredicateId, TypeId};
 pub use interner::Interner;
-pub use shard::{GraphShard, Partitioner, ShardedGraph};
+pub use shard::Partitioner;
 pub use stats::GraphStats;
 pub use triple::Triple;
 pub use versioned::{

@@ -1,41 +1,24 @@
-//! Sharded graph storage: per-shard CSR slices behind one composed view.
+//! Shard routing for the durable layout.
 //!
-//! The monolithic [`KnowledgeGraph`] keeps one CSR pair (out/in) covering
-//! every node. At production scale that is the wall every layer above hits:
-//! candidate scans walk one huge array, epoch engine rebuilds index one big
-//! vocabulary, and durability writes one giant snapshot. This module cuts
-//! the adjacency into `k` shards while keeping the *answers* of the query
-//! stack bit-identical to an unsharded build:
+//! A deployment stores its snapshot set and write-ahead logs as `k` shard
+//! files ([`crate::io::shard`]); queries always run on one monolithic CSR
+//! (plus, on the live path, one delta overlay). This module decides which
+//! shard file a triple lives in:
 //!
 //! * a [`Partitioner`] assigns every node to a shard by a **stable hash of
-//!   its source-node name** (labels, not dense ids, so the assignment
-//!   survives compaction, recovery, and re-ingestion in any order);
-//! * every edge is *owned* by the shard of its source node; the shard of
-//!   the destination node additionally carries the edge in its in-adjacency
-//!   slice — exactly mirroring how the monolithic CSR stores each edge in
-//!   both directions, so total memory is unchanged;
-//! * a [`ShardedGraph`] composes the shards behind [`GraphView`]. Per-node
-//!   adjacency rows are **byte-for-byte the monolithic rows** (global edge
-//!   ids, global insertion order — the rows are sliced out of the same
-//!   counting sort), so the A\* search's deterministic-order contract holds
-//!   trivially and answers cannot diverge (proven differentially in
-//!   `tests/sharded_differential.rs` and by the property test below).
+//!   its name** (labels, not dense ids, so the assignment survives
+//!   compaction, recovery, and re-ingestion in any order);
+//! * every triple is *owned* by the shard of its source node — its shard
+//!   slice and its WAL records live there;
+//! * [`bucket_weights`] counts the triples per source-label bucket, the
+//!   input [`Partitioner::rebalanced`] bin-packs into a levelled layout.
 //!
-//! The vocabulary tables (interners, node arrays, type buckets, edge
-//! records) stay global and `Arc`-shared: they are id-addressed lookups,
-//! not scans, and splitting them would force cross-shard id translation on
-//! the hot path. What scales with shard count is everything that *walks*
-//! the graph: the φ name-index build, candidate seeding, statistics, and
-//! the per-shard snapshot/WAL layout in [`crate::io::shard`].
+//! The assignment only decides which file or log a triple lives in, never
+//! its ids or adjacency order, so answers cannot depend on it.
 
 use crate::error::{KgError, Result};
-use crate::graph::{EdgeRecord, KnowledgeGraph, NeighborRef};
-use crate::ids::{EdgeId, NodeId, PredicateId, TypeId};
-use crate::interner::Interner;
 use crate::io::codec::checksum64;
 use crate::view::GraphView;
-use rustc_hash::FxHashMap;
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Assigns nodes (and thereby the triples they source) to shards by a
@@ -45,8 +28,8 @@ use std::sync::Arc;
 ///
 /// Two routing modes share one hash:
 ///
-/// * **hash routing** (the default): `shard = hash(label) % shards` —
-///   exactly the historical layout, byte-identical on disk;
+/// * **hash routing** (the default): `shard = route_hash(label) % shards`
+///   (see [`Partitioner::shard_of_label`]);
 /// * **assigned routing**: the hash first selects one of
 ///   [`Partitioner::BUCKETS`] fixed *source-label groups*, and an explicit
 ///   bucket → shard table (derived by [`Partitioner::rebalanced`] from
@@ -62,9 +45,9 @@ pub struct Partitioner {
 }
 
 impl Partitioner {
-    /// Upper bound on the shard count — far above any single-host layout
-    /// (the engine caps its worker pool near the core count anyway) but a
-    /// guard against a corrupt config fanning the storage into confetti.
+    /// Upper bound on the shard count — far above any single-host layout,
+    /// but a guard against a corrupt config fanning the storage into
+    /// confetti.
     pub const MAX_SHARDS: usize = 64;
 
     /// Number of fixed source-label groups an assigned partitioner routes
@@ -74,7 +57,7 @@ impl Partitioner {
     pub const BUCKETS: usize = 512;
 
     /// A partitioner over `shards` shards; `1..=`[`Partitioner::MAX_SHARDS`]
-    /// is valid (1 degenerates to the monolithic layout).
+    /// is valid (1 is the single-store layout).
     pub fn new(shards: usize) -> Result<Self> {
         if shards == 0 || shards > Self::MAX_SHARDS {
             return Err(KgError::Shard(format!(
@@ -110,14 +93,6 @@ impl Partitioner {
             shards: base.shards,
             assignment: Some(assignment.into()),
         })
-    }
-
-    /// The single-shard (monolithic) partitioner.
-    pub fn single() -> Self {
-        Self {
-            shards: 1,
-            assignment: None,
-        }
     }
 
     /// Number of shards.
@@ -206,71 +181,6 @@ impl Partitioner {
             assignment: Some(table.into()),
         })
     }
-
-    /// Splits a frozen graph into per-shard CSR slices (see module docs).
-    /// Consumes the graph: the monolithic CSR arrays are dropped once their
-    /// rows are redistributed; the vocabulary tables move into the shared
-    /// core unchanged.
-    pub fn split(&self, graph: KnowledgeGraph) -> ShardedGraph {
-        let k = self.shards();
-        let n = graph.node_count();
-        let mut node_shard = vec![0u8; n];
-        let mut node_slot = vec![0u32; n];
-        let mut owned: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        for i in 0..n {
-            let node = NodeId::new(i as u32);
-            let s = self.shard_of_label(graph.node_name(node));
-            node_shard[i] = s as u8;
-            node_slot[i] = owned[s].len() as u32;
-            owned[s].push(node);
-        }
-
-        // Redistribute the CSR rows. Each owned node's out/in rows are
-        // copied verbatim (same global edge ids, same order) into its
-        // shard's slices — the bit-identity contract is structural.
-        let shards: Vec<GraphShard> = owned
-            .into_iter()
-            .map(|owned_nodes| {
-                let mut out_offsets = Vec::with_capacity(owned_nodes.len() + 1);
-                let mut in_offsets = Vec::with_capacity(owned_nodes.len() + 1);
-                let mut out_edges = Vec::new();
-                let mut in_edges = Vec::new();
-                out_offsets.push(0u32);
-                in_offsets.push(0u32);
-                for &node in &owned_nodes {
-                    out_edges.extend_from_slice(graph.out_edges(node));
-                    in_edges.extend_from_slice(graph.in_edges(node));
-                    out_offsets.push(out_edges.len() as u32);
-                    in_offsets.push(in_edges.len() as u32);
-                }
-                GraphShard {
-                    owned_nodes,
-                    out_offsets,
-                    out_edges,
-                    in_offsets,
-                    in_edges,
-                }
-            })
-            .collect();
-
-        ShardedGraph {
-            core: Arc::new(ShardedCore {
-                names: graph.names,
-                types: graph.types,
-                predicates: graph.predicates,
-                node_name: graph.node_name,
-                node_type: graph.node_type,
-                name_to_node: graph.name_to_node,
-                nodes_by_type: graph.nodes_by_type,
-                edges: graph.edges,
-                duplicate_edges_dropped: graph.duplicate_edges_dropped,
-                partitioner: self.clone(),
-                node_shard,
-                node_slot,
-                shards,
-            }),
-        }
-    }
 }
 
 /// Observed per-bucket edge weights of `graph`: how many triples each of
@@ -286,291 +196,25 @@ pub fn bucket_weights<G: GraphView>(graph: &G) -> Vec<u64> {
     weights
 }
 
-/// One shard's slice of the adjacency: CSR rows for the nodes it owns,
-/// holding *global* edge ids in global insertion order.
-#[derive(Debug)]
-pub struct GraphShard {
-    /// Nodes owned by this shard, ascending.
-    owned_nodes: Vec<NodeId>,
-    out_offsets: Vec<u32>,
-    out_edges: Vec<EdgeId>,
-    in_offsets: Vec<u32>,
-    in_edges: Vec<EdgeId>,
-}
-
-impl GraphShard {
-    /// Nodes owned by this shard, ascending node id.
-    pub fn owned_nodes(&self) -> &[NodeId] {
-        &self.owned_nodes
-    }
-
-    /// Triples owned by this shard (edges sourced at an owned node).
-    pub fn owned_edge_count(&self) -> usize {
-        self.out_edges.len()
-    }
-}
-
-/// The global tables plus the per-shard adjacency slices.
-#[derive(Debug)]
-struct ShardedCore {
-    names: Interner,
-    types: Interner,
-    predicates: Interner,
-    node_name: Vec<u32>,
-    node_type: Vec<TypeId>,
-    name_to_node: FxHashMap<u32, NodeId>,
-    nodes_by_type: Vec<Vec<NodeId>>,
-    edges: Vec<EdgeRecord>,
-    duplicate_edges_dropped: usize,
-    partitioner: Partitioner,
-    /// Shard owning each node.
-    node_shard: Vec<u8>,
-    /// Rank of each node within its shard's `owned_nodes` (its CSR row).
-    node_slot: Vec<u32>,
-    shards: Vec<GraphShard>,
-}
-
-/// A knowledge graph stored as per-shard CSR slices behind one composed,
-/// deterministic [`GraphView`] (see module docs). Cheap to clone — the core
-/// is `Arc`-shared — so it slots into `SgqEngine<G: GraphView + Clone>`
-/// exactly like `&KnowledgeGraph` or an epoch snapshot.
-#[derive(Debug, Clone)]
-pub struct ShardedGraph {
-    core: Arc<ShardedCore>,
-}
-
-impl ShardedGraph {
-    /// Splits `graph` into `shards` slices — sugar for
-    /// [`Partitioner::new`] + [`Partitioner::split`].
-    pub fn from_graph(graph: KnowledgeGraph, shards: usize) -> Result<Self> {
-        Ok(Partitioner::new(shards)?.split(graph))
-    }
-
-    /// The partitioner that produced this layout.
-    pub fn partitioner(&self) -> Partitioner {
-        self.core.partitioner.clone()
-    }
-
-    /// Splits `graph` with an explicit `partitioner` — the entry point for
-    /// rebalanced (assigned) layouts; [`ShardedGraph::from_graph`] is the
-    /// hash-routed sugar.
-    pub fn from_graph_with(graph: KnowledgeGraph, partitioner: Partitioner) -> Self {
-        partitioner.split(graph)
-    }
-
-    /// The shard slices, indexable by shard id.
-    pub fn shard(&self, shard: usize) -> &GraphShard {
-        &self.core.shards[shard]
-    }
-
-    /// Per-shard owned-triple counts — the imbalance gauge behind
-    /// [`crate::GraphStats::shard_skew`].
-    pub fn shard_edge_counts(&self) -> Vec<usize> {
-        self.core
-            .shards
-            .iter()
-            .map(GraphShard::owned_edge_count)
-            .collect()
-    }
-
-    fn out_row(&self, node: NodeId) -> &[EdgeId] {
-        let core = &*self.core;
-        let shard = &core.shards[core.node_shard[node.index()] as usize];
-        let slot = core.node_slot[node.index()] as usize;
-        let lo = shard.out_offsets[slot] as usize;
-        let hi = shard.out_offsets[slot + 1] as usize;
-        &shard.out_edges[lo..hi]
-    }
-
-    fn in_row(&self, node: NodeId) -> &[EdgeId] {
-        let core = &*self.core;
-        let shard = &core.shards[core.node_shard[node.index()] as usize];
-        let slot = core.node_slot[node.index()] as usize;
-        let lo = shard.in_offsets[slot] as usize;
-        let hi = shard.in_offsets[slot + 1] as usize;
-        &shard.in_edges[lo..hi]
-    }
-}
-
-impl GraphView for ShardedGraph {
-    fn node_count(&self) -> usize {
-        self.core.node_name.len()
-    }
-    fn edge_count(&self) -> usize {
-        self.core.edges.len()
-    }
-    fn type_count(&self) -> usize {
-        self.core.types.len()
-    }
-    fn predicate_count(&self) -> usize {
-        self.core.predicates.len()
-    }
-    fn node_name(&self, node: NodeId) -> &str {
-        self.core.names.resolve(self.core.node_name[node.index()])
-    }
-    fn node_type(&self, node: NodeId) -> TypeId {
-        self.core.node_type[node.index()]
-    }
-    fn type_id(&self, ty: &str) -> Option<TypeId> {
-        self.core.types.get(ty).map(TypeId::new)
-    }
-    fn type_name(&self, ty: TypeId) -> &str {
-        self.core.types.resolve(ty.0)
-    }
-    fn predicate_id(&self, predicate: &str) -> Option<PredicateId> {
-        self.core.predicates.get(predicate).map(PredicateId::new)
-    }
-    fn predicate_name(&self, predicate: PredicateId) -> &str {
-        self.core.predicates.resolve(predicate.0)
-    }
-    fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.core
-            .names
-            .get(name)
-            .and_then(|id| self.core.name_to_node.get(&id).copied())
-    }
-    fn nodes_with_type(&self, ty: TypeId) -> Cow<'_, [NodeId]> {
-        Cow::Borrowed(&self.core.nodes_by_type[ty.index()])
-    }
-    fn edge(&self, edge: EdgeId) -> EdgeRecord {
-        self.core.edges[edge.index()]
-    }
-    fn degree(&self, node: NodeId) -> usize {
-        self.out_row(node).len() + self.in_row(node).len()
-    }
-    fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NeighborRef> + '_ {
-        let edges = &self.core.edges;
-        let out = self.out_row(node).iter().map(move |&e| {
-            let rec = edges[e.index()];
-            NeighborRef {
-                node: rec.dst,
-                predicate: rec.predicate,
-                edge: e,
-                outgoing: true,
-            }
-        });
-        let inn = self.in_row(node).iter().map(move |&e| {
-            let rec = edges[e.index()];
-            NeighborRef {
-                node: rec.src,
-                predicate: rec.predicate,
-                edge: e,
-                outgoing: false,
-            }
-        });
-        out.chain(inn)
-    }
-    fn edges(&self) -> impl Iterator<Item = (EdgeId, EdgeRecord)> + '_ {
-        self.core
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(i, &rec)| (EdgeId::new(i as u32), rec))
-    }
-    fn types(&self) -> impl Iterator<Item = (TypeId, &str)> + '_ {
-        self.core.types.iter().map(|(id, s)| (TypeId::new(id), s))
-    }
-    fn predicates(&self) -> impl Iterator<Item = (PredicateId, &str)> + '_ {
-        self.core
-            .predicates
-            .iter()
-            .map(|(id, s)| (PredicateId::new(id), s))
-    }
-    fn duplicate_edges_dropped(&self) -> usize {
-        self.core.duplicate_edges_dropped
-    }
-    fn shard_count(&self) -> usize {
-        self.core.shards.len()
-    }
-    fn shard_of(&self, node: NodeId) -> usize {
-        self.core.node_shard[node.index()] as usize
-    }
-    fn shard_nodes(&self, shard: usize) -> Cow<'_, [NodeId]> {
-        Cow::Borrowed(&self.core.shards[shard].owned_nodes)
-    }
-    fn shard_edge_count(&self, shard: usize) -> usize {
-        self.core.shards[shard].owned_edge_count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphBuilder;
-    use crate::stats::GraphStats;
-    use proptest::prelude::*;
+    use crate::graph::{GraphBuilder, KnowledgeGraph};
 
-    fn sample() -> KnowledgeGraph {
-        let mut b = GraphBuilder::new();
-        let audi = b.add_node("Audi_TT", "Automobile");
-        let lamando = b.add_node("Lamando", "Automobile");
-        let de = b.add_node("Germany", "Country");
-        let vw = b.add_node("Volkswagen", "Company");
-        b.add_node("Isolated", "Company");
-        b.add_edge(audi, de, "assembly");
-        b.add_edge(lamando, de, "assembly");
-        b.add_edge(vw, audi, "product");
-        b.add_edge(vw, de, "location");
-        b.add_edge(audi, audi, "self");
-        b.finish()
+    /// Triples owned by each shard under `partitioner`: the per-shard load
+    /// a durable layout written with it carries.
+    fn shard_loads(graph: &KnowledgeGraph, partitioner: &Partitioner) -> Vec<u64> {
+        let mut loads = vec![0u64; partitioner.shards()];
+        for (_, rec) in graph.edges() {
+            loads[partitioner.shard_of_label(graph.node_name(rec.src))] += 1;
+        }
+        loads
     }
 
-    /// The heart of the sharding contract: every observable of the
-    /// [`GraphView`] read surface — including the *order* of adjacency and
-    /// type buckets — must match the monolithic build exactly.
-    fn assert_view_identical(mono: &KnowledgeGraph, sharded: &ShardedGraph) {
-        assert_eq!(GraphView::node_count(mono), sharded.node_count());
-        assert_eq!(GraphView::edge_count(mono), sharded.edge_count());
-        assert_eq!(GraphView::type_count(mono), sharded.type_count());
-        assert_eq!(GraphView::predicate_count(mono), sharded.predicate_count());
-        assert_eq!(
-            GraphView::duplicate_edges_dropped(mono),
-            sharded.duplicate_edges_dropped()
-        );
-        for node in GraphView::nodes(mono) {
-            assert_eq!(GraphView::node_name(mono, node), sharded.node_name(node));
-            assert_eq!(GraphView::node_type(mono, node), sharded.node_type(node));
-            assert_eq!(GraphView::degree(mono, node), sharded.degree(node));
-            assert_eq!(
-                GraphView::neighbors(mono, node).collect::<Vec<_>>(),
-                sharded.neighbors(node).collect::<Vec<_>>(),
-                "adjacency order diverged at {node}"
-            );
-            assert_eq!(
-                sharded.node_by_name(GraphView::node_name(mono, node)),
-                Some(node)
-            );
-        }
-        for (ty, label) in GraphView::types(mono) {
-            assert_eq!(sharded.type_name(ty), label);
-            assert_eq!(
-                GraphView::nodes_with_type(mono, ty).as_ref(),
-                sharded.nodes_with_type(ty).as_ref(),
-                "type bucket diverged for {label}"
-            );
-        }
-        for (pid, label) in GraphView::predicates(mono) {
-            assert_eq!(sharded.predicate_name(pid), label);
-            assert_eq!(sharded.predicate_id(label), Some(pid));
-        }
-        assert_eq!(
-            GraphView::edges(mono).collect::<Vec<_>>(),
-            sharded.edges().collect::<Vec<_>>()
-        );
-        // Statistics agree, and the per-shard ownership tiles the edges.
-        let ms = GraphStats::of(mono);
-        let ss = GraphStats::of(sharded);
-        assert_eq!(ms.entities, ss.entities);
-        assert_eq!(ms.relations, ss.relations);
-        assert_eq!(ms.avg_degree, ss.avg_degree);
-        assert_eq!(ms.max_degree, ss.max_degree);
-        assert_eq!(ms.isolated, ss.isolated);
-        if sharded.shard_count() > 1 {
-            assert_eq!(ss.shard_edges.len(), sharded.shard_count());
-            assert_eq!(ss.shard_edges.iter().sum::<usize>(), sharded.edge_count());
-        } else {
-            assert!(ss.shard_edges.is_empty(), "single shard is monolithic");
-        }
+    /// Max over mean per-shard load: 1.0 is perfectly balanced.
+    fn skew(loads: &[u64]) -> f64 {
+        let max = loads.iter().copied().max().unwrap_or(0) as f64;
+        max * loads.len() as f64 / loads.iter().sum::<u64>() as f64
     }
 
     #[test]
@@ -593,71 +237,7 @@ mod tests {
             assert_eq!(s, p.shard_of_label(label), "hash must be pure");
         }
         // The single-shard partitioner maps everything to shard 0.
-        assert_eq!(Partitioner::single().shard_of_label("anything"), 0);
-    }
-
-    #[test]
-    fn sharded_view_is_identical_across_shard_counts() {
-        for k in [1usize, 2, 3, 5, 8] {
-            let mono = sample();
-            let sharded = ShardedGraph::from_graph(sample(), k).unwrap();
-            assert_eq!(sharded.shard_count(), k);
-            assert_view_identical(&mono, &sharded);
-        }
-    }
-
-    #[test]
-    fn ownership_is_consistent() {
-        let sharded = ShardedGraph::from_graph(sample(), 4).unwrap();
-        let p = sharded.partitioner();
-        for node in sharded.nodes() {
-            let s = sharded.shard_of(node);
-            assert_eq!(s, p.shard_of_label(sharded.node_name(node)));
-            assert!(sharded.shard(s).owned_nodes().contains(&node));
-        }
-        // Owned-node lists tile the node set, each ascending.
-        let mut total = 0;
-        for s in 0..sharded.shard_count() {
-            let owned = sharded.shard(s).owned_nodes();
-            assert!(owned.windows(2).all(|w| w[0] < w[1]));
-            total += owned.len();
-        }
-        assert_eq!(total, sharded.node_count());
-        // Edge ownership follows the source node.
-        for (_, rec) in sharded.edges() {
-            let s = sharded.shard_of(rec.src);
-            assert!(sharded.shard_edge_count(s) > 0);
-        }
-        assert_eq!(
-            sharded.shard_edge_counts().iter().sum::<usize>(),
-            sharded.edge_count()
-        );
-    }
-
-    #[test]
-    fn empty_graph_shards_cleanly() {
-        let sharded = ShardedGraph::from_graph(GraphBuilder::new().finish(), 4).unwrap();
-        assert_eq!(sharded.node_count(), 0);
-        assert_eq!(sharded.edge_count(), 0);
-        assert_eq!(sharded.shard_edge_counts(), vec![0; 4]);
-        let stats = GraphStats::of(&sharded);
-        assert_eq!(stats.shard_skew(), 1.0);
-    }
-
-    #[test]
-    fn skew_reflects_imbalance() {
-        // A hub sourcing every edge puts all triples in one shard.
-        let mut b = GraphBuilder::new();
-        let hub = b.add_node("Hub", "T");
-        for i in 0..32 {
-            let t = b.add_node(&format!("Spoke{i}"), "T");
-            b.add_edge(hub, t, "p");
-        }
-        let sharded = ShardedGraph::from_graph(b.finish(), 4).unwrap();
-        let stats = GraphStats::of(&sharded);
-        assert_eq!(stats.shard_edges.iter().sum::<usize>(), 32);
-        assert_eq!(*stats.shard_edges.iter().max().unwrap(), 32);
-        assert_eq!(stats.shard_skew(), 4.0, "one shard holds all 32 triples");
+        assert_eq!(Partitioner::new(1).unwrap().shard_of_label("anything"), 0);
     }
 
     #[test]
@@ -733,12 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn rebalanced_split_keeps_views_identical_and_reduces_skew() {
+    fn rebalanced_routing_reduces_skew() {
         // Shard-hostile by construction: eight heavy source labels that all
         // *hash* into shard 0 of 4 (the zipf-head regime `SkewSpec`
         // generates), but occupy distinct buckets — so hash routing piles
-        // every edge onto one shard while a bucket reassignment can level
-        // them. The composed view must stay byte-identical either way.
+        // every triple onto one shard while a bucket reassignment can level
+        // them.
         let hash_routed = Partitioner::new(4).unwrap();
         let mut hubs = Vec::new();
         let mut seen_buckets = Vec::new();
@@ -753,69 +333,26 @@ mod tests {
                 }
             }
         }
-        let build = || {
-            let mut b = GraphBuilder::new();
-            for (h, hub) in hubs.iter().enumerate() {
-                let src = b.add_node(hub, "T");
-                for i in 0..16 {
-                    let t = b.add_node(&format!("Spoke{h}_{i}"), "T");
-                    b.add_edge(src, t, "p");
-                }
+        let mut b = GraphBuilder::new();
+        for (h, hub) in hubs.iter().enumerate() {
+            let src = b.add_node(hub, "T");
+            for i in 0..16 {
+                let t = b.add_node(&format!("Spoke{h}_{i}"), "T");
+                b.add_edge(src, t, "p");
             }
-            b.finish()
-        };
-        let mono = build();
-        let hashed = ShardedGraph::from_graph(build(), 4).unwrap();
-        let before = GraphStats::of(&hashed).shard_skew();
-
-        let weights = bucket_weights(&mono);
-        assert_eq!(
-            weights.iter().sum::<u64>(),
-            GraphView::edge_count(&mono) as u64
-        );
-        let rebalanced = hashed.partitioner().rebalanced(&weights).unwrap();
-        let leveled = ShardedGraph::from_graph_with(build(), rebalanced);
-        assert_view_identical(&mono, &leveled);
-        let after = GraphStats::of(&leveled).shard_skew();
-        assert!(
-            after < before,
-            "rebalance must reduce skew: {before:.2} -> {after:.2}"
-        );
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-        /// Satellite contract: over arbitrary triple sets and shard counts
-        /// 1..=8, the sharded build exposes adjacency, vocabulary ids, and
-        /// statistics identical to the single-CSR build — the enforced
-        /// `GraphView` order contract.
-        #[test]
-        fn prop_sharded_equals_monolithic(
-            triples in proptest::collection::vec(
-                (0u32..24, 0u32..6, 0u32..24, 0u32..4, 0u32..4),
-                0..64,
-            ),
-            extra_nodes in proptest::collection::vec((0u32..24, 0u32..4), 0..8),
-            shards in 1usize..=8,
-        ) {
-            let build = || {
-                let mut b = GraphBuilder::new();
-                for &(name, ty) in &extra_nodes {
-                    b.add_node(&format!("N{name}"), &format!("T{ty}"));
-                }
-                for &(h, p, t, hty, tty) in &triples {
-                    b.add_triple(
-                        (&format!("N{h}"), &format!("T{hty}")),
-                        &format!("p{p}"),
-                        (&format!("N{t}"), &format!("T{tty}")),
-                    );
-                }
-                b.finish()
-            };
-            let mono = build();
-            let sharded = ShardedGraph::from_graph(build(), shards).unwrap();
-            prop_assert_eq!(sharded.shard_count(), shards);
-            assert_view_identical(&mono, &sharded);
         }
+        let graph = b.finish();
+        let before = shard_loads(&graph, &hash_routed);
+        assert_eq!(before, vec![128, 0, 0, 0], "every hub routes to shard 0");
+
+        let weights = bucket_weights(&graph);
+        assert_eq!(weights.iter().sum::<u64>(), graph.edge_count() as u64);
+        let rebalanced = hash_routed.rebalanced(&weights).unwrap();
+        let after = shard_loads(&graph, &rebalanced);
+        assert_eq!(after.iter().sum::<u64>(), 128, "routing moves, never drops");
+        assert!(
+            skew(&after) < skew(&before),
+            "rebalance must reduce skew: {before:?} -> {after:?}"
+        );
     }
 }

@@ -31,12 +31,6 @@ pub struct GraphStats {
     /// while the graph was assembled.
     #[serde(default)]
     pub duplicate_edges_dropped: usize,
-    /// Per-shard owned-triple counts (edges whose source node the shard
-    /// owns) when the view is a [`crate::shard::ShardedGraph`]; empty for
-    /// monolithic stores. Operators read this (and
-    /// [`GraphStats::shard_skew`]) to spot partition imbalance.
-    #[serde(default)]
-    pub shard_edges: Vec<usize>,
 }
 
 impl GraphStats {
@@ -54,13 +48,6 @@ impl GraphStats {
             }
         }
         let n = graph.node_count();
-        let shard_edges = if graph.shard_count() > 1 {
-            (0..graph.shard_count())
-                .map(|s| graph.shard_edge_count(s))
-                .collect()
-        } else {
-            Vec::new()
-        };
         Self {
             entities: n,
             relations: graph.edge_count(),
@@ -70,24 +57,6 @@ impl GraphStats {
             max_degree,
             isolated,
             duplicate_edges_dropped: graph.duplicate_edges_dropped(),
-            shard_edges,
-        }
-    }
-
-    /// Shard imbalance as max/mean owned-triple count: 1.0 is a perfectly
-    /// balanced (or monolithic/empty) layout, `shard_count` means one shard
-    /// owns everything. Above ~2 the scatter phases lose their scaling —
-    /// regenerate the data or revisit the partitioning.
-    pub fn shard_skew(&self) -> f64 {
-        if self.shard_edges.is_empty() {
-            return 1.0;
-        }
-        let max = *self.shard_edges.iter().max().expect("non-empty") as f64;
-        let mean = self.shard_edges.iter().sum::<usize>() as f64 / self.shard_edges.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
         }
     }
 }
@@ -105,16 +74,7 @@ impl std::fmt::Display for GraphStats {
             self.max_degree,
             self.isolated,
             self.duplicate_edges_dropped
-        )?;
-        if !self.shard_edges.is_empty() {
-            write!(
-                f,
-                " shards={} shard_skew={:.2}",
-                self.shard_edges.len(),
-                self.shard_skew()
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 

@@ -69,7 +69,7 @@ pub struct VersionedStats {
     pub wal_healthy: bool,
 }
 
-/// What [`VersionedGraph::recover_sharded`] found and did (see that
+/// What [`VersionedGraph::recover`] found and did (see that
 /// method).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -196,7 +196,7 @@ impl VersionedGraph {
 
     /// Wraps a frozen graph as the given epoch with an empty overlay — the
     /// recovery entry point for a base loaded from a checkpoint snapshot
-    /// set (see [`crate::io::shard::load_sharded`], which returns the saved
+    /// set (see [`crate::io::shard::load`], which returns the saved
     /// epoch).
     pub fn with_epoch(base: KnowledgeGraph, epoch: u64) -> Self {
         let base = Arc::new(base);
@@ -494,7 +494,7 @@ impl VersionedGraph {
     }
 
     /// Rebuilds the pre-crash store: starts from `base` (the checkpoint
-    /// snapshot set recomposed by [`crate::io::shard::load_sharded`] at
+    /// snapshot set recomposed by [`crate::io::shard::load`] at
     /// `base_epoch`) and replays the shard WALs under `dir`, merged back
     /// into arrival order, up to the coordinated epoch (see
     /// [`crate::io::shard`]), tolerating torn final records. Ops beyond it
@@ -507,7 +507,7 @@ impl VersionedGraph {
     /// history the snapshot set already contains, which happens when a
     /// crash lands between a checkpoint's manifest flip and its WAL
     /// truncation.
-    pub fn recover_sharded(
+    pub fn recover(
         base: KnowledgeGraph,
         base_epoch: u64,
         dir: impl AsRef<Path>,
@@ -515,7 +515,7 @@ impl VersionedGraph {
     ) -> Result<(Self, RecoveryReport)> {
         let dir = dir.as_ref();
         let store = Self::with_epoch(base, base_epoch);
-        let replay = crate::io::shard::read_sharded_wal(dir, partitioner.shards())?;
+        let replay = crate::io::shard::read_wal(dir, partitioner.shards())?;
         // Skip records up to the last marker ≤ base_epoch (already in the
         // snapshot set — a crash between the manifest flip and the WAL
         // truncation leaves the full pre-checkpoint history behind).
@@ -603,14 +603,14 @@ impl VersionedGraph {
     ///
     /// Crash safety at every point: before the manifest flip the old
     /// snapshot set + full logs recover; after it the new set recovers and
-    /// [`Self::recover_sharded`] skips the stale log prefix; after
+    /// [`Self::recover`] skips the stale log prefix; after
     /// truncation the logs are simply empty.
     ///
     /// Fails (without truncating) if a previous WAL write already failed —
     /// the logs can be missing committed ops, and the snapshot set alone
     /// must not be trusted to include them either, so the error is surfaced
     /// instead.
-    pub fn checkpoint_sharded(
+    pub fn checkpoint(
         &self,
         dir: impl AsRef<Path>,
         partitioner: Partitioner,
@@ -636,16 +636,16 @@ impl VersionedGraph {
             }
         }
         let snapshot = self.compact_locked(&mut state);
-        crate::io::shard::save_sharded(snapshot.base(), &partitioner, snapshot.epoch(), dir)?;
+        crate::io::shard::save(snapshot.base(), &partitioner, snapshot.epoch(), dir)?;
         Self::recreate_wal(&mut state, partitioner, "checkpoint")?;
         Ok(snapshot)
     }
 
     /// The partitioner the attached sharded WAL routes by, `None` when no
     /// sharded log is attached. This is the authoritative live assignment:
-    /// [`Self::rebalance_sharded`] swaps it together with the manifest flip,
+    /// [`Self::rebalance`] swaps it together with the manifest flip,
     /// so callers that cache a copy must refresh it on every epoch change.
-    pub fn sharded_partitioner(&self) -> Option<Partitioner> {
+    pub fn partitioner(&self) -> Option<Partitioner> {
         let state = self.state.lock().unwrap();
         state.wal.as_ref().map(ShardedWalWriter::partitioner)
     }
@@ -660,7 +660,7 @@ impl VersionedGraph {
     /// epoch, which is the invalidation signal for every epoch-keyed cache
     /// above this layer.
     ///
-    /// Crash safety mirrors [`Self::checkpoint_sharded`]: before the
+    /// Crash safety mirrors [`Self::checkpoint`]: before the
     /// manifest flip the old manifest + old logs recover the pre-rebalance
     /// store (the compact marker replays, preserving content); after the
     /// flip the new snapshot set recovers and replay skips the stale WAL
@@ -668,7 +668,7 @@ impl VersionedGraph {
     /// leftover records were routed is irrelevant. The shard *count* must
     /// be unchanged: growing or shrinking the fleet is a deployment change,
     /// not a rebalance.
-    pub fn rebalance_sharded(
+    pub fn rebalance(
         &self,
         dir: impl AsRef<Path>,
         new_partitioner: Partitioner,
@@ -694,7 +694,7 @@ impl VersionedGraph {
         // keyed on the old assignment.
         state.dirty = true;
         let snapshot = self.compact_locked(&mut state);
-        crate::io::shard::save_sharded(snapshot.base(), &new_partitioner, snapshot.epoch(), dir)?;
+        crate::io::shard::save(snapshot.base(), &new_partitioner, snapshot.epoch(), dir)?;
         // The fresh logs route by the new assignment.
         Self::recreate_wal(&mut state, new_partitioner, "rebalance")?;
         Ok(snapshot)
@@ -1090,16 +1090,15 @@ mod tests {
     /// Lays `base_graph()` out at epoch 0 in the 1-shard deployment layout
     /// under `dir` and returns the store recovered from it, logs attached.
     fn durable(dir: &Path) -> VersionedGraph {
-        crate::io::shard::save_sharded(&base_graph(), &Partitioner::new(1).unwrap(), 0, dir)
-            .unwrap();
+        crate::io::shard::save(&base_graph(), &Partitioner::new(1).unwrap(), 0, dir).unwrap();
         reopen(dir).unwrap().0
     }
 
     /// Cold-starts the store under `dir`: loads the snapshot set the
     /// manifest references and replays the shard logs on top.
     fn reopen(dir: &Path) -> Result<(VersionedGraph, RecoveryReport)> {
-        let (base, partitioner, epoch) = crate::io::shard::load_sharded(dir)?;
-        VersionedGraph::recover_sharded(base, epoch, dir, partitioner)
+        let (base, partitioner, epoch) = crate::io::shard::load(dir)?;
+        VersionedGraph::recover(base, epoch, dir, partitioner)
     }
 
     #[test]
@@ -1216,11 +1215,9 @@ mod tests {
             ("Germany", "Country"),
         );
         v.commit();
-        let checkpointed = v
-            .checkpoint_sharded(&root, Partitioner::new(1).unwrap())
-            .unwrap();
+        let checkpointed = v.checkpoint(&root, Partitioner::new(1).unwrap()).unwrap();
         assert!(checkpointed.is_compacted());
-        let wal_after = crate::io::shard::read_sharded_wal(&root, 1).unwrap();
+        let wal_after = crate::io::shard::read_wal(&root, 1).unwrap();
         assert!(wal_after.ops.is_empty(), "checkpoint truncates the log");
         // Post-checkpoint writes land in the fresh log.
         v.insert_triple(
@@ -1257,9 +1254,7 @@ mod tests {
             ("Germany", "Country"),
         );
         assert!(v.stats().staged);
-        let checkpointed = v
-            .checkpoint_sharded(&root, Partitioner::new(1).unwrap())
-            .unwrap();
+        let checkpointed = v.checkpoint(&root, Partitioner::new(1).unwrap()).unwrap();
         assert_eq!(checkpointed.epoch(), 2, "staged resurrect must commit");
         assert_eq!(checkpointed.edge_count(), 3);
         assert_eq!(
@@ -1267,7 +1262,7 @@ mod tests {
             triples(&v.snapshot()),
             "checkpoint snapshot == live snapshot"
         );
-        let (base, _, epoch) = crate::io::shard::load_sharded(&root).unwrap();
+        let (base, _, epoch) = crate::io::shard::load(&root).unwrap();
         assert_eq!(epoch, 2);
         assert_eq!(base.edge_count(), 3, "resurrected edge is on disk");
         let (back, _) = reopen(&root).unwrap();
@@ -1291,7 +1286,7 @@ mod tests {
             store.insert_triple(("X", "T"), "p", ("Y", "T"));
             store.commit();
             drop(store);
-            let replay = crate::io::shard::read_sharded_wal(&root, 1).unwrap();
+            let replay = crate::io::shard::read_wal(&root, 1).unwrap();
             assert!(!replay.torn, "len {len}: recreated log is clean");
             assert_eq!(replay.ops.len(), 2);
         }
@@ -1317,7 +1312,7 @@ mod tests {
         let compacted = v.compact();
         // Snapshot set saved and the manifest flipped, but the WAL still
         // holds the full history.
-        crate::io::shard::save_sharded(
+        crate::io::shard::save(
             compacted.base(),
             &Partitioner::new(1).unwrap(),
             compacted.epoch(),
@@ -1353,7 +1348,7 @@ mod tests {
         w.append(&WalOp::Commit { epoch: 5 }).unwrap();
         w.sync().unwrap();
         drop(w);
-        let err = VersionedGraph::recover_sharded(base_graph(), 0, &root, p).unwrap_err();
+        let err = VersionedGraph::recover(base_graph(), 0, &root, p).unwrap_err();
         assert!(
             matches!(err, KgError::Wal { .. }),
             "epoch gap must fail loudly: {err:?}"
@@ -1372,10 +1367,10 @@ mod tests {
         let p = Partitioner::new(4).unwrap();
 
         // Lay out epoch 0 and attach sharded logs.
-        crate::io::shard::save_sharded(&base_graph(), &p, 0, &root).unwrap();
-        let (loaded, p2, epoch) = crate::io::shard::load_sharded(&root).unwrap();
+        crate::io::shard::save(&base_graph(), &p, 0, &root).unwrap();
+        let (loaded, p2, epoch) = crate::io::shard::load(&root).unwrap();
         assert_eq!((epoch, &p2), (0, &p));
-        let (v, report) = VersionedGraph::recover_sharded(loaded, 0, &root, p.clone()).unwrap();
+        let (v, report) = VersionedGraph::recover(loaded, 0, &root, p.clone()).unwrap();
         assert_eq!(report.recovered_epoch, 0);
 
         // Mutate across several epochs, including a compaction (edge-id
@@ -1389,7 +1384,7 @@ mod tests {
         v.commit();
         v.insert_triple(("Peter", "Person"), "designer", ("KIA_K5", "Automobile"));
         v.compact();
-        let checkpointed = v.checkpoint_sharded(&root, p.clone()).unwrap();
+        let checkpointed = v.checkpoint(&root, p.clone()).unwrap();
         assert_eq!(checkpointed.epoch(), 2);
         assert_eq!(
             crate::io::shard::read_manifest(&root).unwrap().epoch,
@@ -1406,10 +1401,9 @@ mod tests {
         let reference = v.snapshot();
         drop(v); // crash: Ghost staged but never committed
 
-        let (loaded, p3, epoch) = crate::io::shard::load_sharded(&root).unwrap();
+        let (loaded, p3, epoch) = crate::io::shard::load(&root).unwrap();
         assert_eq!((epoch, &p3), (2, &p));
-        let (recovered, report) =
-            VersionedGraph::recover_sharded(loaded, epoch, &root, p.clone()).unwrap();
+        let (recovered, report) = VersionedGraph::recover(loaded, epoch, &root, p.clone()).unwrap();
         assert_eq!(report.recovered_epoch, 3);
         assert_eq!(report.epochs_replayed, 1);
         assert_eq!(report.discarded_ops, 1, "Ghost never committed");
@@ -1435,12 +1429,10 @@ mod tests {
         // shard count than the attached logs refuses to split the
         // deployment.
         let err = recovered
-            .checkpoint_sharded(&root, Partitioner::new(2).unwrap())
+            .checkpoint(&root, Partitioner::new(2).unwrap())
             .unwrap_err();
         assert!(err.to_string().contains("refusing to split"), "{err}");
-        let err = recovered
-            .checkpoint_sharded(dir.path("elsewhere"), p)
-            .unwrap_err();
+        let err = recovered.checkpoint(dir.path("elsewhere"), p).unwrap_err();
         assert!(err.to_string().contains("refusing to split"), "{err}");
     }
 
@@ -1455,10 +1447,10 @@ mod tests {
         let dir = TestDir::new("versioned_rebalance");
         let root = dir.path("dep");
         let p = Partitioner::new(4).unwrap();
-        crate::io::shard::save_sharded(&base_graph(), &p, 0, &root).unwrap();
-        let (loaded, _, epoch) = crate::io::shard::load_sharded(&root).unwrap();
-        let (v, _) = VersionedGraph::recover_sharded(loaded, epoch, &root, p.clone()).unwrap();
-        assert_eq!(v.sharded_partitioner(), Some(p.clone()));
+        crate::io::shard::save(&base_graph(), &p, 0, &root).unwrap();
+        let (loaded, _, epoch) = crate::io::shard::load(&root).unwrap();
+        let (v, _) = VersionedGraph::recover(loaded, epoch, &root, p.clone()).unwrap();
+        assert_eq!(v.partitioner(), Some(p.clone()));
         // The twin sees the same ops; where the primary rebalances, the
         // twin compacts — the answer-visible effect must be identical.
         let twin = VersionedGraph::new(base_graph());
@@ -1474,14 +1466,14 @@ mod tests {
         let weights = crate::shard::bucket_weights(&before);
         let rebalanced = p.rebalanced(&weights).unwrap();
         assert_ne!(rebalanced, p, "plan must actually move buckets");
-        let published = v.rebalance_sharded(&root, rebalanced.clone()).unwrap();
+        let published = v.rebalance(&root, rebalanced.clone()).unwrap();
         twin.compact();
         assert_eq!(
             published.epoch(),
             before.epoch() + 1,
             "rebalance bumps the epoch"
         );
-        assert_eq!(v.sharded_partitioner(), Some(rebalanced.clone()));
+        assert_eq!(v.partitioner(), Some(rebalanced.clone()));
         let manifest = crate::io::shard::read_manifest(&root).unwrap();
         assert_eq!(manifest.epoch, published.epoch());
         assert_eq!(manifest.assignment.as_deref(), rebalanced.assignment());
@@ -1501,17 +1493,16 @@ mod tests {
         let reference = v.snapshot();
         assert_eq!(fingerprint(&reference), fingerprint(&twin.snapshot()));
         drop(v);
-        let (loaded, p2, epoch) = crate::io::shard::load_sharded(&root).unwrap();
+        let (loaded, p2, epoch) = crate::io::shard::load(&root).unwrap();
         assert_eq!((epoch, &p2), (published.epoch(), &rebalanced));
-        let (back, report) =
-            VersionedGraph::recover_sharded(loaded, epoch, &root, p2.clone()).unwrap();
+        let (back, report) = VersionedGraph::recover(loaded, epoch, &root, p2.clone()).unwrap();
         assert_eq!(report.discarded_ops, 1, "Ghost never committed");
         assert_eq!(back.epoch(), reference.epoch());
         assert_eq!(fingerprint(&back.snapshot()), fingerprint(&reference));
 
         // Changing the shard count is not a rebalance.
         let err = back
-            .rebalance_sharded(&root, Partitioner::new(2).unwrap())
+            .rebalance(&root, Partitioner::new(2).unwrap())
             .unwrap_err();
         assert!(err.to_string().contains("refusing to split"), "{err}");
     }

@@ -4,13 +4,17 @@
 //! The query stack (φ node matching, sub-query planning, A\* search, TA
 //! assembly, statistics) only ever *reads* a graph. [`GraphView`] captures
 //! exactly that read surface, so the same monomorphised search code runs
-//! against either:
+//! against either of its two stores:
 //!
 //! * a plain [`KnowledgeGraph`] (the static, frozen hot path — zero-cost,
 //!   the trait methods compile down to the inherent ones), or
 //! * a [`crate::versioned::GraphSnapshot`] — an immutable base CSR plus a
 //!   delta overlay (added nodes/edges, tombstoned edges) published at one
 //!   epoch by [`crate::versioned::VersionedGraph`].
+//!
+//! The third impl, on `&G`, lets the engine hold a borrowed store by value.
+//! Sharding is a property of the durable layout only ([`crate::shard`]);
+//! every view is one monolithic adjacency.
 //!
 //! Implementations must be deterministic: two calls to [`GraphView::neighbors`]
 //! on the same view yield the same sequence, and the sequence is the edge
@@ -90,41 +94,6 @@ pub trait GraphView: Sync {
     /// underlying store was assembled (0 when the store doesn't track it).
     fn duplicate_edges_dropped(&self) -> usize {
         0
-    }
-
-    // --- Sharded-storage hooks -------------------------------------------
-    //
-    // A [`crate::shard::ShardedGraph`] stores its adjacency as per-shard CSR
-    // slices while still honouring the deterministic-order contract above.
-    // These hooks let generic callers (the φ matcher, the engine's seeding
-    // phase, statistics) scatter their scans per shard and gather in node-id
-    // order without knowing the concrete store. Monolithic stores are one
-    // big shard.
-
-    /// Number of storage shards behind this view (1 for monolithic stores).
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// The shard owning `node`'s adjacency (always 0 for monolithic stores).
-    fn shard_of(&self, _node: NodeId) -> usize {
-        0
-    }
-
-    /// Node ids owned by `shard`, ascending. The monolithic default owns
-    /// every node in shard 0 and must materialise the list — callers should
-    /// only reach for this when [`GraphView::shard_count`] exceeds 1, where
-    /// sharded stores return a borrowed slice.
-    fn shard_nodes(&self, shard: usize) -> Cow<'_, [NodeId]> {
-        debug_assert_eq!(shard, 0, "monolithic views have exactly one shard");
-        Cow::Owned((0..self.node_count() as u32).map(NodeId::new).collect())
-    }
-
-    /// Triples owned by `shard` — the edges whose *source* node it owns
-    /// (the hash-by-source-node partitioning contract).
-    fn shard_edge_count(&self, shard: usize) -> usize {
-        debug_assert_eq!(shard, 0, "monolithic views have exactly one shard");
-        self.edge_count()
     }
 }
 
@@ -247,18 +216,6 @@ impl<G: GraphView + ?Sized> GraphView for &G {
     }
     fn duplicate_edges_dropped(&self) -> usize {
         (**self).duplicate_edges_dropped()
-    }
-    fn shard_count(&self) -> usize {
-        (**self).shard_count()
-    }
-    fn shard_of(&self, node: NodeId) -> usize {
-        (**self).shard_of(node)
-    }
-    fn shard_nodes(&self, shard: usize) -> Cow<'_, [NodeId]> {
-        (**self).shard_nodes(shard)
-    }
-    fn shard_edge_count(&self, shard: usize) -> usize {
-        (**self).shard_edge_count(shard)
     }
 }
 

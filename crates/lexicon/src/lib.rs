@@ -19,5 +19,5 @@ pub mod matcher;
 pub mod normalize;
 
 pub use library::{TransformKind, TransformationLibrary};
-pub use matcher::{NodeMatcher, ShardIndex};
+pub use matcher::NodeMatcher;
 pub use normalize::normalize_label;

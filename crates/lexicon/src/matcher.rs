@@ -6,98 +6,44 @@
 //! normalised indexes over the graph's names and types once, so repeated
 //! query-time lookups are hash probes.
 //!
-//! ## Sharded builds
-//!
-//! Indexing the names is the `O(|V|)` scan every epoch engine rebuild pays.
-//! Over a sharded store ([`kgraph::ShardedGraph`]) the scan splits into one
-//! [`ShardIndex`] per shard — each buildable independently (the engine runs
-//! them as parallel jobs on its worker pool) — and query-time lookups
-//! *gather* the per-shard hits with a merge by node id, which reproduces
-//! exactly the ascending-id candidate order a monolithic index yields. The
-//! monolithic path is a single `ShardIndex` covering every node, so the two
-//! layouts share one code path and cannot diverge.
+//! Candidate order is part of the contract: a name lookup returns its hits
+//! in ascending node id (then the library's canonical-form hits, deduped,
+//! each in ascending node id), and a type lookup returns each matching type
+//! bucket in the view's insertion order. The A\* search seeds in this order
+//! and breaks priority ties by it, so a matcher built twice over the same
+//! view must yield the same lists.
 
 use crate::library::TransformationLibrary;
 use crate::normalize::normalize_label;
 use kgraph::{GraphView, KnowledgeGraph, NodeId, TypeId};
 use rustc_hash::FxHashMap;
 
-/// One shard's slice of the φ name index: normalised entity name → owned
-/// node ids, ascending (names are unique, but distinct raw names may
-/// normalise to the same key).
-pub struct ShardIndex {
-    name_index: FxHashMap<String, Vec<NodeId>>,
-}
-
-impl ShardIndex {
-    /// Indexes the names of the nodes `shard` owns in `graph`. Pure and
-    /// independent per shard — safe to run one job per shard in parallel.
-    /// For a monolithic view call it with shard 0 to index every node
-    /// (iterated directly — the `shard_nodes` hook would materialise the
-    /// full id list just to walk it once).
-    pub fn build<G: GraphView>(graph: &G, shard: usize) -> Self {
-        let mut name_index: FxHashMap<String, Vec<NodeId>> = FxHashMap::default();
-        let mut add = |node: NodeId| {
-            name_index
-                .entry(normalize_label(graph.node_name(node)))
-                .or_default()
-                .push(node);
-        };
-        if graph.shard_count() == 1 {
-            debug_assert_eq!(shard, 0);
-            for node in graph.nodes() {
-                add(node);
-            }
-        } else {
-            for &node in graph.shard_nodes(shard).as_ref() {
-                add(node);
-            }
-        }
-        Self { name_index }
-    }
-}
-
 /// Precomputed φ-lookup over one graph view + transformation library.
 ///
 /// The matcher owns its graph *handle* `G` (for the static engine that is a
 /// copied `&KnowledgeGraph`; for the live engine an `Arc`-backed
-/// `kgraph::GraphSnapshot` clone; for the sharded engine a cloned
-/// `kgraph::ShardedGraph`), so it pins the same epoch as the engine that
-/// built it.
+/// `kgraph::GraphSnapshot` clone), so it pins the same epoch as the engine
+/// that built it.
 pub struct NodeMatcher<'g, G: GraphView = &'g KnowledgeGraph> {
     graph: G,
     library: &'g TransformationLibrary,
-    /// Per-shard name indexes (exactly one for monolithic views).
-    shards: Vec<ShardIndex>,
-    /// normalised type label → type ids (global — type vocabularies are
-    /// tiny, scanning them is not worth sharding).
+    /// normalised entity name → node ids, ascending (names are unique, but
+    /// distinct raw names may normalise to the same key).
+    name_index: FxHashMap<String, Vec<NodeId>>,
+    /// normalised type label → type ids.
     type_index: FxHashMap<String, Vec<TypeId>>,
 }
 
 impl<'g, G: GraphView> NodeMatcher<'g, G> {
-    /// Indexes `graph` for φ lookups through `library` (serially — sharded
-    /// views get one index per shard; the engine prefers
-    /// [`NodeMatcher::from_shard_indexes`] with pool-built indexes).
+    /// Indexes `graph` for φ lookups through `library`.
     pub fn new(graph: G, library: &'g TransformationLibrary) -> Self {
-        let shards = (0..graph.shard_count())
-            .map(|s| ShardIndex::build(&graph, s))
-            .collect();
-        Self::from_shard_indexes(graph, library, shards)
-    }
-
-    /// Assembles a matcher from per-shard indexes built elsewhere (e.g. as
-    /// parallel jobs on the engine's worker pool). `shards` must hold
-    /// exactly `graph.shard_count()` indexes, in shard order.
-    pub fn from_shard_indexes(
-        graph: G,
-        library: &'g TransformationLibrary,
-        shards: Vec<ShardIndex>,
-    ) -> Self {
-        assert_eq!(
-            shards.len(),
-            graph.shard_count(),
-            "one ShardIndex per shard"
-        );
+        let mut name_index: FxHashMap<String, Vec<NodeId>> = FxHashMap::default();
+        for node in graph.nodes() {
+            name_index
+                .entry(normalize_label(graph.node_name(node)))
+                .or_default()
+                .push(node);
+        }
         let mut type_index: FxHashMap<String, Vec<TypeId>> = FxHashMap::default();
         for (ty, label) in graph.types() {
             type_index
@@ -108,7 +54,7 @@ impl<'g, G: GraphView> NodeMatcher<'g, G> {
         Self {
             graph,
             library,
-            shards,
+            name_index,
             type_index,
         }
     }
@@ -123,41 +69,20 @@ impl<'g, G: GraphView> NodeMatcher<'g, G> {
         self.library
     }
 
-    /// Gathers the per-shard hits for one normalised key in ascending node
-    /// id — identical to the list a monolithic index stores, because each
-    /// shard's list is ascending and the merge is by id.
-    fn gather_name_hits(&self, norm: &str, out: &mut Vec<NodeId>) {
-        match self.shards.len() {
-            0 => {}
-            1 => {
-                if let Some(nodes) = self.shards[0].name_index.get(norm) {
-                    out.extend_from_slice(nodes);
-                }
-            }
-            _ => {
-                let lists: Vec<&[NodeId]> = self
-                    .shards
-                    .iter()
-                    .filter_map(|s| s.name_index.get(norm).map(Vec::as_slice))
-                    .collect();
-                merge_ascending(&lists, out);
-            }
-        }
-    }
-
     /// φ for a *specific* query node: graph nodes whose name matches
     /// `query_name` (identical / synonym / abbreviation).
     pub fn match_name(&self, query_name: &str) -> Vec<NodeId> {
         let mut out = Vec::new();
         let norm = normalize_label(query_name);
-        self.gather_name_hits(&norm, &mut out);
-        let mut canonical_hits = Vec::new();
+        if let Some(nodes) = self.name_index.get(&norm) {
+            out.extend_from_slice(nodes);
+        }
         for (canonical, _kind) in self.library.canonical_of(query_name) {
-            canonical_hits.clear();
-            self.gather_name_hits(canonical, &mut canonical_hits);
-            for &n in &canonical_hits {
-                if !out.contains(&n) {
-                    out.push(n);
+            if let Some(nodes) = self.name_index.get(canonical) {
+                for &n in nodes {
+                    if !out.contains(&n) {
+                        out.push(n);
+                    }
                 }
             }
         }
@@ -208,30 +133,6 @@ impl<'g, G: GraphView> NodeMatcher<'g, G> {
             mask[ty.index()] = true;
         }
         mask
-    }
-}
-
-/// k-way merge of ascending node-id lists into `out` (k is the shard count,
-/// lists are candidate hits — both small; the quadratic scan over list
-/// heads beats a heap comfortably here).
-fn merge_ascending(lists: &[&[NodeId]], out: &mut Vec<NodeId>) {
-    let mut cursors = vec![0usize; lists.len()];
-    loop {
-        let mut best: Option<(usize, NodeId)> = None;
-        for (i, list) in lists.iter().enumerate() {
-            if let Some(&candidate) = list.get(cursors[i]) {
-                if best.is_none_or(|(_, b)| candidate < b) {
-                    best = Some((i, candidate));
-                }
-            }
-        }
-        match best {
-            Some((i, node)) => {
-                cursors[i] += 1;
-                out.push(node);
-            }
-            None => break,
-        }
     }
 }
 
@@ -327,6 +228,8 @@ mod tests {
         assert_eq!(m.match_name("AUDI_TT").len(), 1);
     }
 
+    /// Multi-candidate keys come back in the exact order the A\* seeding
+    /// and tie-breaks depend on: ascending node id.
     #[test]
     fn multi_candidate_names() {
         let mut b = GraphBuilder::new();
@@ -338,69 +241,36 @@ mod tests {
         let m = NodeMatcher::new(&g, &lib);
         assert_eq!(m.match_name("Paname").len(), 1);
         assert_eq!(m.match_name("Paris").len(), 1);
-    }
 
-    /// Sharded gather contract: a matcher over a `ShardedGraph` returns
-    /// *identical* candidate lists — content and order — to a matcher over
-    /// the monolithic build, for names, synonyms, and type candidates.
-    #[test]
-    fn sharded_matcher_is_identical_to_monolithic() {
-        let build = || {
-            let mut b = GraphBuilder::new();
-            // Several nodes normalising to the same key, scattered across
-            // shards, plus type buckets spanning shards.
-            for i in 0..24 {
-                b.add_node(
-                    &format!("Entity_{i}"),
-                    if i % 3 == 0 { "Car" } else { "City" },
-                );
-            }
-            b.add_node("dup name", "City");
-            b.add_node("Dup_Name", "City");
-            b.add_node("DUP NAME", "Car");
-            b.finish()
-        };
+        // Three raw names normalising to one key (ids 24..=26), a synonym
+        // row onto it, and a type bucket spanning the whole id range.
+        let mut b = GraphBuilder::new();
+        for i in 0..24 {
+            b.add_node(
+                &format!("Entity_{i}"),
+                if i % 3 == 0 { "Car" } else { "City" },
+            );
+        }
+        b.add_node("dup name", "City");
+        b.add_node("Dup_Name", "City");
+        b.add_node("DUP NAME", "Car");
+        let g = b.finish();
         let mut lib = TransformationLibrary::new();
         lib.add("Duplicated", "dup name", TransformKind::Synonym);
         lib.add_synonym_row("Car", &["Automobile"]);
-        let mono = build();
-        let mono_matcher = NodeMatcher::new(&mono, &lib);
-        for shards in [1usize, 2, 4, 8] {
-            let sharded = kgraph::ShardedGraph::from_graph(build(), shards).unwrap();
-            let matcher = NodeMatcher::new(sharded, &lib);
-            for probe in ["dup name", "Duplicated", "Entity_7", "Nowhere"] {
-                assert_eq!(
-                    mono_matcher.match_name(probe),
-                    matcher.match_name(probe),
-                    "match_name({probe}) diverged at {shards} shards"
-                );
-            }
-            for ty in ["Car", "Automobile", "City", "Spaceship"] {
-                assert_eq!(
-                    mono_matcher.match_nodes_by_type(ty),
-                    matcher.match_nodes_by_type(ty),
-                    "match_nodes_by_type({ty}) diverged at {shards} shards"
-                );
-                assert_eq!(mono_matcher.type_mask(ty), matcher.type_mask(ty));
-            }
-        }
-    }
-
-    /// Per-shard indexes built independently (as the engine does on its
-    /// pool) assemble into the same matcher `new` builds.
-    #[test]
-    fn from_shard_indexes_equals_new() {
-        let (g, lib) = setup();
-        let sharded = kgraph::ShardedGraph::from_graph(g, 4).unwrap();
-        let indexes: Vec<ShardIndex> = (0..4).map(|s| ShardIndex::build(&sharded, s)).collect();
-        let assembled = NodeMatcher::from_shard_indexes(sharded.clone(), &lib, indexes);
-        let direct = NodeMatcher::new(sharded, &lib);
-        for probe in ["Germany", "GER", "audi tt"] {
-            assert_eq!(assembled.match_name(probe), direct.match_name(probe));
-        }
-        assert_eq!(
-            assembled.match_nodes_by_type("Car"),
-            direct.match_nodes_by_type("Car")
-        );
+        let m = NodeMatcher::new(&g, &lib);
+        let ids = |raw: &[u32]| raw.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+        let dups = ids(&[24, 25, 26]);
+        assert_eq!(m.match_name("dup name"), dups);
+        assert_eq!(m.match_name("Duplicated"), dups);
+        assert_eq!(m.match_name("Entity_7"), ids(&[7]));
+        assert!(m.match_name("Nowhere").is_empty());
+        let cars = ids(&[0, 3, 6, 9, 12, 15, 18, 21, 26]);
+        assert_eq!(m.match_nodes_by_type("Car"), cars);
+        assert_eq!(m.match_nodes_by_type("Automobile"), cars);
+        let cities: Vec<u32> = (0..26).filter(|i| i % 3 != 0 || *i >= 24).collect();
+        assert_eq!(m.match_nodes_by_type("City"), ids(&cities));
+        assert!(m.match_nodes_by_type("Spaceship").is_empty());
+        assert_eq!(m.type_mask("Automobile"), m.type_mask("Car"));
     }
 }

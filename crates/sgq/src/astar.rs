@@ -27,18 +27,12 @@
 use crate::answer::SubMatch;
 use crate::config::ScanMode;
 use crate::pss::{exact_pss, MIN_WEIGHT};
-use crate::runtime::WorkerPool;
 use crate::semgraph::SubQueryPlan;
 use embedding::kernels;
 use kgraph::{EdgeId, GraphView, KnowledgeGraph, NodeId};
 use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
-
-/// Candidate sets below this size seed serially even on a sharded view:
-/// the scatter's job-dispatch overhead only pays off once the per-source
-/// adjacency scans dominate it.
-const SCATTER_MIN_SOURCES: usize = 256;
 
 /// Search counters (reported through
 /// [`crate::answer::QueryStats`]).
@@ -52,8 +46,8 @@ pub struct SearchStats {
     pub tau_pruned: usize,
     /// Edges examined during expansion (one per neighbor iteration in
     /// [`AStarSearch`]'s expand step; seeding scans are not counted).
-    /// Deterministic across scan modes and shard counts — the denominator
-    /// for the scan bench's ns-per-edge figure.
+    /// Deterministic across scan modes — the denominator for the scan
+    /// bench's ns-per-edge figure.
     #[serde(default)]
     pub edges_examined: usize,
 }
@@ -123,38 +117,16 @@ pub struct AStarSearch<'a, G: GraphView = KnowledgeGraph> {
 impl<'a, G: GraphView> AStarSearch<'a, G> {
     /// Seeds the frontier with every φ(v_s) source candidate (Alg. 1 line 1).
     pub fn new(graph: &'a G, plan: &'a SubQueryPlan) -> Self {
-        Self::with_mode(graph, plan, false, None)
-    }
-
-    /// Like [`AStarSearch::new`], but the seeding phase — scoring every
-    /// candidate source's `m(u)` adjacency bound, the per-query cost that
-    /// scales with the vocabulary — scatters one scan job per storage shard
-    /// on `pool` when the view is sharded and the candidate set is large.
-    /// The gather re-applies the τ threshold and pushes in canonical source
-    /// order, so the resulting frontier (arena, heap, visited set, stats)
-    /// is bit-identical to the serial seed.
-    pub fn new_on_pool(graph: &'a G, plan: &'a SubQueryPlan, pool: &WorkerPool) -> Self {
-        Self::with_mode(graph, plan, false, Some(pool))
+        Self::with_mode(graph, plan, false)
     }
 
     /// Algorithm 2 variant for the time-bounded query: matches surface via
     /// [`AStarSearch::take_discovered`] as soon as they are explored.
     pub fn new_anytime(graph: &'a G, plan: &'a SubQueryPlan) -> Self {
-        Self::with_mode(graph, plan, true, None)
+        Self::with_mode(graph, plan, true)
     }
 
-    /// [`AStarSearch::new_anytime`] with the scatter seeding of
-    /// [`AStarSearch::new_on_pool`].
-    pub fn new_anytime_on_pool(graph: &'a G, plan: &'a SubQueryPlan, pool: &WorkerPool) -> Self {
-        Self::with_mode(graph, plan, true, Some(pool))
-    }
-
-    fn with_mode(
-        graph: &'a G,
-        plan: &'a SubQueryPlan,
-        anytime: bool,
-        pool: Option<&WorkerPool>,
-    ) -> Self {
+    fn with_mode(graph: &'a G, plan: &'a SubQueryPlan, anytime: bool) -> Self {
         let mut search = Self {
             graph,
             plan,
@@ -177,10 +149,10 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
             }
         }
         // Stage 2 — score each candidate's m(u) bound (pure per-source
-        // adjacency scans; per-shard parallel when it pays off).
-        let bounds = seed_bounds(graph, plan, &sources, pool);
+        // adjacency scans).
+        let bounds = seed_bounds(graph, plan, &sources);
         // Stage 3 — threshold + push, in canonical order: arena indices
-        // (the heap tie-breaker) come out exactly as the serial loop's.
+        // are the heap tie-breaker.
         for (&us, &m_u) in sources.iter().zip(&bounds) {
             let priority = plan.estimator.estimate(0.0, m_u);
             if priority < plan.tau {
@@ -380,74 +352,18 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
     }
 }
 
-/// Computes `m(u)` (the seed priority input) for every candidate source.
-///
-/// On a sharded view with a large candidate set this is the scatter phase:
-/// one job per shard, each scanning only the adjacency its shard owns (data
-/// affinity — a shard job never touches another shard's CSR slices), with
-/// the τ-thresholded gather done by the caller in canonical order. The
-/// result vector is positionally identical to the serial computation, so
-/// sharded and monolithic seeds cannot diverge.
-fn seed_bounds<G: GraphView>(
-    graph: &G,
-    plan: &SubQueryPlan,
-    sources: &[NodeId],
-    pool: Option<&WorkerPool>,
-) -> Vec<f64> {
-    let shards = graph.shard_count();
-    if let Some(pool) = pool {
-        if shards > 1 && pool.workers() > 1 && sources.len() >= SCATTER_MIN_SOURCES {
-            let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); shards];
-            for (pos, &us) in sources.iter().enumerate() {
-                by_shard[graph.shard_of(us)].push(pos as u32);
-            }
-            let mut jobs: Vec<(Vec<u32>, Vec<f64>)> = by_shard
-                .into_iter()
-                .filter(|positions| !positions.is_empty())
-                .map(|positions| (positions, Vec::new()))
-                .collect();
-            pool.scope(|scope| {
-                for job in jobs.iter_mut() {
-                    scope.spawn(move || {
-                        let (positions, out) = job;
-                        score_positions(graph, plan, sources, positions, out);
-                    });
-                }
-            });
-            let mut bounds = vec![0.0f64; sources.len()];
-            for (positions, out) in jobs {
-                for (pos, m_u) in positions.into_iter().zip(out) {
-                    bounds[pos as usize] = m_u;
-                }
-            }
-            return bounds;
-        }
-    }
-    let positions: Vec<u32> = (0..sources.len() as u32).collect();
-    let mut out = Vec::with_capacity(sources.len());
-    score_positions(graph, plan, sources, &positions, &mut out);
-    out
-}
-
-/// Scores the seed bound for the sources at `positions`, appending to `out`
-/// in position order — the shared inner loop of the serial seed and of each
-/// per-shard scatter job.
-fn score_positions<G: GraphView>(
-    graph: &G,
-    plan: &SubQueryPlan,
-    sources: &[NodeId],
-    positions: &[u32],
-    out: &mut Vec<f64>,
-) {
-    out.reserve_exact(positions.len());
+/// Computes `m(u)` (the seed priority input) for every candidate source,
+/// positionally aligned with `sources`.
+fn seed_bounds<G: GraphView>(graph: &G, plan: &SubQueryPlan, sources: &[NodeId]) -> Vec<f64> {
     // τ = 0 admits everything, so the prefilter pass would be a pure
     // double scan; fall through to the direct exact scan.
     if plan.scan == ScanMode::Kernel && plan.tau > 0.0 {
-        score_positions_two_pass(graph, plan, sources, positions, out);
+        seed_bounds_two_pass(graph, plan, sources)
     } else {
-        for &pos in positions {
-            out.push(plan.max_adjacent_weight(graph, sources[pos as usize], 0));
-        }
+        sources
+            .iter()
+            .map(|&us| plan.max_adjacent_weight(graph, us, 0))
+            .collect()
     }
 }
 
@@ -501,13 +417,11 @@ fn tau_threshold_f32(plan: &SubQueryPlan) -> f32 {
 /// * survivors get the exact gather-max, which over the same element set
 ///   with the same floor is order-insensitive and bitwise equal to the
 ///   scalar running max.
-fn score_positions_two_pass<G: GraphView>(
+fn seed_bounds_two_pass<G: GraphView>(
     graph: &G,
     plan: &SubQueryPlan,
     sources: &[NodeId],
-    positions: &[u32],
-    out: &mut Vec<f64>,
-) {
+) -> Vec<f64> {
     let exact = &plan.remaining_max[0];
     let upper = &plan.remaining_upper[0];
     let stop64 = plan.remaining_row_max[0];
@@ -517,10 +431,10 @@ fn score_positions_two_pass<G: GraphView>(
     // Stop a pass-1 scan at whichever comes first: proof of survival or
     // the row maximum (past which the bound cannot grow).
     let cut32 = threshold.min(stop32);
-    let base = out.len();
-    for &pos in positions {
+    let mut out = Vec::with_capacity(sources.len());
+    for &us in sources {
         let mut m32 = init32;
-        for nb in graph.neighbors(sources[pos as usize]) {
+        for nb in graph.neighbors(us) {
             let w = upper[nb.predicate.index()];
             if w > m32 {
                 m32 = w;
@@ -532,15 +446,16 @@ fn score_positions_two_pass<G: GraphView>(
         out.push(f64::from(m32));
     }
     let mut survivors: Vec<u32> = Vec::new();
-    kernels::classify_ge(&out[base..], f64::from(threshold), &mut survivors);
+    kernels::classify_ge(&out, f64::from(threshold), &mut survivors);
     let mut idx: Vec<u32> = Vec::new();
     for &slot in &survivors {
         idx.clear();
-        for nb in graph.neighbors(sources[positions[slot as usize] as usize]) {
+        for nb in graph.neighbors(sources[slot as usize]) {
             idx.push(nb.predicate.0);
         }
-        out[base + slot as usize] = kernels::gather_max(exact, &idx, MIN_WEIGHT, stop64);
+        out[slot as usize] = kernels::gather_max(exact, &idx, MIN_WEIGHT, stop64);
     }
+    out
 }
 
 impl<'a, G: GraphView> AStarSearch<'a, G> {
@@ -858,80 +773,6 @@ mod tests {
         query.add_edge(goal, "q", anchor);
         let f2 = Fixture { query, ..f };
         assert!(f2.matches(4, 0.0, 10).is_empty());
-    }
-
-    /// `n`'s bits choose the uppercase positions of `base` — distinct raw
-    /// names that all normalise to the same φ key, the way real dumps carry
-    /// case variants of one label.
-    fn case_variant(base: &str, n: usize) -> String {
-        base.chars()
-            .enumerate()
-            .map(|(i, c)| {
-                if i < usize::BITS as usize && n & (1 << i) != 0 {
-                    c.to_ascii_uppercase()
-                } else {
-                    c
-                }
-            })
-            .collect()
-    }
-
-    /// Scatter seeding over a sharded view must produce a frontier — and
-    /// therefore the full match stream — bit-identical to the serial seed
-    /// and to the monolithic graph. 400 φ candidates (case collisions of
-    /// one source label) clear the `SCATTER_MIN_SOURCES` gate.
-    #[test]
-    fn scatter_seeding_is_bit_identical_to_serial() {
-        let build = || {
-            let mut b = GraphBuilder::new();
-            for i in 0..400usize {
-                let s = b.add_node(&case_variant("sourcehubnodealpha", i), "Anchor");
-                let t = b.add_node(&format!("T{i}"), "Goal");
-                b.add_edge(s, t, &format!("w{}", 30 + (i % 65)));
-            }
-            register_q(&mut b);
-            b.finish()
-        };
-        let mono = build();
-        let space = dial_space(&mono);
-        let lib = TransformationLibrary::new();
-        let mut query = QueryGraph::new();
-        let goal = query.add_target("Goal");
-        let anchor = query.add_specific("sourcehubnodealpha", "Anchor");
-        query.add_edge(goal, "q", anchor);
-        let d = decompose(&query, PivotStrategy::MinCost, 4.0, 2).unwrap();
-
-        let drain = |mut search: AStarSearch<'_, kgraph::ShardedGraph>| {
-            let mut out = Vec::new();
-            while let Some(m) = search.next_match() {
-                out.push(m);
-            }
-            (out, search.stats)
-        };
-        // Monolithic reference stream.
-        let matcher = NodeMatcher::new(&mono, &lib);
-        let plan = SubQueryPlan::build(&mono, &space, &matcher, &query, &d.subqueries[0], 2, 0.4);
-        assert!(plan.sources.len() >= 400, "collision family must resolve");
-        let mut reference = Vec::new();
-        let mut search = AStarSearch::new(&mono, &plan);
-        while let Some(m) = search.next_match() {
-            reference.push(m);
-        }
-        let reference_stats = search.stats;
-
-        for shards in [2usize, 4, 8] {
-            let sharded = kgraph::ShardedGraph::from_graph(build(), shards).unwrap();
-            let matcher = NodeMatcher::new(sharded.clone(), &lib);
-            let plan =
-                SubQueryPlan::build(&sharded, &space, &matcher, &query, &d.subqueries[0], 2, 0.4);
-            let pool = WorkerPool::new(4);
-            let (pooled, pooled_stats) = drain(AStarSearch::new_on_pool(&sharded, &plan, &pool));
-            let (serial, serial_stats) = drain(AStarSearch::new(&sharded, &plan));
-            assert_eq!(pooled, serial, "{shards} shards: scatter diverged");
-            assert_eq!(pooled_stats, serial_stats);
-            assert_eq!(pooled, reference, "{shards} shards: sharded view diverged");
-            assert_eq!(pooled_stats, reference_stats);
-        }
     }
 
     /// Brute-force reference: enumerate all simple source→goal paths of

@@ -37,7 +37,7 @@ use crate::timebound::{self, TimeBoundConfig};
 use crate::trace::QueryTrace;
 use embedding::{PredicateSpace, SimilarityIndex, SimilarityIndexStats};
 use kgraph::{GraphView, KnowledgeGraph};
-use lexicon::{NodeMatcher, ShardIndex, TransformationLibrary};
+use lexicon::{NodeMatcher, TransformationLibrary};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -146,8 +146,8 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
 
     /// The pool an engine gets for `config`: the default `workers == 0`
     /// resolves to the **process-wide shared pool**
-    /// ([`WorkerPool::shared`]) — N engines (live epochs × sharded engines
-    /// × whatever else the process runs) share one core-sized thread set
+    /// ([`WorkerPool::shared`]) — N engines (live epochs × services ×
+    /// whatever else the process runs) share one core-sized thread set
     /// instead of each spawning their own and oversubscribing the machine
     /// N×. An explicit count gets a dedicated pool; an invalid
     /// configuration (every query will return its validation error) gets a
@@ -186,32 +186,8 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         } else {
             (2 * graph.edge_count()) as f64 / n as f64
         };
-        // The φ name index is that remaining O(n) scan: over a sharded
-        // store it splits into per-shard builds dispatched as parallel
-        // jobs on the worker pool (shard affinity — each job walks only
-        // its shard's nodes), gathered into one matcher whose candidate
-        // lists are bit-identical to a monolithic build.
-        let matcher = if graph.shard_count() > 1 && pool.workers() > 1 {
-            let mut slots: Vec<Option<ShardIndex>> =
-                (0..graph.shard_count()).map(|_| None).collect();
-            pool.scope(|scope| {
-                for (shard, slot) in slots.iter_mut().enumerate() {
-                    let graph = &graph;
-                    scope.spawn(move || *slot = Some(ShardIndex::build(graph, shard)));
-                }
-            });
-            NodeMatcher::from_shard_indexes(
-                graph.clone(),
-                library,
-                slots
-                    .into_iter()
-                    // lint-ok(panic-freedom): scope() joins before returning, so every spawned job has filled its slot
-                    .map(|s| s.expect("shard index job reported its outcome"))
-                    .collect(),
-            )
-        } else {
-            NodeMatcher::new(graph.clone(), library)
-        };
+        // The φ name index is that remaining O(n) scan.
+        let matcher = NodeMatcher::new(graph.clone(), library);
         Self {
             graph,
             space,
@@ -402,7 +378,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         let seed_t = trace.as_ref().map(|_| Instant::now()); // lint-ok(determinism): phase telemetry only — never feeds search decisions; trace_differential proves bit-identity
         let mut searches: Vec<AStarSearch<'_, G>> = plans
             .iter()
-            .map(|p| AStarSearch::new_on_pool(&self.graph, p, &self.pool))
+            .map(|p| AStarSearch::new(&self.graph, p))
             .collect();
         if let (Some(tr), Some(t0)) = (trace.as_deref_mut(), seed_t) {
             tr.seed_ns = t0.elapsed().as_nanos() as u64;
@@ -820,7 +796,7 @@ mod tests {
     /// Satellite 6 regression: engines on the default worker config share
     /// the process-wide pool instead of each resolving
     /// `available_parallelism` and spawning their own — N engines (live
-    /// epochs × shards) can no longer stack N× the machine's cores.
+    /// epochs × services) can no longer stack N× the machine's cores.
     #[test]
     fn default_engines_share_the_process_pool() {
         let g = fig2_graph();
@@ -848,41 +824,6 @@ mod tests {
         );
         assert!(!std::ptr::eq(e1.pool(), dedicated.pool()));
         assert_eq!(dedicated.workers(), 2);
-    }
-
-    /// A sharded engine answers bit-identically to the monolithic engine —
-    /// the composed view preserves adjacency order, the per-shard matcher
-    /// gathers candidates in node-id order, and scatter seeding reproduces
-    /// the serial frontier.
-    #[test]
-    fn sharded_engine_is_bit_identical() {
-        let g = fig2_graph();
-        let s = fig2_space(&g);
-        let lib = TransformationLibrary::new();
-        let mono = engine_with(&g, &s, &lib, 3, 0.5);
-        let reference = mono.query(&product_query()).unwrap();
-        for shards in [2usize, 4, 8] {
-            let sharded_graph = kgraph::ShardedGraph::from_graph(fig2_graph(), shards).unwrap();
-            let engine = SgqEngine::new(
-                sharded_graph,
-                &s,
-                &lib,
-                SgqConfig {
-                    k: 3,
-                    tau: 0.5,
-                    n_hat: 4,
-                    ..SgqConfig::default()
-                },
-            );
-            let r = engine.query(&product_query()).unwrap();
-            assert_eq!(r.matches, reference.matches, "{shards} shards diverged");
-            // Prepared replay stays bit-identical over the sharded view.
-            let prepared = engine.prepare(&product_query()).unwrap();
-            assert_eq!(
-                engine.execute(&prepared).unwrap().matches,
-                reference.matches
-            );
-        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub struct LiveQueryService<'a> {
     /// Deployment directory when built via [`ShardedDeployment::service`];
     /// enables [`Self::checkpoint`] and [`Self::rebalance`]. No partitioner
     /// is stored alongside it: the authoritative assignment lives with the
-    /// attached shard WALs ([`VersionedGraph::sharded_partitioner`]), so a
+    /// attached shard WALs ([`VersionedGraph::partitioner`]), so a
     /// rebalance swaps it in one place and no stale copy survives here.
     durable: Option<PathBuf>,
     /// Per-epoch cache of the sharded layout's heaviest-shard triple count
@@ -444,7 +444,7 @@ impl<'a> LiveQueryService<'a> {
             ..self.counters.snapshot()
         };
         if self.durable.is_some() {
-            if let Some(partitioner) = self.versioned.sharded_partitioner() {
+            if let Some(partitioner) = self.versioned.partitioner() {
                 stats.shard_count = partitioner.shards() as u64;
                 let epoch = snapshot.epoch();
                 let mut cache = self.shard_gauge_cache.lock().unwrap();
@@ -515,10 +515,8 @@ impl<'a> LiveQueryService<'a> {
                     .into(),
             )
         })?;
-        let partitioner = self.sharded_partitioner()?;
-        let snapshot = self
-            .versioned
-            .checkpoint_sharded(dir, partitioner.clone())?;
+        let partitioner = self.partitioner()?;
+        let snapshot = self.versioned.checkpoint(dir, partitioner.clone())?;
         let epoch = snapshot.epoch();
         let mut snapshot_bytes = std::fs::metadata(kgraph::io::shard::meta_path(dir, epoch))
             .map(|m| m.len())
@@ -551,8 +549,8 @@ impl<'a> LiveQueryService<'a> {
     }
 
     /// The current durable-layout partitioner of a sharded deployment.
-    fn sharded_partitioner(&self) -> Result<Partitioner> {
-        self.versioned.sharded_partitioner().ok_or_else(|| {
+    fn partitioner(&self) -> Result<Partitioner> {
+        self.versioned.partitioner().ok_or_else(|| {
             SgqError::Storage(
                 "service has no sharded deployment (build it via ShardedDeployment::service)"
                     .into(),
@@ -564,7 +562,7 @@ impl<'a> LiveQueryService<'a> {
     /// skew: derives a fresh assignment from the published snapshot's
     /// per-bucket edge counts ([`Partitioner::rebalanced`] — greedy
     /// longest-processing-time packing of the 512 source-label groups),
-    /// then migrates through [`VersionedGraph::rebalance_sharded`]: one
+    /// then migrates through [`VersionedGraph::rebalance`]: one
     /// compaction, a snapshot set sliced by the new assignment, and a
     /// manifest flip as the single commit point. Readers keep answering
     /// from pinned epochs throughout and never observe a mixed assignment;
@@ -583,12 +581,12 @@ impl<'a> LiveQueryService<'a> {
                     .into(),
             ));
         };
-        let old = self.sharded_partitioner()?;
+        let old = self.partitioner()?;
         let snapshot = self.versioned.snapshot();
         let weights = kgraph::shard::bucket_weights(&snapshot);
         let new = old.rebalanced(&weights)?;
         let max_before = Self::max_shard_edges(&snapshot, &old);
-        let published = self.versioned.rebalance_sharded(dir, new.clone())?;
+        let published = self.versioned.rebalance(dir, new.clone())?;
         let max_after = Self::max_shard_edges(&published, &new);
         let moved_buckets = match (old.assignment(), new.assignment()) {
             (Some(a), Some(b)) => a.iter().zip(b).filter(|(x, y)| x != y).count(),
@@ -699,13 +697,12 @@ pub struct CheckpointReport {
 /// replaying committed WAL epochs on top of the snapshot set, tolerating
 /// torn tails from a crash mid-append.
 ///
-/// Scope: the live path shards the **durable layer** — snapshots, WALs,
-/// checkpointing, recovery. The in-memory epoch views its queries run
-/// against remain the monolithic base ∪ overlay composition (an overlay
-/// cannot be sliced without breaking the epoch-pinning contract), so the
-/// scatter-gather *execution* phases live on an engine over a frozen
-/// [`kgraph::ShardedGraph`]; [`LiveQueryService::stats`] still reports the
-/// deployment's shard gauges from the durable partitioner.
+/// Scope: sharding is a property of the **durable layer** only —
+/// snapshots, WALs, checkpointing, recovery, rebalancing. Every query runs
+/// one A\* search per sub-query over the monolithic base ∪ overlay epoch
+/// view, whatever the shard count on disk; [`LiveQueryService::stats`]
+/// reports the deployment's shard gauges (`shard_count`, `max_shard_edges`,
+/// [`ServiceStats::shard_skew`]) from the durable partitioner.
 ///
 /// Writes go through [`ShardedDeployment::versioned`] exactly as for an
 /// in-memory store and route to the shard WAL of the triple's source-node
@@ -768,7 +765,7 @@ impl ShardedDeployment {
                 dir.display()
             )));
         }
-        // The manifest is written LAST (inside save_sharded): a crash
+        // The manifest is written LAST (inside `io::shard::save`): a crash
         // mid-create leaves either a retryable manifest-less directory or
         // a complete, openable deployment.
         space.save(dir.join(SPACE_FILE))?;
@@ -776,9 +773,8 @@ impl ShardedDeployment {
             .map_err(|e| SgqError::Storage(format!("create {LIBRARY_FILE}: {e}")))?;
         serde_json::to_writer(std::io::BufWriter::new(library_file), &library)
             .map_err(|e| SgqError::Storage(format!("write {LIBRARY_FILE}: {e}")))?;
-        kgraph::io::shard::save_sharded(&graph, &partitioner, 0, &dir)?;
-        let (versioned, recovery) =
-            VersionedGraph::recover_sharded(graph, 0, &dir, partitioner.clone())?;
+        kgraph::io::shard::save(&graph, &partitioner, 0, &dir)?;
+        let (versioned, recovery) = VersionedGraph::recover(graph, 0, &dir, partitioner.clone())?;
         Ok(Self {
             dir,
             space,
@@ -793,7 +789,7 @@ impl ShardedDeployment {
     /// count and epoch), recomposes the per-shard snapshot set into the
     /// base graph, and replays the shard WALs merged back into arrival
     /// order (see
-    /// [`kgraph::VersionedGraph::recover_sharded`] for the coordinated-
+    /// [`kgraph::VersionedGraph::recover`] for the coordinated-
     /// epoch semantics, including partial marker fan-outs and torn tails).
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
@@ -804,9 +800,9 @@ impl ShardedDeployment {
         let library: TransformationLibrary =
             serde_json::from_reader(std::io::BufReader::new(library_file))
                 .map_err(|e| SgqError::Storage(format!("parse {}: {e}", library_path.display())))?;
-        let (base, partitioner, epoch) = kgraph::io::shard::load_sharded(&dir)?;
+        let (base, partitioner, epoch) = kgraph::io::shard::load(&dir)?;
         let (versioned, recovery) =
-            VersionedGraph::recover_sharded(base, epoch, &dir, partitioner.clone())?;
+            VersionedGraph::recover(base, epoch, &dir, partitioner.clone())?;
         Ok(Self {
             dir,
             space,
@@ -852,7 +848,7 @@ impl ShardedDeployment {
     /// swapped since this deployment was opened.
     pub fn partitioner(&self) -> Partitioner {
         self.versioned
-            .sharded_partitioner()
+            .partitioner()
             .unwrap_or_else(|| self.partitioner.clone())
     }
 

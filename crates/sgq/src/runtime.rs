@@ -126,10 +126,10 @@ impl WorkerPool {
     /// "one worker per core" (`workers == 0`). Before it existed, each such
     /// engine resolved `available_parallelism` *independently* and spawned
     /// its own full-size pool — a live service's epoch engines already
-    /// shared one, but N engines (or N sharded engines) stacked N× the
-    /// machine's cores in threads. Sharing one pool keeps the total thread
-    /// budget at the hardware's parallelism no matter how many engines,
-    /// services, or shards a process stands up; work-helping scopes (see
+    /// shared one, but N engines stacked N× the machine's cores in
+    /// threads. Sharing one pool keeps the total thread budget at the
+    /// hardware's parallelism no matter how many engines or services a
+    /// process stands up; work-helping scopes (see
     /// module docs) make the sharing starvation- and deadlock-free.
     /// Explicit worker counts still get dedicated pools.
     pub fn shared() -> Arc<WorkerPool> {

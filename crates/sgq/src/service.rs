@@ -88,10 +88,10 @@ impl ServiceStats {
         }
     }
 
-    /// Shard imbalance as max/mean owned-triple count — the operator-facing
-    /// gauge behind the scatter phases' scaling. 1.0 means balanced (or
-    /// monolithic); `shard_count` means one shard owns every triple. Above
-    /// ~2 the per-shard scans stop scaling with the shard count.
+    /// Shard imbalance of the durable layout as max/mean owned-triple
+    /// count — the gauge [`crate::rebalance::Rebalancer`] watches. 1.0
+    /// means balanced (or a single shard); `shard_count` means one shard
+    /// owns every triple, so its snapshot slice and WAL take every write.
     pub fn shard_skew(&self) -> f64 {
         if self.shard_count <= 1 || self.graph_edges == 0 {
             return 1.0;

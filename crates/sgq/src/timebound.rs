@@ -164,7 +164,7 @@ pub(crate) fn run_anytime<G: GraphView>(
             let total_collected = &total_collected;
             scope.spawn(move || {
                 let t0 = Instant::now();
-                let mut search = AStarSearch::new_anytime_on_pool(graph, plan, pool);
+                let mut search = AStarSearch::new_anytime(graph, plan);
                 let mut drained = false;
                 let mut tick = 0u32;
                 let mut reported = 0usize;

@@ -3,10 +3,11 @@
 //! A [`QueryTrace`] records wall-clock time and work counters for each phase
 //! of one query execution: **plan** (validation + decomposition + sub-query
 //! plan construction), **seed** (A\* search construction, including the
-//! per-shard seed-bound scatter jobs), **expand** (the pooled A\* expansion
-//! rounds), **merge** (threshold-algorithm assembly rounds), and — when the
-//! query runs under the [`crate::sched::BatchScheduler`] — **fan-out** (the
-//! time spent resolving one prepared execution to every coalesced ticket).
+//! seed-bound scoring of every candidate source), **expand** (the pooled
+//! A\* expansion rounds), **merge** (threshold-algorithm assembly rounds),
+//! and — when the query runs under the [`crate::sched::BatchScheduler`] —
+//! **fan-out** (the time spent resolving one prepared execution to every
+//! coalesced ticket).
 //!
 //! Tracing is opt-in per request ([`crate::SgqEngine::query_with_trace`],
 //! [`crate::LiveQueryService::query_traced`]) or sampled deterministically
@@ -30,8 +31,7 @@ use std::sync::Mutex;
 pub struct QueryTrace {
     /// Validation, decomposition and sub-query plan construction.
     pub plan_ns: u64,
-    /// A\* search construction: seed enumeration and per-shard seed-bound
-    /// scatter jobs.
+    /// A\* search construction: seed enumeration and seed-bound scoring.
     pub seed_ns: u64,
     /// Pooled A\* expansion rounds (sum over all rounds).
     pub expand_ns: u64,

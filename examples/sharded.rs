@@ -1,26 +1,23 @@
-//! Sharded storage end to end: split, scatter-gather queries, imbalance
-//! gauges, and the per-shard durable deployment.
+//! The sharded durable deployment end to end: per-shard snapshots and
+//! WALs under one epoch manifest, live commits, a checkpoint, a crash and
+//! recovery, with the deployment's shard gauges.
 //!
 //! ```text
 //! cargo run --release --example sharded
 //! ```
 //!
-//! 1. Builds the seeded benchmark dataset and splits it into 4 shards —
-//!    `SgqEngine<ShardedGraph>` answers are bit-identical to the monolithic
-//!    engine (asserted here, proven exhaustively in
-//!    `tests/sharded_differential.rs`).
-//! 2. Prints the per-shard edge counts and skew ratio, for the balanced
-//!    dataset and for the shard-hostile zipfian stream.
-//! 3. Stands up a `ShardedDeployment` (per-shard snapshots + WALs under
-//!    one epoch manifest), commits live writes, checkpoints, "crashes",
-//!    and recovers — all shards back at one consistent epoch.
+//! Stands up a 4-shard `ShardedDeployment`, commits live writes, prints
+//! the shard gauges (`ServiceStats::shard_count` and `shard_skew()`),
+//! checkpoints, "crashes" with an uncommitted write staged, and recovers —
+//! all shards back at one consistent epoch, answers bit-identical.
+//! Queries always run on one monolithic epoch view; the shard count only
+//! shapes the files on disk.
 
 use datagen::dataset::DatasetSpec;
-use datagen::workload::{produced_workload, skewed_triples, SkewSpec};
-use kgraph::{GraphStats, GraphView, ShardedGraph};
-use sgq::{SgqConfig, SgqEngine, ShardedDeployment};
+use datagen::workload::produced_workload;
+use kgraph::GraphView;
+use sgq::{SgqConfig, ShardedDeployment};
 use std::sync::Arc;
-use std::time::Instant;
 
 fn main() {
     let ds = DatasetSpec::dbpedia_like(1.0).build();
@@ -30,46 +27,8 @@ fn main() {
         tau: 0.3,
         ..SgqConfig::default()
     };
-
-    // --- 1. Scatter-gather queries over 4 shards -------------------------
-    let mono = SgqEngine::new(&ds.graph, &space, &ds.library, config.clone());
-    let balanced = ShardedGraph::from_graph(ds.graph.clone(), 4).expect("split");
-    let sharded = SgqEngine::new(balanced, &space, &ds.library, config.clone());
     let workload = produced_workload(&ds);
-    let t0 = Instant::now();
-    let mut identical = 0;
-    for bench_query in &workload {
-        let a = mono.query(&bench_query.graph).expect("monolithic answers");
-        let b = sharded.query(&bench_query.graph).expect("sharded answers");
-        assert_eq!(
-            a.matches, b.matches,
-            "sharded answers must be bit-identical"
-        );
-        identical += 1;
-    }
-    println!(
-        "ran {identical} queries on 1 and 4 shards in {:?} — every answer bit-identical",
-        t0.elapsed()
-    );
-    let (_, tr) = sharded
-        .query_with_trace(&workload[0].graph)
-        .expect("traced answers");
-    println!(
-        "phase trace: seed {} us | expand {} us over {} rounds | merge {} us | total {} us",
-        tr.seed_ns / 1_000,
-        tr.expand_ns / 1_000,
-        tr.rounds,
-        tr.merge_ns / 1_000,
-        tr.total_ns / 1_000
-    );
 
-    // --- 2. Imbalance gauges ---------------------------------------------
-    println!("balanced dataset: {}", GraphStats::of(sharded.graph()));
-    let hostile = kgraph::io::graph_from_triples(skewed_triples(&SkewSpec::default()));
-    let hostile = ShardedGraph::from_graph(hostile, 4).expect("split");
-    println!("shard-hostile stream: {}", GraphStats::of(&hostile));
-
-    // --- 3. Per-shard durable deployment ---------------------------------
     let dir = std::env::temp_dir().join(format!("sgq_sharded_example_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let deployment =
@@ -86,6 +45,15 @@ fn main() {
     }
     store.commit();
     service.refresh();
+    let stats = service.stats();
+    println!(
+        "epoch {}: {} shards, {} triples, heaviest shard {} (skew {:.2})",
+        stats.epoch,
+        stats.shard_count,
+        stats.graph_edges,
+        stats.max_shard_edges,
+        stats.shard_skew()
+    );
     let before = service.query(&workload[0].graph).expect("live answers");
     let report = service.checkpoint().expect("sharded checkpoint");
     println!(

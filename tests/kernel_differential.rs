@@ -6,14 +6,12 @@
 //! max — is a pure restructuring of the same arithmetic, so every answer,
 //! every path edge id, every search counter and every prepared replay must
 //! equal the [`ScanMode::ScalarReference`] path's, byte for byte. These
-//! tests drive that claim over the seeded workloads at 1/2/4/8 shards and
-//! across τ settings that exercise both the prefilter (τ > 0) and its
-//! fall-through (τ = 0).
+//! tests drive that claim over the seeded workloads and across τ settings
+//! that exercise both the prefilter (τ > 0) and its fall-through (τ = 0).
 
 use datagen::dataset::{BenchDataset, DatasetSpec};
 use datagen::workload::{chain_query, produced_workload, q117_variants, soccer_query};
 use embedding::PredicateSpace;
-use kgraph::ShardedGraph;
 use sgq::{QueryGraph, QueryResult, ScanMode, SgqConfig, SgqEngine};
 
 fn config(scan: ScanMode, tau: f64) -> SgqConfig {
@@ -63,8 +61,8 @@ fn scrub(r: &QueryResult) -> (usize, usize, usize, usize, usize, bool, usize) {
 
 /// Kernel vs scalar-reference over the full workload: answers (including
 /// path edge ids via `FinalMatch` equality), deterministic stats, and
-/// prepared replay, monolithic and at 2/4/8 shards, for a pruning τ and
-/// for τ = 0 (prefilter disabled, everything admissible).
+/// prepared replay, for a pruning τ and for τ = 0 (prefilter disabled,
+/// everything admissible).
 #[test]
 fn kernel_answers_are_bit_identical_to_scalar_reference() {
     let (ds, space) = setup();
@@ -82,7 +80,6 @@ fn kernel_answers_are_bit_identical_to_scalar_reference() {
             .map(|q| scalar.query(q).expect("scalar reference answers"))
             .collect();
 
-        // Monolithic kernel path.
         let kernel = SgqEngine::new(
             &ds.graph,
             &space,
@@ -106,33 +103,6 @@ fn kernel_answers_are_bit_identical_to_scalar_reference() {
                 baseline[idx].matches,
                 "tau={tau}: kernel prepared replay diverged on query {idx}"
             );
-        }
-
-        // Sharded kernel path (scatter seeding runs the two-pass pipeline
-        // per shard job).
-        for shards in [2usize, 4, 8] {
-            let sharded =
-                ShardedGraph::from_graph(ds.graph.clone(), shards).expect("valid shard count");
-            let engine =
-                SgqEngine::new(sharded, &space, &ds.library, config(ScanMode::Kernel, tau));
-            for (idx, q) in queries.iter().enumerate() {
-                let r = engine.query(q).expect("sharded kernel answers");
-                assert_eq!(
-                    r.matches, baseline[idx].matches,
-                    "tau={tau}, {shards} shards: kernel answer diverged on query {idx}"
-                );
-                assert_eq!(
-                    scrub(&r),
-                    scrub(&baseline[idx]),
-                    "tau={tau}, {shards} shards: kernel stats diverged on query {idx}"
-                );
-                let prepared = engine.prepare(q).expect("prepare");
-                assert_eq!(
-                    engine.execute(&prepared).expect("replay").matches,
-                    baseline[idx].matches,
-                    "tau={tau}, {shards} shards: prepared replay diverged on query {idx}"
-                );
-            }
         }
     }
 }

@@ -11,7 +11,7 @@
 use datagen::dataset::DatasetSpec;
 use datagen::workload::produced_workload;
 use datagen::{apply_churn, apply_churn_stream, churn_stream};
-use kgraph::io::shard::{load_sharded, save_sharded, wal_path};
+use kgraph::io::shard::{load, save, wal_path};
 use kgraph::{GraphView, Partitioner, VersionedGraph};
 use proptest::prelude::*;
 use sgq::{LiveQueryService, SgqConfig, SgqEngine, ShardedDeployment};
@@ -102,8 +102,8 @@ fn binary_snapshot_round_trips_query_answers() {
     let workload = produced_workload(&ds);
 
     let partitioner = Partitioner::new(1).unwrap();
-    save_sharded(&ds.graph, &partitioner, 0, &dir.0).unwrap();
-    let (reloaded_graph, reloaded_partitioner, epoch) = load_sharded(&dir.0).unwrap();
+    save(&ds.graph, &partitioner, 0, &dir.0).unwrap();
+    let (reloaded_graph, reloaded_partitioner, epoch) = load(&dir.0).unwrap();
     assert_eq!(epoch, 0);
     assert_eq!(reloaded_partitioner, partitioner);
     assert_eq!(fingerprint(&reloaded_graph), fingerprint(&ds.graph));
@@ -284,10 +284,10 @@ proptest! {
         let ds = DatasetSpec::tiny().build();
         let ops = churn_stream(&ds, op_count, seed);
         let partitioner = Partitioner::new(1).unwrap();
-        save_sharded(&ds.graph, &partitioner, 0, &dir.0).unwrap();
+        save(&ds.graph, &partitioner, 0, &dir.0).unwrap();
 
         let (live, _) =
-            VersionedGraph::recover_sharded(ds.graph.clone(), 0, &dir.0, partitioner.clone())
+            VersionedGraph::recover(ds.graph.clone(), 0, &dir.0, partitioner.clone())
                 .unwrap();
         apply_churn_stream(&live, &ops);
         live.commit();
@@ -299,9 +299,9 @@ proptest! {
 
         // WAL recovery replays to the same fingerprint as the pre-crash
         // snapshot (same epoch, same edge ids — compactions included).
-        let (base, _, epoch) = load_sharded(&dir.0).unwrap();
+        let (base, _, epoch) = load(&dir.0).unwrap();
         let (recovered, report) =
-            VersionedGraph::recover_sharded(base, epoch, &dir.0, partitioner.clone()).unwrap();
+            VersionedGraph::recover(base, epoch, &dir.0, partitioner.clone()).unwrap();
         prop_assert_eq!(report.recovered_epoch, snapshot.epoch());
         prop_assert_eq!(
             fingerprint(&recovered.snapshot()),
@@ -309,8 +309,8 @@ proptest! {
         );
 
         // Snapshot-set round trip of the compacted CSR.
-        let compacted = recovered.checkpoint_sharded(&dir.0, partitioner).unwrap();
-        let (back, _, epoch) = load_sharded(&dir.0).unwrap();
+        let compacted = recovered.checkpoint(&dir.0, partitioner).unwrap();
+        let (back, _, epoch) = load(&dir.0).unwrap();
         prop_assert_eq!(epoch, compacted.epoch());
         prop_assert_eq!(fingerprint(&back), fingerprint(compacted.base()));
     }

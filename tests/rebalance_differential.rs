@@ -52,9 +52,9 @@ impl Drop for TestDir {
     }
 }
 
-/// The skew-stream fixture of `sharded_differential`: a zipf-headed graph
-/// with a one-hot predicate space (the claim is about storage, not
-/// embedding quality) and queries anchored at the hot head and cold tails.
+/// The shard-hostile skew stream: a zipf-headed graph with a one-hot
+/// predicate space (the claim is about storage, not embedding quality) and
+/// queries anchored at the hot head and cold tails.
 fn skew_fixture() -> (
     kgraph::KnowledgeGraph,
     PredicateSpace,

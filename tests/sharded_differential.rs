@@ -1,24 +1,21 @@
-//! Differential harness for sharded storage + scatter-gather execution.
+//! Differential harness for the sharded durable layout.
 //!
-//! The sharding contract (see `kgraph::shard`): a `ShardedGraph` is a pure
-//! storage re-layout — per-node adjacency rows, candidate gathers, and the
-//! seeded search frontier are bit-identical to the monolithic build — so
-//! every answer of the sharded path must equal the unsharded path's,
-//! byte for byte. These tests drive that claim on `SgqEngine<ShardedGraph>`
-//! across shard counts 1/2/4/8 on the seeded workloads and on the
-//! shard-hostile skew stream, through the served configuration (the
-//! deadline scheduler over a sharded deployment), and through a full
-//! commit → checkpoint → crash → recover cycle of the per-shard durable
-//! layout. The reference is always the unsharded `SgqEngine` over the
-//! frozen CSR.
+//! Sharding is a property of the durable layer only (see `kgraph::shard`):
+//! the partitioner decides which snapshot slice and WAL a triple lives in,
+//! never its ids or adjacency order, and every query runs on one
+//! monolithic epoch view. So every answer of a sharded deployment must
+//! equal the unsharded path's, byte for byte. These tests drive that claim
+//! through the served configuration (the deadline scheduler over a 2-shard
+//! deployment) and through a full commit → checkpoint → crash → recover
+//! cycle of the per-shard layout at 1/2/4/8 shards. The reference is the
+//! unsharded `SgqEngine` over the frozen CSR, or a never-crashed in-memory
+//! store.
 
 use datagen::churn::{apply_churn, churn_stream};
 use datagen::dataset::{BenchDataset, DatasetSpec};
-use datagen::workload::{
-    chain_query, produced_workload, q117_variants, skewed_triples, soccer_query, SkewSpec,
-};
+use datagen::workload::{chain_query, produced_workload, q117_variants, soccer_query};
 use embedding::PredicateSpace;
-use kgraph::{GraphStats, GraphView, ShardedGraph};
+use kgraph::GraphView;
 use sgq::sched::{BatchScheduler, Priority, SchedOutcome};
 use sgq::{
     FinalMatch, LiveQueryService, QueryGraph, SchedConfig, SgqConfig, SgqEngine, ShardedDeployment,
@@ -74,110 +71,6 @@ impl TestDir {
 impl Drop for TestDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Scatter path: sharded (1, 2, 4, 8) engine answers equal the unsharded
-/// engine on every query of the seeded workload, including prepared replay.
-#[test]
-fn sharded_static_answers_are_bit_identical() {
-    let (ds, space) = setup();
-    let mono = SgqEngine::new(&ds.graph, &space, &ds.library, config());
-    let queries = workload(&ds);
-    let baseline: Vec<Vec<FinalMatch>> = queries
-        .iter()
-        .map(|q| mono.query(q).expect("unsharded path answers").matches)
-        .collect();
-
-    for shards in [1usize, 2, 4, 8] {
-        let sharded =
-            ShardedGraph::from_graph(ds.graph.clone(), shards).expect("valid shard count");
-        let engine = SgqEngine::new(sharded, &space, &ds.library, config());
-        for (idx, q) in queries.iter().enumerate() {
-            let r = engine.query(q).expect("sharded path answers");
-            assert_eq!(
-                r.matches, baseline[idx],
-                "{shards}-shard answer diverged on query {idx}"
-            );
-            let prepared = engine.prepare(q).expect("prepare");
-            assert_eq!(
-                engine.execute(&prepared).expect("replay").matches,
-                baseline[idx],
-                "{shards}-shard prepared replay diverged on query {idx}"
-            );
-        }
-        let stats = GraphStats::of(engine.graph());
-        assert_eq!(engine.graph().shard_count(), shards);
-        assert_eq!(engine.graph().edge_count(), ds.graph.edge_count());
-        assert!(stats.shard_skew() >= 1.0);
-    }
-}
-
-/// The shard-hostile skew stream: even with one shard owning a multiple of
-/// its fair share (zipf head + hot predicate), answers stay bit-identical —
-/// imbalance may cost scatter *scaling*, never correctness.
-#[test]
-fn skewed_data_stays_bit_identical_under_imbalance() {
-    let spec = SkewSpec {
-        nodes: 1_200,
-        edges: 8_000,
-        shards: 4,
-        ..SkewSpec::default()
-    };
-    let triples = skewed_triples(&spec);
-    let graph = kgraph::io::graph_from_triples(triples.iter().cloned());
-    // One-hot predicate space: exact-label semantics are enough here — the
-    // differential claim is about storage, not embedding quality.
-    let (vectors, labels): (Vec<Vec<f32>>, Vec<String>) = {
-        let n = graph.predicate_count();
-        graph
-            .predicates()
-            .enumerate()
-            .map(|(i, (_, l))| {
-                let mut v = vec![0.0f32; n];
-                v[i] = 1.0;
-                (v, l.to_string())
-            })
-            .unzip()
-    };
-    let space = PredicateSpace::from_raw(vectors, labels);
-    let library = lexicon::TransformationLibrary::new();
-    let config = SgqConfig {
-        k: 10,
-        tau: 0.0,
-        workers: 4,
-        ..SgqConfig::default()
-    };
-
-    // Queries anchored at the hot head (max imbalance) and at cold tails.
-    let queries: Vec<QueryGraph> = ["SkewEntity_0", "SkewEntity_7", "SkewEntity_1111"]
-        .iter()
-        .flat_map(|name| {
-            let anchor_type = graph
-                .node_by_name(name)
-                .map(|n| graph.node_type_name(n).to_string())
-                .expect("skew entity exists");
-            ["hot", "p0", "p3"].iter().map(move |pred| {
-                let mut q = QueryGraph::new();
-                let target = q.add_target("SkewType_2");
-                let anchor = q.add_specific(name, &anchor_type);
-                q.add_edge(target, pred, anchor);
-                q
-            })
-        })
-        .collect();
-
-    let mono = SgqEngine::new(&graph, &space, &library, config.clone());
-    let sharded = ShardedGraph::from_graph(graph.clone(), spec.shards).unwrap();
-    let skew = GraphStats::of(&sharded).shard_skew();
-    assert!(skew > 1.5, "stream must actually be hostile, got {skew:.2}");
-    let engine = SgqEngine::new(sharded, &space, &library, config);
-    for (idx, q) in queries.iter().enumerate() {
-        assert_eq!(
-            engine.query(q).expect("sharded").matches,
-            mono.query(q).expect("mono").matches,
-            "skewed query {idx} diverged"
-        );
     }
 }
 

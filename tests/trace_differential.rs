@@ -4,16 +4,15 @@
 //! section): enabling `trace_sample_every` — or calling the explicit
 //! `*_traced` APIs — only *observes* an execution. Every answer, every path
 //! edge id and every deterministic search counter must equal the
-//! tracing-off path's, byte for byte, through the service and on the
-//! engine at 2/4/8 shards, because the trace plumbing adds one branch per
-//! phase and never touches the search state. These tests drive that claim
-//! over the seeded workloads against the untraced `SgqEngine` over the
-//! frozen CSR.
+//! tracing-off path's, byte for byte, because the trace plumbing adds one
+//! branch per phase and never touches the search state. These tests drive
+//! that claim through the service over the seeded workloads against the
+//! untraced `SgqEngine` over the frozen CSR.
 
 use datagen::dataset::{BenchDataset, DatasetSpec};
 use datagen::workload::{chain_query, produced_workload, q117_variants, soccer_query};
 use embedding::PredicateSpace;
-use kgraph::{ShardedGraph, VersionedGraph};
+use kgraph::VersionedGraph;
 use sgq::{LiveQueryService, QueryGraph, QueryResult, SgqConfig, SgqEngine};
 use std::sync::Arc;
 
@@ -78,8 +77,7 @@ fn scrub(r: &QueryResult) -> (usize, usize, usize, usize, usize, bool, usize) {
 
 /// Tracing on vs tracing off: answers (including path edge ids via
 /// `FinalMatch` equality), deterministic stats and prepared replay are
-/// bit-identical — through the service sampled 1-in-1, 1-in-3 and never,
-/// and on the sharded engine at 2/4/8 shards with every execution traced.
+/// bit-identical through the service sampled 1-in-1, 1-in-3 and never.
 /// The sampled services record exactly their share of traces.
 #[test]
 fn traced_answers_are_bit_identical_to_untraced() {
@@ -125,26 +123,6 @@ fn traced_answers_are_bit_identical_to_untraced() {
             expected,
             "deterministic 1-in-{sample_every} sampling over {ticks} executions"
         );
-    }
-
-    // Sharded traced path: the scatter phases run under the tracer.
-    for shards in [2usize, 4, 8] {
-        let sharded =
-            ShardedGraph::from_graph(ds.graph.clone(), shards).expect("valid shard count");
-        let engine = SgqEngine::new(sharded, &space, &ds.library, config(0));
-        for (idx, q) in queries.iter().enumerate() {
-            let (r, trace) = engine.query_with_trace(q).expect("sharded traced answers");
-            assert_eq!(
-                r.matches, baseline[idx].matches,
-                "{shards} shards: traced answer diverged on query {idx}"
-            );
-            assert_eq!(
-                scrub(&r),
-                scrub(&baseline[idx]),
-                "{shards} shards: traced stats diverged on query {idx}"
-            );
-            assert_eq!(trace.matches as usize, r.matches.len());
-        }
     }
 }
 
