@@ -5,7 +5,7 @@
 //! codebases; this crate re-implements each method's *decision procedure* at
 //! the level the paper's Table II characterises them, so the comparative
 //! results emerge from genuine behavioural differences rather than
-//! hard-coding (see DESIGN.md §2, substitution 5):
+//! hard-coding:
 //!
 //! | Method | Node similarity | Edge-to-path | Predicates | Main idea |
 //! |--------|-----------------|--------------|------------|-----------|

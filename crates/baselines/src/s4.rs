@@ -5,7 +5,8 @@
 //! knowledge (semantic instances à la PATTY), which n-hop predicate
 //! sequences are *semantically equivalent* to each 1-hop predicate, then
 //! rewrites query edges with those patterns. We reproduce that recipe with
-//! the graph itself as the prior knowledge source (DESIGN.md §2):
+//! the graph itself as the prior knowledge source (no PATTY corpus ships
+//! with a reproduction):
 //!
 //! 1. **Seed collection** — for query predicate `p`, sample up to
 //!    `S4::max_seeds` graph edges labelled `p` as semantic instances;

@@ -1,9 +1,9 @@
-//! One function per paper table/figure (DESIGN.md §5 experiment index).
+//! One function per paper table/figure; [`EXPERIMENTS`] is the index.
 //!
 //! Every experiment prints the same rows/series the paper reports. Absolute
 //! response times differ from the paper (different hardware, synthetic
 //! substrate); the comparisons — who wins, by what factor, where the trends
-//! bend — are the reproduction target (see EXPERIMENTS.md).
+//! bend — are the reproduction target.
 
 use crate::table::{cell, render};
 use baselines::{all_baselines, GraphQueryMethod};
@@ -68,7 +68,7 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
 ];
 
 /// Runs one experiment by id; `None` for an unknown id. `scale` multiplies
-/// dataset cardinalities (1.0 reproduces EXPERIMENTS.md).
+/// dataset cardinalities (1.0 is the default size).
 pub fn run_experiment(name: &str, scale: f64) -> Option<String> {
     Some(match name {
         "table1" => table1(scale),

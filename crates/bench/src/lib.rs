@@ -1,17 +1,16 @@
 //! # sgq-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the paper's §VII evaluation over
-//! the synthetic datasets (see DESIGN.md §5 for the experiment index):
+//! the synthetic datasets ([`EXPERIMENTS`] is the index):
 //!
 //! ```text
 //! cargo run -p bench --release --bin repro -- all
 //! cargo run -p bench --release --bin repro -- table1 fig12 fig15 …
 //! ```
 //!
-//! Criterion micro-benchmarks live under `benches/` and cover the latency
-//! panels (Figs. 12–14(d)), the engine's building blocks, and the
-//! concurrent-throughput bench over the shared runtime
-//! (`cargo bench -p bench --bench throughput`).
+//! Serving performance is measured end to end by the separate
+//! `semkg-bench` package (see the root `BENCHMARK.json`), which drives the
+//! socket path and reports a per-layer breakdown.
 
 pub mod experiments;
 pub mod table;

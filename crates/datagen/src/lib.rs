@@ -3,7 +3,7 @@
 //! The paper evaluates on DBpedia, Freebase and YAGO2 with QALD-4,
 //! WebQuestions and RDF-3x workloads. Those multi-gigabyte resources cannot
 //! ship with a reproduction, so this crate generates **schema-faithful
-//! synthetic substitutes** (DESIGN.md §2): knowledge graphs whose predicate
+//! synthetic substitutes**: knowledge graphs whose predicate
 //! vocabulary is grouped into semantic clusters, whose query intents are
 //! answerable through several n-hop paraphrase schemas with controlled
 //! cardinalities (the Fig. 1 situation), and whose ground truth is recorded

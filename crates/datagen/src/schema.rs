@@ -7,7 +7,7 @@
 //! clusters are mutually (near-)orthogonal. [`oracle_space`] materialises
 //! that design as a [`PredicateSpace`] — the documented stand-in for a
 //! TransE model trained on web-scale DBpedia, whose absolute cosine values
-//! a laptop-scale training run cannot reproduce (DESIGN.md §2). The real
+//! a laptop-scale training run cannot reproduce. The real
 //! trained space remains available through `embedding::train_transe` and is
 //! exercised by the Table IX experiment.
 

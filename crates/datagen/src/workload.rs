@@ -167,12 +167,12 @@ pub fn soccer_query(ds: &BenchDataset, i: usize) -> (BenchQuery, u32, u32) {
     )
 }
 
-/// The production-shaped request mix shared by `benches/scheduler.rs` and
-/// the `loadgen` binary: a fraction of traffic concentrates on a small hot
-/// set of queries (the classic 80/20 skew), and priorities split 20/60/20
+/// The production-shaped request mix shared by the `loadgen` binary and
+/// `semkg-bench`: a fraction of traffic concentrates on a small hot set of
+/// queries (the classic 80/20 skew), and priorities split 20/60/20
 /// High/Normal/Low. Keeping the mix here — instead of hand-rolled copies —
-/// means every serving-tier
-/// measurement shapes its traffic identically, so their numbers compare.
+/// means every serving-tier measurement shapes its traffic identically, so
+/// their numbers compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestMix {
     /// Percent of requests (0..=100) drawn from the hot set.

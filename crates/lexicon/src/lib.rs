@@ -12,7 +12,7 @@
 //! The paper builds its library from BabelNet; BabelNet is an external
 //! licensed resource, so this crate ships the same *interface* backed by an
 //! explicit dictionary that callers (notably the `datagen` crate) populate
-//! for their vocabulary. See DESIGN.md §2 for the substitution note.
+//! for their vocabulary.
 
 pub mod library;
 pub mod matcher;

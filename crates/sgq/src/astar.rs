@@ -46,8 +46,8 @@ pub struct SearchStats {
     pub tau_pruned: usize,
     /// Edges examined during expansion (one per neighbor iteration in
     /// [`AStarSearch`]'s expand step; seeding scans are not counted).
-    /// Deterministic across scan modes — the denominator for the scan
-    /// bench's ns-per-edge figure.
+    /// Deterministic across scan modes — the denominator of semkg-bench's
+    /// `astar.expand_ns_per_edge`.
     #[serde(default)]
     pub edges_examined: usize,
 }

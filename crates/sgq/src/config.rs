@@ -37,8 +37,7 @@ pub enum ScanMode {
     #[default]
     Kernel,
     /// The pre-kernel scalar loops: per-edge `w.ln()`, full branchy f64
-    /// adjacency scans. Reference half of the differential tests and the
-    /// "before" side of `BENCH_scan.json`.
+    /// adjacency scans. Reference half of `tests/kernel_differential.rs`.
     ScalarReference,
 }
 

@@ -353,6 +353,15 @@ impl<'a> LiveQueryService<'a> {
                 prepared.epoch(),
             );
         }
+        self.execute_unsampled(prepared)
+    }
+
+    /// [`Self::execute`] without the service's sampler — the scheduler's
+    /// exact path, which samples batches on its own tick.
+    pub(crate) fn execute_unsampled(
+        &self,
+        prepared: &LivePreparedQuery<'a>,
+    ) -> Result<QueryResult> {
         self.counters
             .record(prepared.engine.execute(&prepared.prepared), false)
     }

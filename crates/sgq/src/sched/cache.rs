@@ -8,16 +8,13 @@
 //!
 //! ## Keying and invalidation
 //!
-//! Entries are keyed by `(family, signature)`:
-//!
-//! * the **family** fingerprint (`family_fingerprint`) covers every
-//!   engine-configuration field *except* `k` and `τ` — two requests in the
-//!   same family differ only in how many answers they want and how strict
-//!   the similarity threshold is;
-//! * the **signature** is the structural [`super::query_signature`] hash;
-//!   like every sig-keyed cache in the scheduler it is only a prefilter —
-//!   the entry carries its query and a collision reads as a miss, never as
-//!   a borrowed answer.
+//! Entries are keyed by the structural [`super::query_signature`] hash;
+//! like every sig-keyed cache in the scheduler it is only a prefilter —
+//! the entry carries its query and a collision reads as a miss, never as a
+//! borrowed answer. The rest of the engine configuration needs no key: it
+//! is the backend's, fixed for the scheduler's lifetime, so two requests
+//! differ only in how many answers they want (`k`) and how strict the
+//! similarity threshold is (`τ`), and the entry records both.
 //!
 //! Each entry is stamped with the **epoch** its answer was computed
 //! against, exactly like the plan cache: a lookup at a different epoch is
@@ -28,7 +25,7 @@
 //!
 //! An entry computed at `(k_c, τ_c)` can answer a request at `(k, τ)`
 //! whenever the request is **dominated**: `k ≤ k_c` and `τ = τ_c`
-//! bit-for-bit (same structure, same family, same epoch). The cached
+//! bit-for-bit (same structure, same epoch). The cached
 //! result is *trimmed* — truncated to the requested `k` — not recomputed;
 //! see `trim_dominated` for the correctness argument, and
 //! `tests/cache_differential.rs` proves the trimmed answer bit-identical
@@ -52,7 +49,6 @@ use crate::answer::QueryResult;
 use crate::config::SgqConfig;
 use crate::query::QueryGraph;
 use rustc_hash::FxHashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Per-request overrides of the engine's top-`k` and τ threshold,
@@ -75,55 +71,16 @@ impl QueryParams {
     }
 }
 
-/// Fingerprint of every engine-configuration field **except** `k` and `τ`
-/// — the answer-cache family key. Two configurations with equal family
-/// fingerprints run the same decomposition, scan mode and bounds, so their
-/// certified answers are comparable under (k, τ) dominance.
-pub(crate) fn family_fingerprint(config: &SgqConfig) -> u64 {
-    let mut h = rustc_hash::FxHasher::default();
-    config.n_hat.hash(&mut h);
-    match config.pivot {
-        crate::config::PivotStrategy::MinCost => 0u64.hash(&mut h),
-        crate::config::PivotStrategy::Random { seed } => {
-            1u64.hash(&mut h);
-            seed.hash(&mut h);
-        }
-        crate::config::PivotStrategy::Forced { node } => {
-            2u64.hash(&mut h);
-            node.hash(&mut h);
-        }
-    }
-    config.batch.hash(&mut h);
-    config.max_matches_per_subquery.hash(&mut h);
-    match config.scan {
-        crate::config::ScanMode::Kernel => 0u64.hash(&mut h),
-        crate::config::ScanMode::ScalarReference => 1u64.hash(&mut h),
-    }
-    h.finish()
-}
-
-/// Extends a family fingerprint with an effective `(k, τ)` — the full
-/// batch `config_tag`, so requests at different parameters never share a
-/// batch (the batcher additionally compares `k`/`τ` exactly; the hash is a
-/// prefilter).
-pub(crate) fn tuned_fingerprint(family: u64, k: usize, tau: f64) -> u64 {
-    let mut h = rustc_hash::FxHasher::default();
-    family.hash(&mut h);
-    k.hash(&mut h);
-    tau.to_bits().hash(&mut h);
-    h.finish()
-}
-
 /// Trims a certified top-`k_c` answer down to a dominated request's `k`
 /// (`k ≤ k_c`, τ equal bit-for-bit): the first `k` donor matches.
 ///
 /// **Correctness** (mirroring the paper's Lemma-1 monotonicity argument):
 ///
-/// * Equal τ and equal family mean the request runs the *identical*
-///   deterministic search the donor ran — same decomposition, same plans,
-///   same prune threshold — so both runs draw from the same totally
-///   ordered match stream (pss non-increasing per sub-query, Theorem 2;
-///   final order score-descending, pivot-ascending).
+/// * Equal τ under the one backend configuration means the request runs
+///   the *identical* deterministic search the donor ran — same
+///   decomposition, same plans, same prune threshold — so both runs draw
+///   from the same totally ordered match stream (pss non-increasing per
+///   sub-query, Theorem 2; final order score-descending, pivot-ascending).
 /// * `k` only decides where the TA assembly *stops* on that stream. The
 ///   certified top-`k` for any `k ≤ k_c` is therefore a prefix of the
 ///   donor's certified top-`k_c`: a match the smaller run would emit that
@@ -184,7 +141,7 @@ pub(crate) enum AnswerLookup {
 /// synchronised — the scheduler wraps it in its own `Mutex`
 /// (`sgq.sched.answers` in the workspace lock hierarchy).
 pub(crate) struct AnswerCache {
-    entries: FxHashMap<(u64, u64), AnswerEntry>,
+    entries: FxHashMap<u64, AnswerEntry>,
     capacity: usize,
     tick: u64,
 }
@@ -209,7 +166,7 @@ impl AnswerCache {
     /// exactly like the plan cache.
     pub(crate) fn lookup(
         &mut self,
-        key: (u64, u64),
+        key: u64,
         query: &QueryGraph,
         epoch: u64,
         k: usize,
@@ -245,7 +202,7 @@ impl AnswerCache {
     /// makes room.
     pub(crate) fn insert(
         &mut self,
-        key: (u64, u64),
+        key: u64,
         query: &Arc<QueryGraph>,
         epoch: u64,
         k: usize,
@@ -358,48 +315,39 @@ mod tests {
     fn lookup_distinguishes_hit_trim_stale_miss() {
         let q = query("Germany");
         let mut cache = AnswerCache::new(4);
-        cache.insert((1, 2), &q, 7, 5, 0.5, Arc::new(donor(&[0.9, 0.8])));
+        cache.insert(2, &q, 7, 5, 0.5, Arc::new(donor(&[0.9, 0.8])));
 
         assert!(matches!(
-            cache.lookup((1, 2), &q, 7, 5, 0.5),
+            cache.lookup(2, &q, 7, 5, 0.5),
             AnswerLookup::Hit(_)
         ));
         // Dominated: smaller k at the same τ.
-        match cache.lookup((1, 2), &q, 7, 1, 0.5) {
+        match cache.lookup(2, &q, 7, 1, 0.5) {
             AnswerLookup::Trimmed(r) => assert_eq!(r.matches.len(), 1),
             _ => panic!("dominated request must trim"),
         }
         // Anti-dominance: larger k never serves; *any* τ difference never
         // serves (per-pivot pss depends on τ — see module docs), in either
         // direction.
+        assert!(matches!(cache.lookup(2, &q, 7, 6, 0.5), AnswerLookup::Miss));
         assert!(matches!(
-            cache.lookup((1, 2), &q, 7, 6, 0.5),
+            cache.lookup(2, &q, 7, 1, 0.85),
             AnswerLookup::Miss
         ));
-        assert!(matches!(
-            cache.lookup((1, 2), &q, 7, 1, 0.85),
-            AnswerLookup::Miss
-        ));
-        assert!(matches!(
-            cache.lookup((1, 2), &q, 7, 5, 0.4),
-            AnswerLookup::Miss
-        ));
+        assert!(matches!(cache.lookup(2, &q, 7, 5, 0.4), AnswerLookup::Miss));
         // Signature collision with a different query: miss, never borrow.
         let other = query("France");
         assert!(matches!(
-            cache.lookup((1, 2), &other, 7, 5, 0.5),
+            cache.lookup(2, &other, 7, 5, 0.5),
             AnswerLookup::Miss
         ));
         // Another epoch: stale, and the entry is gone afterwards.
         assert!(matches!(
-            cache.lookup((1, 2), &q, 8, 5, 0.5),
+            cache.lookup(2, &q, 8, 5, 0.5),
             AnswerLookup::Stale
         ));
         assert_eq!(cache.len(), 0);
-        assert!(matches!(
-            cache.lookup((1, 2), &q, 8, 5, 0.5),
-            AnswerLookup::Miss
-        ));
+        assert!(matches!(cache.lookup(2, &q, 8, 5, 0.5), AnswerLookup::Miss));
     }
 
     #[test]
@@ -407,78 +355,49 @@ mod tests {
         let q = query("Germany");
         let mut cache = AnswerCache::new(2);
         let wide = Arc::new(donor(&[0.9, 0.8, 0.7]));
-        cache.insert((1, 1), &q, 0, 10, 0.5, Arc::clone(&wide));
+        cache.insert(1, &q, 0, 10, 0.5, Arc::clone(&wide));
         // A narrower same-τ, same-epoch answer must not clobber the wide
         // donor — the donor answers strictly more requests.
-        cache.insert((1, 1), &q, 0, 2, 0.5, Arc::new(donor(&[0.9, 0.8])));
-        match cache.lookup((1, 1), &q, 0, 10, 0.5) {
+        cache.insert(1, &q, 0, 2, 0.5, Arc::new(donor(&[0.9, 0.8])));
+        match cache.lookup(1, &q, 0, 10, 0.5) {
             AnswerLookup::Hit(r) => assert_eq!(r.matches.len(), 3),
             _ => panic!("the dominating donor must survive"),
         }
         // A different-τ answer replaces it (τ-incomparable entries never
         // serve each other's requests, so recency wins).
-        cache.insert((1, 1), &q, 0, 2, 0.8, Arc::new(donor(&[0.9, 0.8])));
+        cache.insert(1, &q, 0, 2, 0.8, Arc::new(donor(&[0.9, 0.8])));
         assert!(matches!(
-            cache.lookup((1, 1), &q, 0, 10, 0.5),
+            cache.lookup(1, &q, 0, 10, 0.5),
             AnswerLookup::Miss
         ));
         // A new-epoch answer replaces it regardless.
-        cache.insert((1, 1), &q, 1, 2, 0.8, Arc::new(donor(&[0.9])));
+        cache.insert(1, &q, 1, 2, 0.8, Arc::new(donor(&[0.9])));
         assert!(matches!(
-            cache.lookup((1, 1), &q, 1, 2, 0.8),
+            cache.lookup(1, &q, 1, 2, 0.8),
             AnswerLookup::Hit(_)
         ));
 
         // LRU: fill to capacity, touch the first, insert a third — the
         // untouched second entry is the victim.
         let mut cache = AnswerCache::new(2);
-        cache.insert((1, 1), &q, 0, 5, 0.5, Arc::clone(&wide));
-        cache.insert((1, 2), &q, 0, 5, 0.5, Arc::clone(&wide));
-        let _ = cache.lookup((1, 1), &q, 0, 5, 0.5);
-        cache.insert((1, 3), &q, 0, 5, 0.5, Arc::clone(&wide));
+        cache.insert(1, &q, 0, 5, 0.5, Arc::clone(&wide));
+        cache.insert(2, &q, 0, 5, 0.5, Arc::clone(&wide));
+        let _ = cache.lookup(1, &q, 0, 5, 0.5);
+        cache.insert(3, &q, 0, 5, 0.5, Arc::clone(&wide));
         assert_eq!(cache.len(), 2);
         assert!(matches!(
-            cache.lookup((1, 1), &q, 0, 5, 0.5),
+            cache.lookup(1, &q, 0, 5, 0.5),
             AnswerLookup::Hit(_)
         ));
-        assert!(matches!(
-            cache.lookup((1, 2), &q, 0, 5, 0.5),
-            AnswerLookup::Miss
-        ));
+        assert!(matches!(cache.lookup(2, &q, 0, 5, 0.5), AnswerLookup::Miss));
     }
 
     #[test]
     fn capacity_zero_disables() {
         let q = query("Germany");
         let mut cache = AnswerCache::new(0);
-        cache.insert((1, 1), &q, 0, 5, 0.5, Arc::new(donor(&[0.9])));
+        cache.insert(1, &q, 0, 5, 0.5, Arc::new(donor(&[0.9])));
         assert_eq!(cache.len(), 0);
-        assert!(matches!(
-            cache.lookup((1, 1), &q, 0, 5, 0.5),
-            AnswerLookup::Miss
-        ));
-    }
-
-    #[test]
-    fn family_and_tuned_fingerprints_split_the_config() {
-        let base = SgqConfig::default();
-        let tuned = SgqConfig {
-            k: base.k + 7,
-            tau: 0.31,
-            ..base.clone()
-        };
-        // Same family: k/τ are excluded.
-        assert_eq!(family_fingerprint(&base), family_fingerprint(&tuned));
-        let other_family = SgqConfig {
-            n_hat: base.n_hat + 1,
-            ..base.clone()
-        };
-        assert_ne!(family_fingerprint(&base), family_fingerprint(&other_family));
-        // The tuned tag separates (k, τ) within a family.
-        let f = family_fingerprint(&base);
-        assert_ne!(
-            tuned_fingerprint(f, base.k, base.tau),
-            tuned_fingerprint(f, tuned.k, tuned.tau)
-        );
+        assert!(matches!(cache.lookup(1, &q, 0, 5, 0.5), AnswerLookup::Miss));
     }
 }

@@ -15,8 +15,8 @@
 //!   victim is shed to admit a more urgent request (or the arrival itself
 //!   is shed);
 //! * a **scheduler thread** groups compatible admitted requests — equal
-//!   query graphs observed at the same graph epoch under the same engine
-//!   configuration — into batches. A batch is planned **once** (via
+//!   query graphs observed at the same graph epoch with the same effective
+//!   `(k, τ)` — into batches. A batch is planned **once** (via
 //!   [`crate::engine::PreparedQuery`], whose plans hold shared
 //!   [`embedding::SimilarityIndex`] rows) and executed **once**; the result
 //!   fans out to every member;
@@ -35,11 +35,11 @@
 //!
 //! In front of all of that sits an **epoch-keyed answer cache**
 //! ([`cache`]): a bounded LRU of `Arc`-shared certified top-k results,
-//! keyed by query signature and configuration family and stamped with the
-//! epoch they were computed against. A request whose answer is cached for
-//! the *current* epoch resolves at submit time — it never enters the
-//! admission queue and never touches the engine. Requests may carry their
-//! own `(k, τ)` via [`QueryParams`]; a request **dominated** by a cached
+//! keyed by query signature and stamped with the epoch they were computed
+//! against. A request whose answer is cached for the *current* epoch
+//! resolves at submit time — it never enters the admission queue and never
+//! touches the engine. Requests may carry their own `(k, τ)` via
+//! [`QueryParams`]; a request **dominated** by a cached
 //! entry (same structure, equal `τ`, smaller `k`) is answered by trimming
 //! the cached certified result, provably bit-identical to a from-scratch
 //! run (`tests/cache_differential.rs`). Entries invalidate by epoch stamp
@@ -61,7 +61,7 @@
 //!
 //! Never a silently wrong answer: a degraded response is always flagged,
 //! and batches only merge *equal* queries (hash prefilter, then full
-//! structural equality) at one epoch under one configuration — verified by
+//! structural equality) at one epoch and one `(k, τ)` — verified by
 //! the property tests below and `tests/scheduler_differential.rs`.
 //!
 //! ## Epochs and live graphs
@@ -91,7 +91,7 @@ use crate::query::QueryGraph;
 use crate::runtime::WorkerPool;
 use crate::timebound::{estimate_ns, TimeBoundConfig};
 use crate::trace::{tick_sampled, QueryTrace, TraceSink};
-use cache::{family_fingerprint, tuned_fingerprint, AnswerCache, AnswerLookup};
+use cache::{AnswerCache, AnswerLookup};
 use obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
@@ -233,7 +233,9 @@ pub trait SchedBackend: Sync {
     /// epochs never share a batch.
     fn current_epoch(&self) -> u64;
 
-    /// The engine configuration (fingerprinted into the batch key).
+    /// The engine configuration. It must not change for the backend's
+    /// lifetime: batches, plans and cached answers are keyed by the
+    /// effective `(k, τ)` alone.
     fn config(&self) -> &SgqConfig;
 
     /// Compiles a query for repeated execution.
@@ -250,6 +252,9 @@ pub trait SchedBackend: Sync {
 
     /// Exact execution (must be deterministic and identical to the
     /// backend's direct query path — the differential harness asserts it).
+    /// Must not sample traces itself: the scheduler's 1-in-N tick is the
+    /// only sampler on the scheduled path, and it sends the sampled
+    /// batches to [`SchedBackend::execute_traced`] instead.
     fn execute(&self, prepared: &Self::Prepared) -> Result<QueryResult>;
 
     /// Exact execution with a per-phase [`QueryTrace`] attached. Must
@@ -293,7 +298,7 @@ impl<'a> SchedBackend for LiveQueryService<'a> {
     }
 
     fn execute(&self, prepared: &Self::Prepared) -> Result<QueryResult> {
-        LiveQueryService::execute(self, prepared)
+        self.execute_unsampled(prepared)
     }
 
     fn execute_traced(&self, prepared: &Self::Prepared) -> Result<(QueryResult, QueryTrace)> {
@@ -336,15 +341,6 @@ pub fn query_signature(query: &QueryGraph) -> u64 {
         edge.predicate.hash(&mut h);
     }
     h.finish()
-}
-
-/// Fingerprint of the engine configuration a batch executes under; part of
-/// the batch key so requests against different configurations never merge.
-/// Composed as the `(k, τ)`-free `cache::family_fingerprint` extended
-/// with the effective `(k, τ)` — the answer cache keys by the family part
-/// alone and resolves `k` by dominance at equal `τ`.
-pub fn config_fingerprint(config: &SgqConfig) -> u64 {
-    tuned_fingerprint(family_fingerprint(config), config.k, config.tau)
 }
 
 // ---------------------------------------------------------------------------
@@ -413,7 +409,6 @@ pub(crate) struct BatchRequest {
     query: Arc<QueryGraph>,
     sig: u64,
     epoch: u64,
-    config_tag: u64,
     /// Effective top-k of this request (engine default or per-request).
     k: usize,
     /// Effective τ threshold of this request.
@@ -428,7 +423,6 @@ pub(crate) struct Batch {
     query: Arc<QueryGraph>,
     sig: u64,
     epoch: u64,
-    config_tag: u64,
     /// Effective `(k, τ)` shared by every member (part of the merge key).
     k: usize,
     tau: f64,
@@ -449,9 +443,9 @@ impl Batch {
 /// Groups admitted requests into batches and releases them
 /// earliest-deadline-first. Two requests share a batch **only** when their
 /// query graphs are structurally equal (hash prefilter + `==`), they were
-/// observed at the same graph epoch, and they run under the same engine
-/// configuration — the property tests below drive arbitrary interleavings
-/// through exactly this type.
+/// observed at the same graph epoch, and they ask for the same `(k, τ)`
+/// (τ compared by bits) — the property tests below drive arbitrary
+/// interleavings through exactly this type.
 pub(crate) struct Batcher {
     ready: Vec<Batch>,
     max_batch: usize,
@@ -488,9 +482,6 @@ impl Batcher {
             b.members.len() < self.max_batch
                 && b.sig == req.sig
                 && b.epoch == req.epoch
-                && b.config_tag == req.config_tag
-                // The tag hashes (k, τ) already; the exact comparison makes
-                // a tag collision unable to merge different parameters.
                 && b.k == req.k
                 && b.tau.to_bits() == req.tau.to_bits()
                 && *b.query == *req.query
@@ -506,7 +497,6 @@ impl Batcher {
             query: Arc::clone(&req.query),
             sig: req.sig,
             epoch: req.epoch,
-            config_tag: req.config_tag,
             k: req.k,
             tau: req.tau,
             priority: req.priority,
@@ -895,15 +885,16 @@ struct SchedState {
     inflight: usize,
 }
 
-/// A cached prepared query, valid while its epoch matches the backend's
-/// and its tuned-config tag matches the batch's.
+/// A cached prepared query, valid while its epoch and its `(k, τ)` match
+/// the batch's.
 struct CachedPlan<P> {
     query: Arc<QueryGraph>,
     epoch: u64,
-    /// Tuned-config fingerprint the plan was prepared under. One plan per
-    /// query shape: a request with different (k, τ) replaces it rather
-    /// than sharing it — mixed-parameter plans must never cross-serve.
-    tag: u64,
+    /// The effective `(k, τ)` the plan was prepared under, compared
+    /// exactly (τ by bits). One plan per query shape: a request with
+    /// different parameters replaces it rather than sharing it.
+    k: usize,
+    tau: f64,
     prepared: Arc<P>,
 }
 
@@ -992,11 +983,10 @@ impl<B: SchedBackend> Shared<B> {
         if k == 0 || !tau.is_finite() || !(0.0..=1.0).contains(&tau) {
             return None;
         }
-        let family = family_fingerprint(backend.config());
         let epoch = backend.current_epoch();
         let lookup = {
             let mut answers = self.answers.lock().unwrap();
-            let lookup = answers.lookup((family, sig), query, epoch, k, tau);
+            let lookup = answers.lookup(sig, query, epoch, k, tau);
             self.stats.answer_entries.set(answers.len() as i64);
             lookup
         };
@@ -1030,11 +1020,10 @@ impl<B: SchedBackend> Shared<B> {
         if self.config.answer_cache_capacity == 0 {
             return;
         }
-        let family = family_fingerprint(backend.config());
         let epoch = backend.prepared_epoch(prepared);
         let mut answers = self.answers.lock().unwrap();
         answers.insert(
-            (family, batch.sig),
+            batch.sig,
             &batch.query,
             epoch,
             batch.k,
@@ -1150,7 +1139,8 @@ impl<B: SchedBackend> Shared<B> {
             let plans = self.plans.lock().unwrap();
             if let Some(entry) = plans.get(&batch.sig) {
                 if entry.epoch == batch.epoch
-                    && entry.tag == batch.config_tag
+                    && entry.k == batch.k
+                    && entry.tau.to_bits() == batch.tau.to_bits()
                     && *entry.query == *batch.query
                 {
                     self.stats.plan_cache_hits.inc();
@@ -1204,7 +1194,8 @@ impl<B: SchedBackend> Shared<B> {
                 CachedPlan {
                     query: Arc::clone(&batch.query),
                     epoch: batch.epoch,
-                    tag: batch.config_tag,
+                    k: batch.k,
+                    tau: batch.tau,
                     prepared: Arc::clone(&prepared),
                 },
             );
@@ -1436,11 +1427,6 @@ fn scheduler_main<B: SchedBackend>(backend: &B, shared: &Shared<B>) {
     } else {
         shared.config.max_inflight
     };
-    // The config *family* (everything but k and τ) is fixed for the
-    // backend's lifetime; each request's tag combines it with the
-    // request's effective (k, τ), so tuned and untuned requests of one
-    // shape never share a batch or a plan.
-    let family = family_fingerprint(backend.config());
     let mut batcher = Batcher::new(shared.config.max_batch);
 
     backend.pool().scope(|scope| {
@@ -1475,7 +1461,6 @@ fn scheduler_main<B: SchedBackend>(backend: &B, shared: &Shared<B>) {
                     sig: p.sig,
                     query: p.query,
                     epoch,
-                    config_tag: tuned_fingerprint(family, p.k, p.tau),
                     k: p.k,
                     tau: p.tau,
                     priority: p.priority,
@@ -2185,6 +2170,124 @@ mod tests {
         assert_eq!(stats.exact, 4);
     }
 
+    /// A cached plan serves only its own `(k, τ)`, compared exactly. This
+    /// τ and `(1, 0.0)` collide under an FxHash of the default
+    /// configuration with `(k, τ)` (FxHash is invertible in its last
+    /// word), so a hash-keyed check would hand the k = 1 plan to the
+    /// second request: `Exact` with one match where the direct path
+    /// returns two.
+    #[test]
+    fn plan_cache_never_serves_another_k_or_tau() {
+        let (g, space, lib) = fixture();
+        let base = SgqConfig {
+            k: 5,
+            tau: 0.0,
+            workers: 2,
+            ..SgqConfig::default()
+        };
+        let service = idle_service(&g, &space, &lib, base.clone());
+        let colliding_tau = f64::from_bits(0x37b6_e5da_f2d3_75f0);
+        let tuned = SgqConfig {
+            k: 10,
+            tau: colliding_tau,
+            ..base
+        };
+        let direct = service
+            .execute(&service.prepare_with(&product_query(), &tuned).unwrap())
+            .unwrap();
+        assert_eq!(direct.matches.len(), 2);
+        // Answer cache off: the second request must reach planning.
+        let config = SchedConfig {
+            answer_cache_capacity: 0,
+            ..SchedConfig::default()
+        };
+        BatchScheduler::serve(&service, config, |handle| {
+            let within = Duration::from_secs(10);
+            let first = handle.query_within_with(
+                &product_query(),
+                QueryParams {
+                    k: Some(1),
+                    tau: Some(0.0),
+                },
+                within,
+                Priority::Normal,
+            );
+            assert_eq!(first.outcome.result().unwrap().matches.len(), 1);
+            let second = handle.query_within_with(
+                &product_query(),
+                QueryParams {
+                    k: Some(10),
+                    tau: Some(colliding_tau),
+                },
+                within,
+                Priority::Normal,
+            );
+            match second.outcome {
+                SchedOutcome::Exact(r) => assert_eq!(r.matches, direct.matches),
+                other => panic!("slack deadline must yield the exact answer, got {other:?}"),
+            }
+        })
+        .unwrap();
+    }
+
+    /// The scheduler's 1-in-N tick is the only sampler on the scheduled
+    /// path: of 8 sequential batches at 1-in-2, the 4 sampled ones feed
+    /// the service's phase histograms and the scheduler's sink, and the
+    /// unsampled ones are not sampled a second time by the service.
+    #[test]
+    fn scheduled_executions_are_sampled_once() {
+        let (g, space, lib) = fixture();
+        let service = idle_service(
+            &g,
+            &space,
+            &lib,
+            SgqConfig {
+                k: 5,
+                tau: 0.0,
+                workers: 2,
+                trace_sample_every: 2,
+                ..SgqConfig::default()
+            },
+        );
+        let config = SchedConfig {
+            answer_cache_capacity: 0,
+            ..SchedConfig::default()
+        };
+        let sched_traces = BatchScheduler::serve(&service, config, |handle| {
+            for _ in 0..8 {
+                let r = handle.query_within(
+                    &product_query(),
+                    Duration::from_secs(10),
+                    Priority::Normal,
+                );
+                assert!(matches!(r.outcome, SchedOutcome::Exact(_)));
+            }
+            // A sampled batch pushes its trace after fanning out, so wait
+            // for the last one instead of racing it.
+            let until = Instant::now() + Duration::from_secs(10);
+            while handle.traces().recorded() < 4 && Instant::now() < until {
+                std::thread::yield_now();
+            }
+            handle.traces().recorded()
+        })
+        .unwrap();
+        let metrics = service.metrics();
+        let total_phase = match metrics.find_labeled("sgq_phase_ns", "phase", "total") {
+            Some(obs::MetricSample {
+                value: obs::MetricValue::Histogram(h),
+                ..
+            }) => h.count(),
+            other => panic!("no sgq_phase_ns{{phase=\"total\"}} histogram: {other:?}"),
+        };
+        assert_eq!(total_phase, 4, "one phase observation per sampled batch");
+        assert_eq!(
+            service.traces().recorded(),
+            0,
+            "the service does not resample"
+        );
+        assert_eq!(sched_traces, 4, "the scheduler samples 1 in 2 batches");
+    }
+
     /// Sequential repeats of one query: the first miss executes and fills
     /// the answer cache, every later submission is served from it without
     /// entering the queue — and the served answer is the direct path's.
@@ -2406,7 +2509,7 @@ mod tests {
         query: &Arc<QueryGraph>,
         sig: u64,
         epoch: u64,
-        config_tag: u64,
+        k: usize,
         priority: Priority,
         deadline: Instant,
     ) -> BatchRequest {
@@ -2414,8 +2517,7 @@ mod tests {
             query: Arc::clone(query),
             sig,
             epoch,
-            config_tag,
-            k: 10,
+            k,
             tau: 0.8,
             priority,
             deadline,
@@ -2464,7 +2566,7 @@ mod tests {
             Priority::Normal,
             base + Duration::from_millis(20)
         )));
-        // Different config never merges.
+        // Different k never merges.
         assert!(!b.offer(req(
             &q1,
             1,
@@ -2544,7 +2646,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Arbitrary interleavings of offers (over a pool of distinct
-        /// queries, epochs, config tags, priorities, deadlines) and pops:
+        /// queries, epochs, `k`s, priorities, deadlines) and pops:
         /// every batch ever formed is homogeneous — one query, one epoch,
         /// one config — sized within max_batch, with the batch deadline
         /// equal to its earliest member's and the batch priority equal to
@@ -2576,7 +2678,8 @@ mod tests {
                 for m in &batch.members {
                     prop_assert_eq!(m.sig, batch.sig);
                     prop_assert_eq!(m.epoch, batch.epoch);
-                    prop_assert_eq!(m.config_tag, batch.config_tag);
+                    prop_assert_eq!(m.k, batch.k);
+                    prop_assert_eq!(m.tau.to_bits(), batch.tau.to_bits());
                     prop_assert!(*m.query == *batch.query,
                         "a batch must hold one query shape only");
                     min_deadline = min_deadline.min(m.deadline);
@@ -2595,7 +2698,7 @@ mod tests {
                     query,
                     query_signature(query),
                     epoch,
-                    cfg,
+                    10 + cfg as usize,
                     priority,
                     base + Duration::from_millis(deadline_ms),
                 ));
@@ -2616,21 +2719,10 @@ mod tests {
     }
 
     #[test]
-    fn signature_distinguishes_structure_and_fingerprint_distinguishes_config() {
+    fn signature_distinguishes_structure() {
         let q1 = product_query();
         let q2 = assembly_query();
         assert_eq!(query_signature(&q1), query_signature(&product_query()));
         assert_ne!(query_signature(&q1), query_signature(&q2));
-
-        let c1 = SgqConfig::default();
-        let c2 = SgqConfig {
-            k: c1.k + 1,
-            ..c1.clone()
-        };
-        assert_eq!(
-            config_fingerprint(&c1),
-            config_fingerprint(&SgqConfig::default())
-        );
-        assert_ne!(config_fingerprint(&c1), config_fingerprint(&c2));
     }
 }

@@ -18,7 +18,7 @@ fn config() -> SgqConfig {
     }
 }
 
-/// Acceptance criterion: an *uncompacted* overlay with ≥10% mutated edges
+/// Acceptance check: an *uncompacted* overlay with ≥10% mutated edges
 /// returns top-k answers identical to a full rebuild of the same logical
 /// graph.
 #[test]

@@ -117,7 +117,7 @@ fn binary_snapshot_round_trips_query_answers() {
     }
 }
 
-/// The acceptance criterion end to end: build a deployment, run over 1k
+/// The acceptance check end to end: build a deployment, run over 1k
 /// churn ops with periodic commits and a mid-stream checkpoint, crash with
 /// a staged-but-uncommitted tail, reopen — every query answers
 /// bit-identically to the never-restarted in-memory service.

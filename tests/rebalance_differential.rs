@@ -116,7 +116,7 @@ fn rebalance_requires_a_sharded_deployment() {
     );
 }
 
-/// The acceptance criterion, end to end: the controller fires on sustained
+/// The acceptance check, end to end: the controller fires on sustained
 /// skew, the migration levels the layout (`skew_after < skew_before`,
 /// buckets actually move), and answers stay bit-identical to the
 /// never-rebalanced reference — through the migration, through a crash

@@ -128,7 +128,7 @@ fn scheduled_sharded_equals_direct_unsharded() {
     assert_eq!(service.stats().shard_count, 2);
 }
 
-/// Acceptance criterion: the sharded deployment stays bit-identical to an
+/// Acceptance check: the sharded deployment stays bit-identical to an
 /// unsharded reference through a live commit → checkpoint → crash →
 /// recover cycle, across shard counts. The reference store never crashes;
 /// the sharded one loses its process after every phase.

@@ -15,6 +15,7 @@ use embedding::PredicateSpace;
 use kgraph::VersionedGraph;
 use sgq::{LiveQueryService, QueryGraph, QueryResult, SgqConfig, SgqEngine};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn config(trace_sample_every: u64) -> SgqConfig {
     SgqConfig {
@@ -176,5 +177,39 @@ fn explicit_traces_report_coherent_phases() {
     assert!(
         service.traces().is_empty(),
         "explicit traced calls return the trace to the caller, not the sink"
+    );
+}
+
+/// Tracing off must stay free: an untraced prepared execution may never
+/// cost more than twice a fully traced one. The rounds interleave the two
+/// sides and compare medians, so host noise hits both alike; a breach
+/// means the untraced path started doing tracing work.
+#[test]
+fn untraced_executions_cost_at_most_twice_traced_ones() {
+    let (ds, space) = setup();
+    let service = idle_service(&ds, &space, config(0));
+    let prepared: Vec<_> = workload(&ds)
+        .iter()
+        .map(|q| service.prepare(q).expect("prepare"))
+        .collect();
+    let (mut off, mut on): (Vec<Duration>, Vec<Duration>) = (Vec::new(), Vec::new());
+    for _ in 0..15 {
+        let t = Instant::now();
+        for p in &prepared {
+            service.execute(p).expect("untraced answers");
+        }
+        off.push(t.elapsed());
+        let t = Instant::now();
+        for p in &prepared {
+            service.execute_traced(p).expect("traced answers");
+        }
+        on.push(t.elapsed());
+    }
+    off.sort();
+    on.sort();
+    let (off, on) = (off[off.len() / 2], on[on.len() / 2]);
+    assert!(
+        off <= on * 2,
+        "untraced workload pass {off:?} costs more than twice a traced one {on:?}"
     );
 }
