@@ -154,8 +154,10 @@ pub struct SchedConfig {
     /// Alert ratio handed to degraded (TBQ) executions — assembly starts
     /// at `bound · ratio`, like the paper's 80%.
     pub degrade_alert_ratio: f64,
-    /// Calibrated per-match TA cost `t` for the Algorithm-3 estimator
-    /// (see [`crate::timebound::calibrate_ta_cost`]).
+    /// Per-match TA cost `t` for the Algorithm-3 estimator and the
+    /// admission cost model. The default is a fixed 300 ns, not calibrated
+    /// at runtime; [`crate::timebound::calibrate_ta_cost`] measures the
+    /// host's figure.
     pub per_match_ta_cost: Duration,
     /// Entries kept in the prepared-plan and cost-profile caches.
     pub plan_cache_capacity: usize,

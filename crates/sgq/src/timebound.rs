@@ -10,8 +10,9 @@
 //!   `T̂ = max{T_A*} + Σ|M̂ᵢ|·t` — elapsed search time plus the projected TA
 //!   assembly cost at `t` seconds per collected match — and triggers
 //!   assembly when `T̂ ≥ T·r%` (the alert ratio, 80% in the paper);
-//! * the per-match assembly cost `t` is measured empirically by a
-//!   *simulated* TA run ([`calibrate_ta_cost`]), as in the paper.
+//! * the per-match assembly cost `t` can be measured empirically by a
+//!   *simulated* TA run ([`calibrate_ta_cost`]), as in the paper; the
+//!   configs default to a fixed 300 ns instead.
 //!
 //! The searches run as jobs on the engine's persistent
 //! [`WorkerPool`] — no threads are spawned per query. Algorithm 3's
@@ -43,8 +44,9 @@ pub struct TimeBoundConfig {
     /// Alert ratio `r%`: assembly starts once the estimated total time
     /// reaches `bound · alert_ratio` (paper uses 80%).
     pub alert_ratio: f64,
-    /// Empirical per-match TA processing time `t`; measure it once with
-    /// [`calibrate_ta_cost`] and reuse across queries.
+    /// Per-match TA processing time `t`. The default is a fixed 300 ns,
+    /// not measured at runtime; to use the host's figure, measure it once
+    /// with [`calibrate_ta_cost`] and set it here.
     pub per_match_ta_cost: Duration,
 }
 
@@ -59,7 +61,7 @@ impl Default for TimeBoundConfig {
 }
 
 impl TimeBoundConfig {
-    /// A config with the given bound and calibrated TA cost.
+    /// A config with the given bound and the default TA cost.
     pub fn with_bound(bound: Duration) -> Self {
         Self {
             bound,
