@@ -7,9 +7,8 @@
 //! complex soccer query used by the pivot-selection experiments.
 
 use crate::dataset::BenchDataset;
-use kgraph::{NodeId, Partitioner, Triple};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use kgraph::NodeId;
+use rand::Rng;
 use sgq::query::QueryGraph;
 
 /// One benchmark query: graph + validation set.
@@ -217,111 +216,12 @@ impl RequestMix {
     }
 }
 
-/// Parameters of the **shard-hostile skew mode**: a seeded synthetic triple
-/// stream whose source popularity is zipfian with ranks laid out in
-/// source-node-hash order — the distribution's heavy head lands inside the
-/// *lowest* shard of a [`Partitioner`] over `shards` shards — and whose
-/// predicates are dominated by one hot label. The rebalance differential
-/// and the cache bench use it to stress durable-layout imbalance: the
-/// deployment's `ServiceStats::shard_skew` approaches `shards` as `zipf_s`
-/// grows, exactly the regime a skew-driven rebalance has to level.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SkewSpec {
-    /// Entities in the pool.
-    pub nodes: usize,
-    /// Triples to emit.
-    pub edges: usize,
-    /// Distinct cold predicates (`p0..`), plus the hot one.
-    pub predicates: usize,
-    /// Zipf exponent `s` of the source distribution (`weight(rank r) ∝
-    /// 1/(r+1)^s`); 0 is uniform, ≥1 is heavily skewed.
-    pub zipf_s: f64,
-    /// Probability a triple carries the hot predicate.
-    pub hot_predicate_share: f64,
-    /// Shard count the hostile rank order targets (the zipf head is packed
-    /// into the lowest shard of a partitioner this wide).
-    pub shards: usize,
-    /// RNG seed; the stream is a pure function of the whole spec.
-    pub seed: u64,
-}
-
-impl Default for SkewSpec {
-    fn default() -> Self {
-        Self {
-            nodes: 2_000,
-            edges: 10_000,
-            predicates: 8,
-            zipf_s: 1.1,
-            hot_predicate_share: 0.6,
-            shards: 4,
-            seed: 0x5eed_5ca1e,
-        }
-    }
-}
-
-/// Generates the shard-hostile stream described by [`SkewSpec`].
-/// Deterministic: identical specs yield identical streams (tested), so
-/// benches and differential runs reproduce exactly.
-pub fn skewed_triples(spec: &SkewSpec) -> Vec<Triple> {
-    assert!(spec.nodes >= 2, "need at least two entities");
-    assert!(spec.predicates >= 1, "need at least one cold predicate");
-    let partitioner =
-        Partitioner::new(spec.shards.max(1)).expect("SkewSpec shard count out of range");
-    let name = |i: usize| format!("SkewEntity_{i}");
-    let type_of = |i: usize| format!("SkewType_{}", i % 4);
-
-    // Hostile rank order: sort the node pool by (owning shard, name) so the
-    // zipf head — the overwhelmingly popular sources — is packed into the
-    // lowest shard instead of spreading hash-uniformly.
-    let mut ranked: Vec<usize> = (0..spec.nodes).collect();
-    ranked.sort_by_key(|&i| {
-        let n = name(i);
-        (partitioner.shard_of_label(&n), n)
-    });
-
-    // Zipf CDF over the ranked pool.
-    let mut cdf = Vec::with_capacity(spec.nodes);
-    let mut total = 0.0f64;
-    for r in 0..spec.nodes {
-        total += 1.0 / ((r + 1) as f64).powf(spec.zipf_s.max(0.0));
-        cdf.push(total);
-    }
-
-    let mut rng = StdRng::seed_from_u64(spec.seed ^ SKEW_SEED_MIX);
-    let mut out = Vec::with_capacity(spec.edges);
-    for _ in 0..spec.edges {
-        let u: f64 = rng.random_range(0.0..total);
-        let rank = cdf.partition_point(|&c| c < u).min(spec.nodes - 1);
-        let src = ranked[rank];
-        // Destination: uniform, nudged off self-loops deterministically.
-        let mut dst = rng.random_range(0..spec.nodes);
-        if dst == src {
-            dst = (dst + 1) % spec.nodes;
-        }
-        let predicate = if rng.random_bool(spec.hot_predicate_share.clamp(0.0, 1.0)) {
-            "hot".to_string()
-        } else {
-            format!("p{}", rng.random_range(0..spec.predicates))
-        };
-        out.push(Triple::new(
-            &name(src),
-            &type_of(src),
-            &predicate,
-            &name(dst),
-            &type_of(dst),
-        ));
-    }
-    out
-}
-
-/// Seed-mixing constant separating the skew stream from other generators
-/// sharing a user seed.
-const SKEW_SEED_MIX: u64 = 0x000D_15C0_B010_C0DE;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::DatasetSpec;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn abbreviations_are_unique_per_country() {
@@ -365,47 +265,6 @@ mod tests {
         assert_eq!(q.complexity, 2);
         assert_eq!(q.truth.len(), ds.spec.engines_per_pair);
         assert!(q.graph.validate().is_ok());
-    }
-
-    /// Satellite contract: the skew stream is a pure function of its spec,
-    /// and it actually is shard-hostile — one shard owns a multiple of its
-    /// fair share of triples, and the hot predicate dominates.
-    #[test]
-    fn skewed_stream_is_deterministic_and_shard_hostile() {
-        let spec = SkewSpec {
-            nodes: 800,
-            edges: 6_000,
-            ..SkewSpec::default()
-        };
-        let a = skewed_triples(&spec);
-        let b = skewed_triples(&spec);
-        assert_eq!(a, b, "same spec ⇒ same stream");
-        assert_eq!(a.len(), 6_000);
-        let other = skewed_triples(&SkewSpec {
-            seed: spec.seed + 1,
-            ..spec.clone()
-        });
-        assert_ne!(a, other, "different seed ⇒ different stream");
-
-        // Hot predicate dominates, cold predicates still occur.
-        let hot = a.iter().filter(|t| t.predicate == "hot").count();
-        assert!(hot as f64 > 0.5 * a.len() as f64, "hot share {hot}");
-        assert!(a.iter().any(|t| t.predicate.starts_with('p')));
-
-        // Imbalance: route every triple by its head at the spec's shard
-        // count and measure skew (max over mean per-shard triples).
-        let partitioner = Partitioner::new(spec.shards).unwrap();
-        let mut per_shard = vec![0usize; spec.shards];
-        for t in &a {
-            per_shard[partitioner.shard_of_label(&t.head)] += 1;
-        }
-        let skew = *per_shard.iter().max().unwrap() as f64 * spec.shards as f64 / a.len() as f64;
-        assert!(
-            skew > 1.5,
-            "zipf head must pile into one shard: skew {skew:.2}, per-shard {per_shard:?}"
-        );
-        // No self loops.
-        assert!(a.iter().all(|t| t.head != t.tail));
     }
 
     /// The shared bench/loadgen mix: deterministic under a seed, skewed

@@ -11,7 +11,6 @@ use crate::vector;
 use kgraph::io::codec::{checksum64, put_str, put_u32, put_u64, Cursor};
 use kgraph::{KgError, KnowledgeGraph, PredicateId};
 use serde::{Deserialize, Serialize};
-use std::io::Write;
 use std::path::Path;
 
 /// File magic of the on-disk predicate-space format.
@@ -125,16 +124,15 @@ impl PredicateSpace {
     }
 
     /// Saves the space as a checksummed little-endian binary file
-    /// (atomically, via tmp + rename), so a trained deployment cold-starts
-    /// without re-running the embedding phase.
+    /// (atomically and durably, via [`kgraph::io::write_atomic`]), so a
+    /// trained deployment cold-starts without re-running the embedding
+    /// phase.
     ///
     /// Layout: magic `KGVSPC01`, `u32` version, then one checksummed
     /// payload — `u32` dim, `u32` predicate count, the labels
     /// (length-prefixed UTF-8) and the `f32` vectors row-major — followed
     /// by its FNV-1a 64 checksum.
     pub fn save(&self, path: impl AsRef<Path>) -> kgraph::Result<()> {
-        let path = path.as_ref();
-        let wrap = |e: std::io::Error| KgError::snapshot(path, "predicate-space", e);
         let mut payload = Vec::with_capacity(self.vectors.len() * 4 + self.labels.len() * 16);
         put_u32(&mut payload, self.dim as u32);
         put_u32(&mut payload, self.labels.len() as u32);
@@ -144,22 +142,12 @@ impl PredicateSpace {
         for v in &self.vectors {
             payload.extend_from_slice(&v.to_le_bytes());
         }
-        let tmp = path.with_extension("tmp");
-        let mut file = std::io::BufWriter::new(std::fs::File::create(&tmp).map_err(wrap)?);
-        file.write_all(SPACE_MAGIC).map_err(wrap)?;
-        let mut header = Vec::with_capacity(4);
-        put_u32(&mut header, SPACE_VERSION);
-        file.write_all(&header).map_err(wrap)?;
-        file.write_all(&payload).map_err(wrap)?;
-        let mut checksum = Vec::with_capacity(8);
-        put_u64(&mut checksum, checksum64(&payload));
-        file.write_all(&checksum).map_err(wrap)?;
-        file.into_inner()
-            .map_err(|e| KgError::snapshot(path, "predicate-space", e.to_string()))?
-            .sync_all()
-            .map_err(wrap)?;
-        std::fs::rename(&tmp, path).map_err(wrap)?;
-        Ok(())
+        let mut out = Vec::with_capacity(payload.len() + 20);
+        out.extend_from_slice(SPACE_MAGIC);
+        put_u32(&mut out, SPACE_VERSION);
+        out.extend_from_slice(&payload);
+        put_u64(&mut out, checksum64(&payload));
+        kgraph::io::write_atomic(path.as_ref(), "predicate-space", &out)
     }
 
     /// Loads a space saved by [`Self::save`]. All failures carry the path

@@ -17,7 +17,8 @@
 //! for the frame layout.
 //!
 //! All loaders wrap underlying parse failures in [`KgError::Snapshot`] so
-//! errors always carry the offending path and format.
+//! errors always carry the offending path and format. Every file a
+//! deployment rewrites whole goes through [`write_atomic`].
 
 pub mod codec;
 pub mod shard;
@@ -26,8 +27,31 @@ pub mod wal;
 use crate::error::{KgError, Result};
 use crate::graph::{GraphBuilder, KnowledgeGraph};
 use crate::triple::Triple;
+use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+
+/// Replaces the file at `path` with `bytes` atomically and durably: writes
+/// a sibling `.tmp` file, fsyncs it, renames it over `path`, then fsyncs
+/// the parent directory so the rename itself survives a crash. A reader
+/// sees the old file or the new one, never a torn mix. Errors carry `path`
+/// and `format` as a [`KgError::Snapshot`].
+pub fn write_atomic(path: &Path, format: &'static str, bytes: &[u8]) -> Result<()> {
+    let wrap = |e: std::io::Error| KgError::snapshot(path, format, e);
+    let tmp = path.with_extension("tmp");
+    let mut file = File::create(&tmp).map_err(wrap)?;
+    file.write_all(bytes)
+        .and_then(|()| file.sync_all())
+        .map_err(wrap)?;
+    std::fs::rename(&tmp, path).map_err(wrap)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| KgError::snapshot(dir, format, format!("directory fsync: {e}")))
+}
 
 /// Reads triples from a TSV reader, one per line; blank lines and lines
 /// starting with `#` are skipped.
@@ -184,6 +208,26 @@ mod tests {
         assert_eq!(back.node_count(), g.node_count());
         assert_eq!(back.edge_count(), g.edge_count());
         assert!(back.node_by_name("Volkswagen").is_some());
+    }
+
+    #[test]
+    fn write_atomic_replaces_durably_and_fails_typed() {
+        let dir = TestDir::new("io_atomic");
+        let path = dir.path("blob.bin");
+        write_atomic(&path, "test", b"first").unwrap();
+        write_atomic(&path, "test", b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        assert!(!dir.path("blob.tmp").exists(), "no tmp left behind");
+
+        // A directory cannot be replaced by a file: typed error, path named.
+        let target = dir.path("occupied");
+        std::fs::create_dir_all(target.join("child")).unwrap();
+        let err = write_atomic(&target, "test", b"x").unwrap_err();
+        assert!(
+            matches!(&err, KgError::Snapshot { path, .. } if *path == target),
+            "{err:?}"
+        );
+        assert!(target.join("child").is_dir(), "the directory is untouched");
     }
 
     #[test]

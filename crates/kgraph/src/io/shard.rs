@@ -101,53 +101,24 @@ pub fn wal_path(dir: &Path, shard: usize) -> PathBuf {
 }
 
 /// What the manifest records: the one epoch every shard file must match,
-/// and (for rebalanced layouts) the explicit bucket → shard assignment that
-/// routed the referenced file set. Readers always observe the assignment
-/// and the epoch together — the manifest flip is the single commit point
-/// for both, so a recovering process can never pair a new assignment with
-/// an old file set or vice versa.
+/// and the shard count that routed them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Epoch of the referenced snapshot file set.
     pub epoch: u64,
     /// Number of shards in the layout.
     pub shards: u32,
-    /// Explicit bucket → shard table of a rebalanced layout; `None` means
-    /// hash routing (and encodes byte-identically to the pre-rebalance
-    /// manifest format).
-    pub assignment: Option<Vec<u8>>,
 }
 
-/// Writes a small checksummed blob atomically: tmp + fsync + rename, then
-/// an fsync of the parent directory so the rename is durable.
+/// Writes a small checksummed blob through [`super::write_atomic`].
 fn write_blob_atomic(path: &Path, magic: &[u8; 8], body: &[u8]) -> Result<()> {
-    let tmp = path.with_extension("tmp");
-    let wrap = |detail: String| KgError::snapshot(path, "sharded", detail);
     let mut out = Vec::with_capacity(body.len() + 32);
     out.extend_from_slice(magic);
     put_u32(&mut out, VERSION);
     put_u64(&mut out, body.len() as u64);
     out.extend_from_slice(body);
     put_u64(&mut out, checksum64(body));
-    let file = File::create(&tmp).map_err(|e| wrap(e.to_string()))?;
-    let mut w = BufWriter::new(file);
-    w.write_all(&out).map_err(|e| wrap(e.to_string()))?;
-    w.into_inner()
-        .map_err(|e| wrap(e.to_string()))?
-        .sync_all()
-        .map_err(|e| wrap(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| wrap(e.to_string()))?;
-    sync_dir(path.parent().unwrap_or_else(|| Path::new(".")))?;
-    Ok(())
-}
-
-fn sync_dir(dir: &Path) -> Result<()> {
-    if dir.as_os_str().is_empty() {
-        return Ok(());
-    }
-    File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| KgError::snapshot(dir, "sharded", format!("directory fsync: {e}")))
+    super::write_atomic(path, "sharded", &out)
 }
 
 /// Reads a blob written by [`write_blob_atomic`], verifying magic, version
@@ -236,10 +207,6 @@ pub fn write_manifest(dir: &Path, manifest: &Manifest) -> Result<()> {
     let mut body = Vec::with_capacity(12);
     put_u64(&mut body, manifest.epoch);
     put_u32(&mut body, manifest.shards);
-    if let Some(table) = &manifest.assignment {
-        put_u32(&mut body, table.len() as u32);
-        body.extend_from_slice(table);
-    }
     write_blob_atomic(&manifest_path(dir), MANIFEST_MAGIC, &body)
 }
 
@@ -251,22 +218,10 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest> {
     let mut c = Cursor::new(&body);
     let epoch = c.u64("epoch").map_err(wrap)?;
     let shards = c.u32("shard count").map_err(wrap)?;
-    // Hash-routed manifests end here; rebalanced ones append the table.
-    let assignment = if c.remaining() == 0 {
-        None
-    } else {
-        let len = c.u32("assignment length").map_err(wrap)? as usize;
-        let table = c.take(len, "bucket assignment").map_err(wrap)?.to_vec();
-        Some(table)
-    };
     if c.remaining() != 0 {
         return Err(wrap(format!("{} trailing bytes", c.remaining())));
     }
-    Ok(Manifest {
-        epoch,
-        shards,
-        assignment,
-    })
+    Ok(Manifest { epoch, shards })
 }
 
 /// Saves `graph` as a per-shard snapshot set at `epoch` and flips the
@@ -319,14 +274,12 @@ pub fn save(
     }
 
     // The commit point: all files for `epoch` are durable, flip the
-    // coordinator. A rebalanced partitioner's assignment travels with the
-    // same flip, so the file set and its routing publish together.
+    // coordinator.
     write_manifest(
         dir,
         &Manifest {
             epoch,
             shards: k as u32,
-            assignment: partitioner.assignment().map(<[u8]>::to_vec),
         },
     )?;
 
@@ -367,10 +320,7 @@ fn parse_epoch_suffix(name: &str, prefix: &str) -> Option<u64> {
 pub fn load(dir: impl AsRef<Path>) -> Result<(KnowledgeGraph, Partitioner, u64)> {
     let dir = dir.as_ref();
     let manifest = read_manifest(dir)?;
-    let partitioner = match manifest.assignment.clone() {
-        Some(table) => Partitioner::with_assignment(manifest.shards as usize, table)?,
-        None => Partitioner::new(manifest.shards as usize)?,
-    };
+    let partitioner = Partitioner::new(manifest.shards as usize)?;
     let epoch = manifest.epoch;
 
     let meta_file = meta_path(dir, epoch);
@@ -995,7 +945,6 @@ mod tests {
             &Manifest {
                 epoch: 1,
                 shards: 3,
-                assignment: None,
             },
         )
         .unwrap();
@@ -1068,52 +1017,6 @@ mod tests {
                 WalOp::Commit { epoch: 2 },
             ]
         );
-    }
-
-    #[test]
-    fn rebalanced_manifest_roundtrips_assignment_with_the_file_set() {
-        let dir = TestDir::new("shard_rebal_manifest");
-        let g = sample();
-        // Hash-routed first: the manifest must stay in the legacy format.
-        let hash = Partitioner::new(4).unwrap();
-        save(&g, &hash, 1, dir.path("")).unwrap();
-        let m = read_manifest(&dir.path("")).unwrap();
-        assert_eq!(m.assignment, None, "legacy layout keeps legacy manifest");
-
-        // Rebalanced: assignment publishes with the same manifest flip and
-        // the loaded partitioner routes through it.
-        let rebalanced = hash.rebalanced(&vec![1u64; Partitioner::BUCKETS]).unwrap();
-        save(&g, &rebalanced, 2, dir.path("")).unwrap();
-        let m = read_manifest(&dir.path("")).unwrap();
-        assert_eq!(
-            m.assignment.as_deref(),
-            rebalanced.assignment(),
-            "assignment travels with the epoch flip"
-        );
-        let (back, p, epoch) = load(dir.path("")).unwrap();
-        assert_eq!(epoch, 2);
-        assert_eq!(p, rebalanced);
-        assert_eq!(back.edge_count(), g.edge_count());
-        for node in g.nodes() {
-            assert_eq!(
-                back.neighbors(node).collect::<Vec<_>>(),
-                g.neighbors(node).collect::<Vec<_>>(),
-                "adjacency diverged at {node} after rebalanced reload"
-            );
-        }
-
-        // A corrupt table (shard out of range) is rejected at load.
-        write_manifest(
-            &dir.path(""),
-            &Manifest {
-                epoch: 2,
-                shards: 4,
-                assignment: Some(vec![9u8; Partitioner::BUCKETS]),
-            },
-        )
-        .unwrap();
-        let err = load(dir.path("")).unwrap_err();
-        assert!(err.to_string().contains("outside"), "{err}");
     }
 
     #[test]
@@ -1231,6 +1134,28 @@ mod tests {
             std::fs::write(&path, &good).unwrap();
         }
         load(&root).expect("restored files load again");
+    }
+
+    #[test]
+    fn manifest_with_an_assignment_tail_is_refused() {
+        // Layouts once carried an optional bucket → shard table after the
+        // shard count: `len u32` then `len` shard bytes. Routing is hash
+        // only now, so such a manifest fails typed, naming the file,
+        // instead of loading slices under routing they were not cut by.
+        let dir = TestDir::new("shard_hostile_tail");
+        let root = dir.path("");
+        save(&sample(), &Partitioner::new(2).unwrap(), 1, &root).unwrap();
+        let mut body = Vec::new();
+        put_u64(&mut body, 1);
+        put_u32(&mut body, 2);
+        put_u32(&mut body, 512);
+        body.extend((0..512u32).map(|b| (b % 2) as u8));
+        write_blob_atomic(&manifest_path(&root), MANIFEST_MAGIC, &body).unwrap();
+        let err = load(&root).unwrap_err();
+        assert!(matches!(err, KgError::Snapshot { .. }), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains(MANIFEST_FILE), "{msg}");
+        assert!(msg.contains("516 trailing bytes"), "{msg}");
     }
 
     #[test]

@@ -593,115 +593,27 @@ impl VersionedGraph {
         Ok((store, report))
     }
 
-    /// Checkpoints the store: compacts the overlay (implying a commit of
-    /// staged changes), writes the per-shard snapshot set + meta file,
-    /// flips the epoch manifest (the single coordinator — all shards become
-    /// visible at one epoch or not at all), and truncates every shard WAL —
-    /// the snapshot set now owns all history, so cold start is one
-    /// snapshot-set load plus empty logs. Runs under the writer lock as one
-    /// atomic step; readers keep answering from pinned snapshots.
+    /// Checkpoints the store into the deployment its log is attached to:
+    /// compacts the overlay (implying a commit of staged changes), writes
+    /// the per-shard snapshot set + meta file, flips the epoch manifest
+    /// (the single coordinator — all shards become visible at one epoch or
+    /// not at all), and truncates every shard WAL — the snapshot set now
+    /// owns all history, so cold start is one snapshot-set load plus empty
+    /// logs. Runs under the writer lock as one atomic step; readers keep
+    /// answering from pinned snapshots.
     ///
     /// Crash safety at every point: before the manifest flip the old
     /// snapshot set + full logs recover; after it the new set recovers and
     /// [`Self::recover`] skips the stale log prefix; after
     /// truncation the logs are simply empty.
     ///
-    /// Fails (without truncating) if a previous WAL write already failed —
-    /// the logs can be missing committed ops, and the snapshot set alone
-    /// must not be trusted to include them either, so the error is surfaced
-    /// instead.
-    pub fn checkpoint(
-        &self,
-        dir: impl AsRef<Path>,
-        partitioner: Partitioner,
-    ) -> Result<GraphSnapshot> {
-        let dir = dir.as_ref();
+    /// Fails with [`KgError::Shard`] on a store with no attached log, and
+    /// (without truncating) with [`KgError::Wal`] if a previous WAL write
+    /// already failed — the logs can be missing committed ops, and the
+    /// snapshot set alone must not be trusted to include them either, so
+    /// the error is surfaced instead.
+    pub fn checkpoint(&self) -> Result<GraphSnapshot> {
         let mut state = self.state.lock().unwrap();
-        Self::checkpoint_guard(&state)?;
-        // The snapshot set must land where the logs live, partitioned the
-        // way the logs route — otherwise the next recovery reads a manifest
-        // that disagrees with (or cannot even find) the WAL set, and
-        // durably committed ops vanish silently.
-        if let Some(w) = state.wal.as_ref() {
-            let wal_partitioner = w.partitioner();
-            if w.dir() != dir || wal_partitioner != partitioner {
-                return Err(KgError::Shard(format!(
-                    "checkpoint targets {} at {} shards but the attached logs live in {} at \
-                     {} shards — refusing to split the deployment",
-                    dir.display(),
-                    partitioner.shards(),
-                    w.dir().display(),
-                    wal_partitioner.shards(),
-                )));
-            }
-        }
-        let snapshot = self.compact_locked(&mut state);
-        crate::io::shard::save(snapshot.base(), &partitioner, snapshot.epoch(), dir)?;
-        Self::recreate_wal(&mut state, partitioner, "checkpoint")?;
-        Ok(snapshot)
-    }
-
-    /// The partitioner the attached sharded WAL routes by, `None` when no
-    /// sharded log is attached. This is the authoritative live assignment:
-    /// [`Self::rebalance`] swaps it together with the manifest flip,
-    /// so callers that cache a copy must refresh it on every epoch change.
-    pub fn partitioner(&self) -> Option<Partitioner> {
-        let state = self.state.lock().unwrap();
-        state.wal.as_ref().map(ShardedWalWriter::partitioner)
-    }
-
-    /// Re-partitions a sharded deployment in place: compacts (implying a
-    /// commit of staged changes), writes the snapshot set sliced by
-    /// `new_partitioner`, flips the epoch manifest (the commit point — the
-    /// new assignment and the new epoch become visible together or not at
-    /// all), and truncates + re-attaches the shard WALs routing by the new
-    /// assignment. Readers keep answering from pinned snapshots and never
-    /// observe a mixed assignment; the rebalance always publishes a fresh
-    /// epoch, which is the invalidation signal for every epoch-keyed cache
-    /// above this layer.
-    ///
-    /// Crash safety mirrors [`Self::checkpoint`]: before the
-    /// manifest flip the old manifest + old logs recover the pre-rebalance
-    /// store (the compact marker replays, preserving content); after the
-    /// flip the new snapshot set recovers and replay skips the stale WAL
-    /// prefix — WAL replay merges by global sequence number, so how the
-    /// leftover records were routed is irrelevant. The shard *count* must
-    /// be unchanged: growing or shrinking the fleet is a deployment change,
-    /// not a rebalance.
-    pub fn rebalance(
-        &self,
-        dir: impl AsRef<Path>,
-        new_partitioner: Partitioner,
-    ) -> Result<GraphSnapshot> {
-        let dir = dir.as_ref();
-        let mut state = self.state.lock().unwrap();
-        Self::checkpoint_guard(&state)?;
-        if let Some(w) = state.wal.as_ref() {
-            let wal_shards = w.partitioner().shards();
-            if w.dir() != dir || wal_shards != new_partitioner.shards() {
-                return Err(KgError::Shard(format!(
-                    "rebalance targets {} at {} shards but the attached logs live in {} at \
-                     {} shards — refusing to split the deployment",
-                    dir.display(),
-                    new_partitioner.shards(),
-                    w.dir().display(),
-                    wal_shards,
-                )));
-            }
-        }
-        // Force an epoch bump even when nothing is staged: the new epoch is
-        // what invalidates plan caches, answer caches, and shard gauges
-        // keyed on the old assignment.
-        state.dirty = true;
-        let snapshot = self.compact_locked(&mut state);
-        crate::io::shard::save(snapshot.base(), &new_partitioner, snapshot.epoch(), dir)?;
-        // The fresh logs route by the new assignment.
-        Self::recreate_wal(&mut state, new_partitioner, "rebalance")?;
-        Ok(snapshot)
-    }
-
-    /// Shared checkpoint precondition: a healthy WAL.
-    fn checkpoint_guard(state: &WriterState) -> Result<()> {
         if let Some(detail) = &state.wal_error {
             let path = state
                 .wal
@@ -713,24 +625,18 @@ impl VersionedGraph {
                 format!("unhealthy, refusing checkpoint: {detail}"),
             ));
         }
-        Ok(())
-    }
-
-    /// Replaces the attached logs with fresh (empty) ones routing by
-    /// `partitioner`, after the snapshot set published; failures are
-    /// sticky so the store stops claiming durability it no longer has.
-    fn recreate_wal(state: &mut WriterState, partitioner: Partitioner, what: &str) -> Result<()> {
-        let Some(w) = state.wal.take() else {
-            return Ok(());
+        let Some(w) = state.wal.as_ref() else {
+            return Err(KgError::Shard(
+                "checkpoint needs an attached log (recover the store from its deployment)".into(),
+            ));
         };
-        let dir = w.dir().to_path_buf();
+        let (dir, partitioner) = (w.dir().to_path_buf(), w.partitioner());
+        let snapshot = self.compact_locked(&mut state);
+        crate::io::shard::save(snapshot.base(), &partitioner, snapshot.epoch(), &dir)?;
         // Drop (flushing) the old writer before `create` truncates its files.
-        drop(w);
+        drop(state.wal.take());
         match ShardedWalWriter::create(dir, partitioner) {
-            Ok(fresh) => {
-                state.wal = Some(fresh);
-                Ok(())
-            }
+            Ok(fresh) => state.wal = Some(fresh),
             Err(e) => {
                 // The old writer is gone and no fresh log exists: the store
                 // is no longer durable. Record that stickily so
@@ -739,10 +645,11 @@ impl VersionedGraph {
                 // with wal_healthy still true.
                 let _ = state
                     .wal_error
-                    .get_or_insert_with(|| format!("{what} could not recreate logs: {e}"));
-                Err(e)
+                    .get_or_insert_with(|| format!("checkpoint could not recreate logs: {e}"));
+                return Err(e);
             }
         }
+        Ok(snapshot)
     }
 
     /// Resolves a predicate label against the *staged* vocabulary (base +
@@ -1215,7 +1122,7 @@ mod tests {
             ("Germany", "Country"),
         );
         v.commit();
-        let checkpointed = v.checkpoint(&root, Partitioner::new(1).unwrap()).unwrap();
+        let checkpointed = v.checkpoint().unwrap();
         assert!(checkpointed.is_compacted());
         let wal_after = crate::io::shard::read_wal(&root, 1).unwrap();
         assert!(wal_after.ops.is_empty(), "checkpoint truncates the log");
@@ -1254,7 +1161,7 @@ mod tests {
             ("Germany", "Country"),
         );
         assert!(v.stats().staged);
-        let checkpointed = v.checkpoint(&root, Partitioner::new(1).unwrap()).unwrap();
+        let checkpointed = v.checkpoint().unwrap();
         assert_eq!(checkpointed.epoch(), 2, "staged resurrect must commit");
         assert_eq!(checkpointed.edge_count(), 3);
         assert_eq!(
@@ -1384,7 +1291,7 @@ mod tests {
         v.commit();
         v.insert_triple(("Peter", "Person"), "designer", ("KIA_K5", "Automobile"));
         v.compact();
-        let checkpointed = v.checkpoint(&root, p.clone()).unwrap();
+        let checkpointed = v.checkpoint().unwrap();
         assert_eq!(checkpointed.epoch(), 2);
         assert_eq!(
             crate::io::shard::read_manifest(&root).unwrap().epoch,
@@ -1425,86 +1332,13 @@ mod tests {
             );
         }
 
-        // Layout guards: a checkpoint aimed at a different directory or
-        // shard count than the attached logs refuses to split the
-        // deployment.
-        let err = recovered
-            .checkpoint(&root, Partitioner::new(2).unwrap())
-            .unwrap_err();
-        assert!(err.to_string().contains("refusing to split"), "{err}");
-        let err = recovered.checkpoint(dir.path("elsewhere"), p).unwrap_err();
-        assert!(err.to_string().contains("refusing to split"), "{err}");
-    }
-
-    /// Rebalancing a sharded deployment re-slices the snapshot set under a
-    /// new assignment without changing a single answer-visible bit relative
-    /// to a plain compaction at the same point: node ids, edge ids,
-    /// adjacency order, and epochs all match a twin in-memory store that
-    /// never sharded anything — including through a crash that leaves an
-    /// uncommitted tail in the new logs.
-    #[test]
-    fn sharded_rebalance_preserves_fingerprint_across_recovery() {
-        let dir = TestDir::new("versioned_rebalance");
-        let root = dir.path("dep");
-        let p = Partitioner::new(4).unwrap();
-        crate::io::shard::save(&base_graph(), &p, 0, &root).unwrap();
-        let (loaded, _, epoch) = crate::io::shard::load(&root).unwrap();
-        let (v, _) = VersionedGraph::recover(loaded, epoch, &root, p.clone()).unwrap();
-        assert_eq!(v.partitioner(), Some(p.clone()));
-        // The twin sees the same ops; where the primary rebalances, the
-        // twin compacts — the answer-visible effect must be identical.
-        let twin = VersionedGraph::new(base_graph());
-
-        for store in [&v, &twin] {
-            store.insert_triple(("Peter", "Person"), "designer", ("KIA_K5", "Automobile"));
-            store.delete_triple("Audi_TT", "export", "Korea");
-            store.commit();
-        }
-        let before = v.snapshot();
-
-        // Derive a deliberately different assignment and migrate to it.
-        let weights = crate::shard::bucket_weights(&before);
-        let rebalanced = p.rebalanced(&weights).unwrap();
-        assert_ne!(rebalanced, p, "plan must actually move buckets");
-        let published = v.rebalance(&root, rebalanced.clone()).unwrap();
-        twin.compact();
-        assert_eq!(
-            published.epoch(),
-            before.epoch() + 1,
-            "rebalance bumps the epoch"
-        );
-        assert_eq!(v.partitioner(), Some(rebalanced.clone()));
-        let manifest = crate::io::shard::read_manifest(&root).unwrap();
-        assert_eq!(manifest.epoch, published.epoch());
-        assert_eq!(manifest.assignment.as_deref(), rebalanced.assignment());
-        assert_eq!(fingerprint(&published), fingerprint(&twin.snapshot()));
-
-        // Keep writing under the new assignment, then crash with a staged
-        // tail; recovery must come back bit-identical on the new layout.
-        for store in [&v, &twin] {
-            store.insert_triple(
-                ("Lamando", "Automobile"),
-                "assembly",
-                ("Germany", "Country"),
-            );
-            store.commit();
-        }
-        v.insert_triple(("Ghost", "Automobile"), "assembly", ("Germany", "Country"));
-        let reference = v.snapshot();
-        assert_eq!(fingerprint(&reference), fingerprint(&twin.snapshot()));
-        drop(v);
-        let (loaded, p2, epoch) = crate::io::shard::load(&root).unwrap();
-        assert_eq!((epoch, &p2), (published.epoch(), &rebalanced));
-        let (back, report) = VersionedGraph::recover(loaded, epoch, &root, p2.clone()).unwrap();
-        assert_eq!(report.discarded_ops, 1, "Ghost never committed");
-        assert_eq!(back.epoch(), reference.epoch());
-        assert_eq!(fingerprint(&back.snapshot()), fingerprint(&reference));
-
-        // Changing the shard count is not a rebalance.
-        let err = back
-            .rebalance(&root, Partitioner::new(2).unwrap())
-            .unwrap_err();
-        assert!(err.to_string().contains("refusing to split"), "{err}");
+        // The recovered store checkpoints into the deployment its logs
+        // live in; a store with no attached log has nowhere to write.
+        assert_eq!(recovered.checkpoint().unwrap().epoch(), 4);
+        assert_eq!(crate::io::shard::read_manifest(&root).unwrap().epoch, 4);
+        let err = VersionedGraph::new(base_graph()).checkpoint().unwrap_err();
+        assert!(matches!(err, KgError::Shard(_)), "{err:?}");
+        assert!(err.to_string().contains("attached log"), "{err}");
     }
 
     proptest! {

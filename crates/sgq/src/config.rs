@@ -211,42 +211,6 @@ impl SchedConfig {
     }
 }
 
-/// Parameters of the skew-driven rebalance controller
-/// ([`crate::rebalance::Rebalancer`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RebalanceConfig {
-    /// `shard_skew()` level (heaviest shard ÷ ideal share; 1.0 = perfectly
-    /// level) at or above which an observation counts as skewed.
-    pub skew_threshold: f64,
-    /// Consecutive skewed observations required before a rebalance fires.
-    /// Counted in observations, not wall-clock time, so the controller
-    /// stays deterministic; `0` behaves like `1`.
-    pub window: u32,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        Self {
-            skew_threshold: 1.5,
-            window: 3,
-        }
-    }
-}
-
-impl RebalanceConfig {
-    /// Validates parameter consistency.
-    pub fn validate(&self) -> Result<(), crate::error::SgqError> {
-        use crate::error::SgqError::InvalidConfig;
-        if !self.skew_threshold.is_finite() || self.skew_threshold < 1.0 {
-            return Err(InvalidConfig(format!(
-                "skew_threshold must be a finite value ≥ 1.0, got {}",
-                self.skew_threshold
-            )));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,23 +315,6 @@ mod tests {
                 .contains("missing field `answer_cache_capacity`"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn rebalance_config_validation() {
-        assert!(RebalanceConfig::default().validate().is_ok());
-        assert!(RebalanceConfig {
-            skew_threshold: 0.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(RebalanceConfig {
-            skew_threshold: f64::NAN,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]

@@ -84,7 +84,6 @@ pub mod error;
 pub mod live;
 pub mod pss;
 pub mod query;
-pub mod rebalance;
 pub mod runtime;
 pub mod sched;
 pub mod semgraph;
@@ -96,16 +95,15 @@ pub mod trace;
 pub use obs;
 
 pub use answer::{FinalMatch, QueryResult, QueryStats, SubMatch};
-pub use config::{PivotStrategy, RebalanceConfig, ScanMode, SchedConfig, SgqConfig};
+pub use config::{PivotStrategy, ScanMode, SchedConfig, SgqConfig};
 pub use decompose::{Decomposition, SubQuery};
 pub use engine::{PreparedQuery, SgqEngine};
 pub use error::{Result, SgqError};
 pub use live::{
-    CheckpointReport, EpochEngine, LivePreparedQuery, LiveQueryService, RebalanceReport,
-    ShardedDeployment, LIBRARY_FILE, SPACE_FILE,
+    CheckpointReport, EpochEngine, LivePreparedQuery, LiveQueryService, ShardedDeployment,
+    LIBRARY_FILE, SPACE_FILE,
 };
 pub use query::{QEdgeId, QNodeId, QueryEdge, QueryGraph, QueryNode, QueryNodeKind};
-pub use rebalance::Rebalancer;
 pub use runtime::WorkerPool;
 pub use sched::{
     BatchScheduler, Priority, QueryParams, SchedBackend, SchedHandle, SchedOutcome, SchedResponse,

@@ -103,17 +103,12 @@ pub struct LiveQueryService<'a> {
     trace_tick: AtomicU64,
     refreshes: Counter,
     checkpoints: Counter,
-    rebalances: Counter,
     /// Deployment directory when built via [`ShardedDeployment::service`];
-    /// enables [`Self::checkpoint`] and [`Self::rebalance`]. No partitioner
-    /// is stored alongside it: the authoritative assignment lives with the
-    /// attached shard WALs ([`VersionedGraph::partitioner`]), so a
-    /// rebalance swaps it in one place and no stale copy survives here.
+    /// enables [`Self::checkpoint`].
     durable: Option<PathBuf>,
-    /// Per-epoch cache of the sharded layout's heaviest-shard triple count
-    /// (`(epoch, max_shard_edges)`), so [`Self::stats`] pays the O(m)
-    /// ownership scan once per adopted epoch, not per call.
-    shard_gauge_cache: Mutex<Option<(u64, u64)>>,
+    /// Storage shards behind the store: the deployment's shard count, 1
+    /// for an in-memory store.
+    shards: usize,
 }
 
 impl<'a> LiveQueryService<'a> {
@@ -125,7 +120,7 @@ impl<'a> LiveQueryService<'a> {
         library: &'a TransformationLibrary,
         config: SgqConfig,
     ) -> Self {
-        Self::with_durable(versioned, space, library, config, None)
+        Self::with_durable(versioned, space, library, config, None, 1)
     }
 
     fn with_durable(
@@ -134,6 +129,7 @@ impl<'a> LiveQueryService<'a> {
         library: &'a TransformationLibrary,
         config: SgqConfig,
         durable: Option<PathBuf>,
+        shards: usize,
     ) -> Self {
         let sim_index = Arc::new(SimilarityIndex::with_transform(space, weight_transform));
         let pool = SgqEngine::<GraphSnapshot>::default_pool(&config);
@@ -157,10 +153,6 @@ impl<'a> LiveQueryService<'a> {
             "sgq_checkpoints_total",
             "snapshot checkpoints written back to the deployment directory",
         );
-        let rebalances = registry.counter(
-            "sgq_rebalances_total",
-            "shard rebalances migrated through the epoch manifest",
-        );
         Self {
             versioned,
             space,
@@ -178,9 +170,8 @@ impl<'a> LiveQueryService<'a> {
             trace_tick: AtomicU64::new(0),
             refreshes,
             checkpoints,
-            rebalances,
             durable,
-            shard_gauge_cache: Mutex::new(None),
+            shards,
         }
     }
 
@@ -430,57 +421,20 @@ impl<'a> LiveQueryService<'a> {
         )
     }
 
-    /// Aggregated counters, including the live epoch/delta gauges.
-    ///
-    /// An in-memory store reports one shard holding every triple. On a
-    /// [`ShardedDeployment`]-backed service the shard gauges reflect
-    /// the **durable layout**: the epoch snapshot the engine queries is the
-    /// monolithic overlay view (live execution shards the on-disk layer,
-    /// not the in-memory epoch view), so the ownership split is computed
-    /// from the deployment's partitioner — once per adopted epoch, cached.
+    /// Aggregated counters, including the live epoch/delta gauges and the
+    /// shard count of the durable layout (1 for an in-memory store).
     pub fn stats(&self) -> ServiceStats {
         let engine = self.current.read().unwrap().clone();
         let snapshot = engine.graph();
-        let graph_edges = snapshot.edge_count() as u64;
-        let mut stats = ServiceStats {
+        ServiceStats {
             epoch: snapshot.epoch(),
             engine_refreshes: self.refreshes.get(),
             delta_edges: snapshot.delta_added_edges() as u64,
             delta_tombstones: snapshot.tombstone_count() as u64,
-            shard_count: 1,
-            graph_edges,
-            max_shard_edges: graph_edges,
+            shard_count: self.shards as u64,
+            graph_edges: snapshot.edge_count() as u64,
             ..self.counters.snapshot()
-        };
-        if self.durable.is_some() {
-            if let Some(partitioner) = self.versioned.partitioner() {
-                stats.shard_count = partitioner.shards() as u64;
-                let epoch = snapshot.epoch();
-                let mut cache = self.shard_gauge_cache.lock().unwrap();
-                stats.max_shard_edges = match *cache {
-                    Some((cached_epoch, max)) if cached_epoch == epoch => max,
-                    _ => {
-                        let max = Self::max_shard_edges(snapshot, &partitioner);
-                        *cache = Some((epoch, max));
-                        max
-                    }
-                };
-            }
         }
-        stats
-    }
-
-    /// The heaviest shard's triple count under `partitioner` — one O(m)
-    /// ownership scan over the snapshot.
-    fn max_shard_edges(snapshot: &GraphSnapshot, partitioner: &Partitioner) -> u64 {
-        let mut counts = vec![0u64; partitioner.shards()];
-        for (_, rec) in snapshot.edges() {
-            let shard = partitioner.shard_of_label(snapshot.node_name(rec.src));
-            if let Some(c) = counts.get_mut(shard) {
-                *c += 1;
-            }
-        }
-        counts.into_iter().max().unwrap_or(0)
     }
 
     /// Similarity-row cache counters of the shared cross-epoch index.
@@ -524,13 +478,12 @@ impl<'a> LiveQueryService<'a> {
                     .into(),
             )
         })?;
-        let partitioner = self.partitioner()?;
-        let snapshot = self.versioned.checkpoint(dir, partitioner.clone())?;
+        let snapshot = self.versioned.checkpoint()?;
         let epoch = snapshot.epoch();
         let mut snapshot_bytes = std::fs::metadata(kgraph::io::shard::meta_path(dir, epoch))
             .map(|m| m.len())
             .unwrap_or(0);
-        for shard in 0..partitioner.shards() {
+        for shard in 0..self.shards {
             snapshot_bytes +=
                 std::fs::metadata(kgraph::io::shard::shard_snapshot_path(dir, shard, epoch))
                     .map(|m| m.len())
@@ -555,124 +508,6 @@ impl<'a> LiveQueryService<'a> {
             edges: snapshot.edge_count(),
             snapshot_bytes,
         })
-    }
-
-    /// The current durable-layout partitioner of a sharded deployment.
-    fn partitioner(&self) -> Result<Partitioner> {
-        self.versioned.partitioner().ok_or_else(|| {
-            SgqError::Storage(
-                "service has no sharded deployment (build it via ShardedDeployment::service)"
-                    .into(),
-            )
-        })
-    }
-
-    /// Re-partitions the sharded deployment to level the observed edge
-    /// skew: derives a fresh assignment from the published snapshot's
-    /// per-bucket edge counts ([`Partitioner::rebalanced`] — greedy
-    /// longest-processing-time packing of the 512 source-label groups),
-    /// then migrates through [`VersionedGraph::rebalance`]: one
-    /// compaction, a snapshot set sliced by the new assignment, and a
-    /// manifest flip as the single commit point. Readers keep answering
-    /// from pinned epochs throughout and never observe a mixed assignment;
-    /// the published epoch always bumps, which invalidates every
-    /// epoch-keyed cache (plan cache, answer cache, shard gauges).
-    ///
-    /// Answers are bit-identical before and after: the assignment only
-    /// decides which file/log a triple lives in, never its ids or
-    /// adjacency order (the rebalance differential proves this through a
-    /// crash cycle). Run it from a maintenance thread — writers stall for
-    /// the compaction, like [`Self::checkpoint`].
-    pub fn rebalance(&self) -> Result<RebalanceReport> {
-        let Some(dir) = &self.durable else {
-            return Err(SgqError::Storage(
-                "service has no sharded deployment (build it via ShardedDeployment::service)"
-                    .into(),
-            ));
-        };
-        let old = self.partitioner()?;
-        let snapshot = self.versioned.snapshot();
-        let weights = kgraph::shard::bucket_weights(&snapshot);
-        let new = old.rebalanced(&weights)?;
-        let max_before = Self::max_shard_edges(&snapshot, &old);
-        let published = self.versioned.rebalance(dir, new.clone())?;
-        let max_after = Self::max_shard_edges(&published, &new);
-        let moved_buckets = match (old.assignment(), new.assignment()) {
-            (Some(a), Some(b)) => a.iter().zip(b).filter(|(x, y)| x != y).count(),
-            // The hash-routed layout has no table; count buckets leaving
-            // their hash-implied shard. Exact whenever the shard count
-            // divides the bucket count (every power of two up to
-            // MAX_SHARDS), an approximation otherwise.
-            _ => new
-                .assignment()
-                .map(|table| {
-                    table
-                        .iter()
-                        .enumerate()
-                        .filter(|&(bucket, &shard)| bucket % new.shards() != usize::from(shard))
-                        .count()
-                })
-                .unwrap_or(0),
-        };
-        self.rebalances.inc();
-        self.registry
-            .gauge(
-                "sgq_rebalance_epoch",
-                "epoch published by the most recent shard rebalance",
-            )
-            .set(published.epoch() as i64);
-        Ok(RebalanceReport {
-            epoch: published.epoch(),
-            shard_count: new.shards(),
-            moved_buckets,
-            graph_edges: published.edge_count() as u64,
-            max_shard_edges_before: max_before,
-            max_shard_edges_after: max_after,
-        })
-    }
-}
-
-/// What [`LiveQueryService::rebalance`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebalanceReport {
-    /// The epoch the rebalanced layout published at.
-    pub epoch: u64,
-    /// Shards in the layout (unchanged by a rebalance).
-    pub shard_count: usize,
-    /// Source-label buckets whose owning shard changed.
-    pub moved_buckets: usize,
-    /// Live edges at the published epoch.
-    pub graph_edges: u64,
-    /// Heaviest shard's edge count under the old assignment.
-    pub max_shard_edges_before: u64,
-    /// Heaviest shard's edge count under the new assignment.
-    pub max_shard_edges_after: u64,
-}
-
-impl RebalanceReport {
-    /// Skew under the old assignment: heaviest shard ÷ ideal share.
-    pub fn skew_before(&self) -> f64 {
-        Self::skew(
-            self.max_shard_edges_before,
-            self.shard_count,
-            self.graph_edges,
-        )
-    }
-
-    /// Skew under the new assignment.
-    pub fn skew_after(&self) -> f64 {
-        Self::skew(
-            self.max_shard_edges_after,
-            self.shard_count,
-            self.graph_edges,
-        )
-    }
-
-    fn skew(max: u64, shards: usize, edges: u64) -> f64 {
-        if edges == 0 {
-            return 1.0;
-        }
-        (max * shards as u64) as f64 / edges as f64
     }
 }
 
@@ -707,11 +542,10 @@ pub struct CheckpointReport {
 /// torn tails from a crash mid-append.
 ///
 /// Scope: sharding is a property of the **durable layer** only —
-/// snapshots, WALs, checkpointing, recovery, rebalancing. Every query runs
-/// one A\* search per sub-query over the monolithic base ∪ overlay epoch
-/// view, whatever the shard count on disk; [`LiveQueryService::stats`]
-/// reports the deployment's shard gauges (`shard_count`, `max_shard_edges`,
-/// [`ServiceStats::shard_skew`]) from the durable partitioner.
+/// snapshots, WALs, checkpointing, recovery. Every query runs one A\*
+/// search per sub-query over the monolithic base ∪ overlay epoch view,
+/// whatever the shard count on disk; [`LiveQueryService::stats`] reports
+/// the shard count.
 ///
 /// Writes go through [`ShardedDeployment::versioned`] exactly as for an
 /// in-memory store and route to the shard WAL of the triple's source-node
@@ -727,7 +561,7 @@ pub struct ShardedDeployment {
     space: PredicateSpace,
     library: TransformationLibrary,
     versioned: Arc<VersionedGraph>,
-    partitioner: Partitioner,
+    shards: usize,
     recovery: RecoveryReport,
 }
 
@@ -735,7 +569,7 @@ impl std::fmt::Debug for ShardedDeployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedDeployment")
             .field("dir", &self.dir)
-            .field("shards", &self.partitioner.shards())
+            .field("shards", &self.shards)
             .field("predicates", &self.space.len())
             .field("recovery", &self.recovery)
             .field("store", &self.versioned.stats())
@@ -774,22 +608,22 @@ impl ShardedDeployment {
                 dir.display()
             )));
         }
-        // The manifest is written LAST (inside `io::shard::save`): a crash
-        // mid-create leaves either a retryable manifest-less directory or
-        // a complete, openable deployment.
+        // The manifest is written LAST (inside `io::shard::save`), after
+        // the space and library are durable: a crash mid-create leaves
+        // either a retryable manifest-less directory or a complete,
+        // openable deployment.
         space.save(dir.join(SPACE_FILE))?;
-        let library_file = std::fs::File::create(dir.join(LIBRARY_FILE))
-            .map_err(|e| SgqError::Storage(format!("create {LIBRARY_FILE}: {e}")))?;
-        serde_json::to_writer(std::io::BufWriter::new(library_file), &library)
-            .map_err(|e| SgqError::Storage(format!("write {LIBRARY_FILE}: {e}")))?;
+        let library_json = serde_json::to_string(&library)
+            .map_err(|e| SgqError::Storage(format!("encode {LIBRARY_FILE}: {e}")))?;
+        kgraph::io::write_atomic(&dir.join(LIBRARY_FILE), "json", library_json.as_bytes())?;
         kgraph::io::shard::save(&graph, &partitioner, 0, &dir)?;
-        let (versioned, recovery) = VersionedGraph::recover(graph, 0, &dir, partitioner.clone())?;
+        let (versioned, recovery) = VersionedGraph::recover(graph, 0, &dir, partitioner)?;
         Ok(Self {
             dir,
             space,
             library,
             versioned: Arc::new(versioned),
-            partitioner,
+            shards,
             recovery,
         })
     }
@@ -810,14 +644,14 @@ impl ShardedDeployment {
             serde_json::from_reader(std::io::BufReader::new(library_file))
                 .map_err(|e| SgqError::Storage(format!("parse {}: {e}", library_path.display())))?;
         let (base, partitioner, epoch) = kgraph::io::shard::load(&dir)?;
-        let (versioned, recovery) =
-            VersionedGraph::recover(base, epoch, &dir, partitioner.clone())?;
+        let shards = partitioner.shards();
+        let (versioned, recovery) = VersionedGraph::recover(base, epoch, &dir, partitioner)?;
         Ok(Self {
             dir,
             space,
             library,
             versioned: Arc::new(versioned),
-            partitioner,
+            shards,
             recovery,
         })
     }
@@ -832,6 +666,7 @@ impl ShardedDeployment {
             &self.library,
             config,
             Some(self.dir.clone()),
+            self.shards,
         );
         service.record_boot(&self.recovery);
         service
@@ -852,18 +687,9 @@ impl ShardedDeployment {
         &self.library
     }
 
-    /// The layout's **current** partitioner: the one the attached shard
-    /// logs route by, which a [`LiveQueryService::rebalance`] may have
-    /// swapped since this deployment was opened.
-    pub fn partitioner(&self) -> Partitioner {
-        self.versioned
-            .partitioner()
-            .unwrap_or_else(|| self.partitioner.clone())
-    }
-
     /// Number of shards in the layout.
     pub fn shards(&self) -> usize {
-        self.partitioner.shards()
+        self.shards
     }
 
     /// What recovery found in the shard WALs when this deployment was
@@ -1146,14 +972,12 @@ mod tests {
             let recovered = service.query(&product_query()).unwrap();
             assert_eq!(recovered.matches, live_answers.matches, "bit-identical");
             assert!(service.pin().graph().node_by_name("Ghost").is_none());
-            // The shard gauges reflect the durable layout, not the
-            // (monolithic) epoch view the engine queries.
+            // The shard count is the durable layout's, not the
+            // (monolithic) epoch view's the engine queries.
             let stats = service.stats();
             assert_eq!(stats.shard_count, shards as u64);
             // 2 base edges + Lamando insert − Audi_TT delete = 2 live edges.
             assert_eq!(stats.graph_edges, 2);
-            assert!(stats.max_shard_edges >= 1 && stats.max_shard_edges <= 2);
-            assert!(stats.shard_skew() >= 1.0);
 
             // Checkpoint: compaction + per-shard snapshot set + manifest flip.
             let report = service.checkpoint().unwrap();

@@ -45,11 +45,7 @@ pub struct ServiceStats {
     /// Storage shards behind the graph the service answers from (1 for
     /// monolithic stores).
     pub shard_count: u64,
-    /// Triples owned by the heaviest shard (equals `graph_edges` when
-    /// monolithic).
-    pub max_shard_edges: u64,
-    /// Total live triples in the served graph (the denominator of
-    /// [`ServiceStats::shard_skew`]).
+    /// Total live triples in the served graph.
     pub graph_edges: u64,
     /// Median per-query latency (µs) over completed queries, from the
     /// registry histogram (bucket-upper-bound semantics, ≤ 1/32 relative
@@ -86,17 +82,6 @@ impl ServiceStats {
         } else {
             self.total_elapsed_us as f64 / self.completed() as f64
         }
-    }
-
-    /// Shard imbalance of the durable layout as max/mean owned-triple
-    /// count — the gauge [`crate::rebalance::Rebalancer`] watches. 1.0
-    /// means balanced (or a single shard); `shard_count` means one shard
-    /// owns every triple, so its snapshot slice and WAL take every write.
-    pub fn shard_skew(&self) -> f64 {
-        if self.shard_count <= 1 || self.graph_edges == 0 {
-            return 1.0;
-        }
-        (self.max_shard_edges * self.shard_count) as f64 / self.graph_edges as f64
     }
 }
 
@@ -247,7 +232,6 @@ pub(crate) struct ServiceGauges {
     epoch: Gauge,
     shard_count: Gauge,
     graph_edges: Gauge,
-    max_shard_edges: Gauge,
     delta_edges: Gauge,
     delta_tombstones: Gauge,
 }
@@ -262,8 +246,6 @@ impl ServiceGauges {
             ),
             shard_count: registry.gauge("sgq_shard_count", "storage shards behind the service"),
             graph_edges: registry.gauge("sgq_graph_edges", "live triples in the served graph"),
-            max_shard_edges: registry
-                .gauge("sgq_max_shard_edges", "triples owned by the heaviest shard"),
             delta_edges: registry.gauge(
                 "sgq_delta_edges",
                 "edges the current snapshot's delta overlay adds on top of its base CSR",
@@ -280,7 +262,6 @@ impl ServiceGauges {
         self.epoch.set(stats.epoch as i64);
         self.shard_count.set(stats.shard_count as i64);
         self.graph_edges.set(stats.graph_edges as i64);
-        self.max_shard_edges.set(stats.max_shard_edges as i64);
         self.delta_edges.set(stats.delta_edges as i64);
         self.delta_tombstones.set(stats.delta_tombstones as i64);
     }
@@ -396,16 +377,13 @@ mod tests {
         assert_eq!(failing.stats().mean_latency_us(), 0.0);
     }
 
-    /// An in-memory store is one shard: the imbalance gauges report the
-    /// whole graph on it and a skew of exactly 1.
+    /// An in-memory store is one shard holding the whole graph.
     #[test]
-    fn in_memory_store_reports_monolithic_shard_gauges() {
+    fn in_memory_store_reports_one_shard() {
         let (g, space, lib) = fixture();
         let stats = idle_service(&g, &space, &lib, config()).stats();
         assert_eq!(stats.shard_count, 1);
         assert_eq!(stats.graph_edges, 2);
-        assert_eq!(stats.max_shard_edges, 2);
-        assert_eq!(stats.shard_skew(), 1.0);
     }
 
     /// [`ServiceStats`] percentiles come straight from the registry's

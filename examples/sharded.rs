@@ -1,14 +1,14 @@
 //! The sharded durable deployment end to end: per-shard snapshots and
 //! WALs under one epoch manifest, live commits, a checkpoint, a crash and
-//! recovery, with the deployment's shard gauges.
+//! recovery.
 //!
 //! ```text
 //! cargo run --release --example sharded
 //! ```
 //!
 //! Stands up a 4-shard `ShardedDeployment`, commits live writes, prints
-//! the shard gauges (`ServiceStats::shard_count` and `shard_skew()`),
-//! checkpoints, "crashes" with an uncommitted write staged, and recovers —
+//! the shard count and live triples (`ServiceStats::{shard_count,
+//! graph_edges}`), checkpoints, "crashes" with an uncommitted write staged, and recovers —
 //! all shards back at one consistent epoch, answers bit-identical.
 //! Queries always run on one monolithic epoch view; the shard count only
 //! shapes the files on disk.
@@ -47,12 +47,8 @@ fn main() {
     service.refresh();
     let stats = service.stats();
     println!(
-        "epoch {}: {} shards, {} triples, heaviest shard {} (skew {:.2})",
-        stats.epoch,
-        stats.shard_count,
-        stats.graph_edges,
-        stats.max_shard_edges,
-        stats.shard_skew()
+        "epoch {}: {} shards, {} triples",
+        stats.epoch, stats.shard_count, stats.graph_edges
     );
     let before = service.query(&workload[0].graph).expect("live answers");
     let report = service.checkpoint().expect("sharded checkpoint");

@@ -309,7 +309,7 @@ proptest! {
         );
 
         // Snapshot-set round trip of the compacted CSR.
-        let compacted = recovered.checkpoint(&dir.0, partitioner).unwrap();
+        let compacted = recovered.checkpoint().unwrap();
         let (back, _, epoch) = load(&dir.0).unwrap();
         prop_assert_eq!(epoch, compacted.epoch());
         prop_assert_eq!(fingerprint(&back), fingerprint(compacted.base()));

@@ -7,7 +7,8 @@
 //! equal the unsharded path's, byte for byte. These tests drive that claim
 //! through the served configuration (the deadline scheduler over a 2-shard
 //! deployment) and through a full commit → checkpoint → crash → recover
-//! cycle of the per-shard layout at 1/2/4/8 shards. The reference is the
+//! cycle of the per-shard layout at 1/2/4/8 shards, whose 4-shard recovery
+//! is also served through the answer-caching scheduler. The reference is the
 //! unsharded `SgqEngine` over the frozen CSR, or a never-crashed in-memory
 //! store.
 
@@ -233,5 +234,40 @@ fn durable_cycle_stays_bit_identical() {
             reference.stats().epoch,
             "{shards}: epochs track through checkpoint + recovery"
         );
+
+        // The default (answer-cache-on) scheduler serving the recovered
+        // deployment: two passes, the second entirely cache-served, and
+        // every response equals the never-crashed reference.
+        if shards == 4 {
+            let baseline = answers_of(&reference);
+            let (cache_served, stats) =
+                BatchScheduler::serve(&service, SchedConfig::default(), |handle| {
+                    let mut cache_served = Vec::new();
+                    for _pass in 0..2 {
+                        let before = handle.stats().answer_cache_served();
+                        for (idx, q) in queries.iter().enumerate() {
+                            let response =
+                                handle.query_within(q, Duration::from_secs(30), Priority::Normal);
+                            match response.outcome {
+                                SchedOutcome::Exact(r) => assert_eq!(
+                                    r.matches, baseline[idx],
+                                    "{shards}: scheduled answer over the recovered deployment \
+                                     diverged on query {idx}"
+                                ),
+                                other => panic!("slack deadline must stay exact, got {other:?}"),
+                            }
+                        }
+                        cache_served.push(handle.stats().answer_cache_served() - before);
+                    }
+                    (cache_served, handle.stats())
+                })
+                .expect("valid scheduler config");
+            assert_eq!(stats.exact, 2 * queries.len() as u64);
+            assert_eq!(
+                cache_served[1],
+                queries.len() as u64,
+                "the second pass is served from the answer cache: {stats:?}"
+            );
+        }
     }
 }
