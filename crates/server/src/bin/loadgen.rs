@@ -16,8 +16,9 @@
 //!   (measures behaviour at a fixed offered load).
 //! * `overload`: a closed-loop calibration phase measures capacity, then
 //!   an open-loop phase offers `--overload ×` that rate — the p99-under-
-//!   overload smoke. With `--check`, asserts the response accounting sums
-//!   and that the scheduler's served p99 for High and Normal traffic stays
+//!   overload smoke. With `--check`, asserts the response accounting sums,
+//!   that the scrape reports a non-zero shard count and edge count, and
+//!   that the scheduler's served p99 for High and Normal traffic stays
 //!   within 4× the deadline; exits non-zero on violation.
 //!
 //! Ends by fetching and printing the server's merged metrics scrape
@@ -554,6 +555,14 @@ fn run() -> Result<(), String> {
             failures.push(format!(
                 "scheduler accounting: {resolved} resolutions != {submitted} submitted"
             ));
+        }
+        // The backing service's gauges: a scrape that skipped refreshing
+        // them reads 0 for both.
+        for gauge in ["sgq_shard_count", "sgq_graph_edges"] {
+            match scrape_value(&scrape, &format!("{gauge} ")) {
+                Some(v) if v > 0.0 => {}
+                other => failures.push(format!("scrape reports {gauge} as {other:?}")),
+            }
         }
         // The overload envelope: a served request resolves by its deadline
         // plus at most one execution, whatever its class, so the

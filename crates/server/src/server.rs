@@ -257,6 +257,17 @@ struct ServerState {
     metrics: ServerMetrics,
 }
 
+/// Sets `draining` when dropped, so a panicking [`serve`] closure drains
+/// the accept and connection threads and the panic propagates instead of
+/// the thread scope waiting on them forever.
+struct DrainOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for DrainOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 /// Handle passed to the [`serve`] closure: observe and control the running
 /// server (mirrors [`SchedHandle`] one layer down).
 pub struct ServerHandle<'a> {
@@ -298,7 +309,8 @@ impl ServerHandle<'_> {
 /// return triggers drain) or a wire `Shutdown` request drains it first.
 ///
 /// `extra` registries (typically the backing service's) are merged into
-/// every metrics scrape alongside the scheduler's and the server's own.
+/// every metrics scrape alongside the scheduler's and the server's own,
+/// after [`SchedBackend::refresh_gauges`] has updated the backend's gauges.
 /// The closure runs on the caller's thread with accept/connection threads
 /// scoped around it — a minimal run loop is
 /// `|h| while !h.is_draining() { std::thread::sleep(POLL) }`.
@@ -331,10 +343,10 @@ where
             let state = &state;
             let config = &config;
             s.spawn(|| accept_loop(s, &listener, handle, backend, config, extra, state));
-            let out = f(&ServerHandle { addr, state });
-            // The closure returning is the SIGTERM-equivalent: drain.
-            state.draining.store(true, Ordering::Release);
-            out
+            // The closure returning is the SIGTERM-equivalent: drain. So
+            // is its panic.
+            let _drain = DrainOnDrop(&state.draining);
+            f(&ServerHandle { addr, state })
             // Scope exit joins the accept thread and every connection
             // pair; in-flight tickets resolve while the scheduler is
             // still live, then `BatchScheduler::serve` drains its queue.
@@ -581,7 +593,8 @@ fn reader_loop<B: SchedBackend>(
                     }
                     Ok(Request::Metrics) => {
                         metrics.requests_metrics.inc();
-                        let text = render_scrape(handle, extra, state, config.max_frame_len);
+                        let text =
+                            render_scrape(backend, handle, extra, state, config.max_frame_len);
                         let payload = encode_response(&Response::Metrics(text));
                         if tx.send(WriterMsg::Immediate(frame(&payload))).is_err() {
                             return;
@@ -615,15 +628,17 @@ fn reader_loop<B: SchedBackend>(
     }
 }
 
-/// Merged scrape: extra registries (the backing service), the scheduler's
-/// snapshot, then the server's own — truncated at a char boundary to fit
-/// one frame.
+/// Merged scrape: extra registries (the backing service, its gauges
+/// refreshed first), the scheduler's snapshot, then the server's own —
+/// truncated at a char boundary to fit one frame.
 fn render_scrape<B: SchedBackend>(
+    backend: &B,
     handle: &SchedHandle<'_, B>,
     extra: &[Arc<MetricsRegistry>],
     state: &ServerState,
     max_frame_len: u32,
 ) -> String {
+    backend.refresh_gauges();
     let mut snap = MetricsSnapshot::default();
     for registry in extra {
         snap.extend(registry.snapshot());

@@ -75,7 +75,7 @@ fn slack() -> Duration {
 
 #[test]
 fn query_ping_and_scrape_roundtrip() {
-    with_server(ServerConfig::default(), |handle, _service| {
+    with_server(ServerConfig::default(), |handle, service| {
         let mut client = Client::connect(handle.addr()).unwrap();
         client.ping().unwrap();
 
@@ -91,6 +91,11 @@ fn query_ping_and_scrape_roundtrip() {
         assert!(scrape.contains("semkg_server_requests_total{kind=\"query\"} 1"));
         assert!(scrape.contains("# TYPE sgq_sched_latency_us summary"));
         assert!(scrape.contains("semkg_server_info{addr=\""));
+        // The service's gauges are refreshed for the scrape, not left at 0.
+        let lines: Vec<&str> = scrape.lines().collect();
+        assert!(lines.contains(&"sgq_shard_count 2"), "{scrape}");
+        let edges = format!("sgq_graph_edges {}", service.stats().graph_edges);
+        assert!(lines.contains(&edges.as_str()), "{scrape}");
         // Exposition format: every line is a comment or `name[{labels}] value`.
         for line in scrape.lines() {
             assert!(
@@ -212,6 +217,20 @@ fn connection_cap_rejects_with_busy() {
             }
         }
     });
+}
+
+/// A failed assertion inside the serve closure must fail the test, not
+/// leave the accept and connection threads running forever.
+#[test]
+fn a_panicking_serve_closure_drains_and_propagates() {
+    let outcome = std::panic::catch_unwind(|| {
+        with_server(ServerConfig::default(), |handle, _service| {
+            let mut client = Client::connect(handle.addr()).unwrap();
+            client.ping().unwrap();
+            panic!("closure failed with a connection open");
+        })
+    });
+    assert!(outcome.is_err());
 }
 
 #[test]

@@ -20,6 +20,15 @@
 //! so distinct segments may pass through the same node. For single-edge
 //! sub-queries this is exactly the paper's algorithm.
 //!
+//! Lemma 1's `m(u)` depends only on that `(node, segment)` key (the plan
+//! and the graph snapshot are fixed for a search), so [`ScanMode::Kernel`]
+//! scans each key's adjacency at most once per search: `visited` maps a key
+//! either to *visited* or to the bound of a candidate that τ pruned, and a
+//! later path reaching the key reuses that bound instead of rescanning the
+//! node (a hub next to many expanded nodes is reached once per neighbour).
+//! [`ScanMode::ScalarReference`] rescans every time, which is what
+//! `tests/kernel_differential.rs` compares against.
+//!
 //! The search is *resumable*: [`AStarSearch::next_match`] pops until the
 //! next match surfaces, so the TA assembly can pull additional matches on
 //! demand (§V-B Remark 2).
@@ -30,8 +39,9 @@ use crate::pss::{exact_pss, MIN_WEIGHT};
 use crate::semgraph::SubQueryPlan;
 use embedding::kernels;
 use kgraph::{EdgeId, GraphView, KnowledgeGraph, NodeId};
-use rustc_hash::FxHashSet;
+use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
 /// Search counters (reported through
@@ -67,6 +77,10 @@ struct StateRec {
 
 const NO_PARENT: u32 = u32::MAX;
 
+/// The `visited` value of a visited key. Every other value is the key's
+/// `m(u)`, which is at least [`MIN_WEIGHT`] > 0.
+const VISITED: f64 = -1.0;
+
 /// Max-heap entry ordered by priority, ties broken FIFO by arena index so
 /// runs are deterministic.
 #[derive(Debug, Clone, Copy)]
@@ -101,8 +115,9 @@ pub struct AStarSearch<'a, G: GraphView = KnowledgeGraph> {
     plan: &'a SubQueryPlan,
     arena: Vec<StateRec>,
     heap: BinaryHeap<Frontier>,
-    /// Algorithm 1's `visited`, keyed `(node, segment)`.
-    visited: FxHashSet<(u32, u16)>,
+    /// Algorithm 1's `visited`, keyed `(node, segment)`: [`VISITED`], or
+    /// the `m(u)` of a key whose candidates τ has pruned so far.
+    visited: FxHashMap<(u32, u16), f64>,
     /// Counters.
     pub stats: SearchStats,
     /// Algorithm 2 mode: complete matches are collected the moment they are
@@ -132,7 +147,7 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
             plan,
             arena: Vec::new(),
             heap: BinaryHeap::new(),
-            visited: FxHashSet::default(),
+            visited: FxHashMap::default(),
             stats: SearchStats::default(),
             anytime,
             discovered: Vec::new(),
@@ -144,7 +159,7 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
         // visited set's contents are part of the determinism contract).
         let mut sources: Vec<NodeId> = Vec::with_capacity(plan.sources.len());
         for &us in &plan.sources {
-            if search.visited.insert((us.0, 0)) {
+            if search.mark_visited((us.0, 0)) {
                 sources.push(us);
             }
         }
@@ -258,6 +273,15 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
             if hops as usize > self.plan.n_hat {
                 continue;
             }
+            let next = |seg: u16, hops_in_seg: u16| StateRec {
+                node: nb.node,
+                parent: idx,
+                edge: Some(nb.edge),
+                seg,
+                hops_in_seg,
+                total_hops: total,
+                log_sum: new_log,
+            };
 
             // Segment completion: the edge lands on a match of the next
             // query node.
@@ -270,16 +294,8 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
                     let psi = exact_pss(new_log, total as usize);
                     if psi < self.plan.tau {
                         self.stats.tau_pruned += 1;
-                    } else if self.visited.insert((nb.node.0, segments as u16)) {
-                        let rec = StateRec {
-                            node: nb.node,
-                            parent: idx,
-                            edge: Some(nb.edge),
-                            seg: segments as u16,
-                            hops_in_seg: hops,
-                            total_hops: total,
-                            log_sum: new_log,
-                        };
+                    } else if self.mark_visited((nb.node.0, segments as u16)) {
+                        let rec = next(segments as u16, hops);
                         if self.anytime {
                             // Algorithm 2 lines 10–11: collect immediately.
                             let arena_idx = self.arena.len() as u32;
@@ -290,26 +306,8 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
                             self.push(rec, psi);
                         }
                     }
-                } else if !self.visited.contains(&(nb.node.0, seg as u16 + 1)) {
-                    let m_u = self.plan.max_adjacent_weight(self.graph, nb.node, seg + 1);
-                    let priority = self.plan.estimator.estimate(new_log, m_u);
-                    if priority < self.plan.tau {
-                        self.stats.tau_pruned += 1;
-                    } else {
-                        self.visited.insert((nb.node.0, seg as u16 + 1));
-                        self.push(
-                            StateRec {
-                                node: nb.node,
-                                parent: idx,
-                                edge: Some(nb.edge),
-                                seg: seg as u16 + 1,
-                                hops_in_seg: 0,
-                                total_hops: total,
-                                log_sum: new_log,
-                            },
-                            priority,
-                        );
-                    }
+                } else {
+                    self.push_bounded(next(seg as u16 + 1, 0));
                 }
             }
 
@@ -317,30 +315,40 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
             // only useful when another hop may still be appended. Pivot
             // matches are terminal (Alg. 1 line 4 does not expand nodes in
             // φ(v_t)), so the search does not pass *through* them.
-            if !terminal
-                && (hops as usize) < self.plan.n_hat
-                && !self.visited.contains(&(nb.node.0, state.seg))
-            {
-                let m_u = self.plan.max_adjacent_weight(self.graph, nb.node, seg);
-                let priority = self.plan.estimator.estimate(new_log, m_u);
-                if priority < self.plan.tau {
-                    self.stats.tau_pruned += 1;
-                } else {
-                    self.visited.insert((nb.node.0, state.seg));
-                    self.push(
-                        StateRec {
-                            node: nb.node,
-                            parent: idx,
-                            edge: Some(nb.edge),
-                            seg: state.seg,
-                            hops_in_seg: hops,
-                            total_hops: total,
-                            log_sum: new_log,
-                        },
-                        priority,
-                    );
-                }
+            if !terminal && (hops as usize) < self.plan.n_hat {
+                self.push_bounded(next(state.seg, hops));
             }
+        }
+    }
+
+    /// Marks `key` visited; true when it was not visited before.
+    fn mark_visited(&mut self, key: (u32, u16)) -> bool {
+        self.visited.insert(key, VISITED) != Some(VISITED)
+    }
+
+    /// Pushes the non-terminal state `rec` unless its `(node, segment)` key
+    /// is visited or ψ̂ (through the key's `m(u)`) falls below τ. A pruned
+    /// key keeps its bound, which a later path reaching the key reuses in
+    /// [`ScanMode::Kernel`] and recomputes in [`ScanMode::ScalarReference`].
+    fn push_bounded(&mut self, rec: StateRec) {
+        let slot = match self.visited.entry((rec.node.0, rec.seg)) {
+            Entry::Occupied(known) if *known.get() == VISITED => return,
+            slot => slot,
+        };
+        let m_u = match &slot {
+            Entry::Occupied(known) if self.plan.scan == ScanMode::Kernel => *known.get(),
+            _ => self
+                .plan
+                .max_adjacent_weight(self.graph, rec.node, rec.seg as usize),
+        };
+        let priority = self.plan.estimator.estimate(rec.log_sum, m_u);
+        let pruned = priority < self.plan.tau;
+        let value = if pruned { m_u } else { VISITED };
+        slot.and_modify(|v| *v = value).or_insert(value);
+        if pruned {
+            self.stats.tau_pruned += 1;
+        } else {
+            self.push(rec, priority);
         }
     }
 
@@ -773,6 +781,94 @@ mod tests {
         query.add_edge(goal, "q", anchor);
         let f2 = Fixture { query, ..f };
         assert!(f2.matches(4, 0.0, 10).is_empty());
+    }
+
+    const HUB_MIDS: usize = 8;
+    const HUB_LEAVES: usize = 64;
+
+    /// `S --q-- ?Mid --q-- ?Goal` over a hub that every mid reaches: mids
+    /// `M0..M7` (`S–Mi` w95, each with its own goal at w90) touch the hub
+    /// at w1, so each expanded mid prunes the hub by τ = 0.8, while the
+    /// late mid `M8` (`S–M8` w60) reaches it at w90 and passes only with
+    /// the hub's true `m(u)` = 0.99. The hub's 64 goal leaves at w99 make
+    /// its `m(u)` scan long and answer only through the late mid.
+    fn hub_fixture() -> Fixture {
+        let mut b = GraphBuilder::new();
+        let src = b.add_node("S", "Anchor");
+        let hub = b.add_node("Hub", "Hub");
+        for i in 0..HUB_MIDS {
+            let mid = b.add_node(&format!("M{i}"), "Mid");
+            let goal = b.add_node(&format!("T{i}"), "Goal");
+            b.add_edge(src, mid, "w95");
+            b.add_edge(mid, goal, "w90");
+            b.add_edge(mid, hub, "w1");
+        }
+        let late = b.add_node("M8", "Mid");
+        b.add_edge(src, late, "w60");
+        b.add_edge(late, hub, "w90");
+        for j in 0..HUB_LEAVES {
+            let leaf = b.add_node(&format!("L{j}"), "Goal");
+            b.add_edge(hub, leaf, "w99");
+        }
+        register_q(&mut b);
+        let graph = b.finish();
+        let space = dial_space(&graph);
+        let mut query = QueryGraph::new();
+        let anchor = query.add_specific("S", "Anchor");
+        let mid = query.add_target("Mid");
+        let goal = query.add_target("Goal");
+        query.add_edge(mid, "q", anchor);
+        query.add_edge(goal, "q", mid);
+        Fixture {
+            graph,
+            space,
+            lib: TransformationLibrary::new(),
+            query,
+        }
+    }
+
+    /// Every match of a drained search as `(pivot, pss bits, nodes, edges)`,
+    /// with the search's final counters.
+    type Drain = (Vec<(NodeId, u64, Vec<NodeId>, Vec<EdgeId>)>, SearchStats);
+
+    /// Drains `plan` in the exact and in the anytime mode.
+    fn drain(graph: &KnowledgeGraph, plan: &SubQueryPlan) -> [Drain; 2] {
+        let key = |m: SubMatch| (m.pivot, m.pss.to_bits(), m.nodes, m.edges);
+        let mut exact = AStarSearch::new(graph, plan);
+        let exact_matches = std::iter::from_fn(|| exact.next_match()).map(key).collect();
+        let mut anytime = AStarSearch::new_anytime(graph, plan);
+        while anytime.step() {}
+        let anytime_matches = anytime.take_discovered().into_iter().map(key).collect();
+        [
+            (exact_matches, exact.stats),
+            (anytime_matches, anytime.stats),
+        ]
+    }
+
+    #[test]
+    fn pruned_hub_revisits_match_the_scalar_reference() {
+        let f = hub_fixture();
+        let hub = f.graph.node_by_name("Hub").unwrap();
+        assert!(f.graph.neighbors(hub).count() >= 64);
+        for n_hat in [2, 3] {
+            let kernel = f.plan(n_hat, 0.8);
+            assert_eq!(kernel.scan, ScanMode::Kernel);
+            let mut scalar = kernel.clone();
+            scalar.scan = ScanMode::ScalarReference;
+            let [kernel_exact, kernel_anytime] = drain(&f.graph, &kernel);
+            let [scalar_exact, scalar_anytime] = drain(&f.graph, &scalar);
+            assert_eq!(kernel_exact, scalar_exact, "n̂={n_hat}");
+            assert_eq!(kernel_anytime, scalar_anytime, "n̂={n_hat}");
+
+            let (matches, stats) = kernel_exact;
+            // Each mid prunes each hub key it reaches: (Hub, 1) at n̂ ≥ 2,
+            // and (Hub, 0) two hops into the first segment at n̂ = 3.
+            assert_eq!(stats.tau_pruned, HUB_MIDS * (n_hat - 1), "n̂={n_hat}");
+            // The late mid then enters the pruned hub: its leaves answer.
+            let through_hub = matches.iter().filter(|m| m.2.contains(&hub)).count();
+            assert_eq!(through_hub, HUB_LEAVES, "n̂={n_hat}");
+            assert_eq!(matches.len(), HUB_MIDS + HUB_LEAVES, "n̂={n_hat}");
+        }
     }
 
     /// Brute-force reference: enumerate all simple source→goal paths of

@@ -456,9 +456,14 @@ impl<'a> LiveQueryService<'a> {
     /// latency and phase histograms, epoch/delta/shard gauges, and (on
     /// deployment-backed services) the recovery and checkpoint figures.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let stats = self.stats();
-        self.gauges.refresh(&stats);
+        self.refresh_gauges();
         self.registry.snapshot()
+    }
+
+    /// Sets the epoch, shard-count, edge and delta gauges from
+    /// [`LiveQueryService::stats`]; nothing else updates them.
+    pub(crate) fn refresh_gauges(&self) {
+        self.gauges.refresh(&self.stats());
     }
 
     /// Checkpoints the underlying store into the deployment directory:

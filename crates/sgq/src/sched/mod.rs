@@ -272,6 +272,11 @@ pub trait SchedBackend: Sync {
 
     /// The persistent worker pool batches are dispatched onto.
     fn pool(&self) -> &WorkerPool;
+
+    /// Brings the point-in-time gauges of the backend's own metrics
+    /// registry up to date; a scrape calls it before snapshotting that
+    /// registry. The default has no such gauges.
+    fn refresh_gauges(&self) {}
 }
 
 impl<'a> SchedBackend for LiveQueryService<'a> {
@@ -315,6 +320,10 @@ impl<'a> SchedBackend for LiveQueryService<'a> {
 
     fn pool(&self) -> &WorkerPool {
         self.worker_pool()
+    }
+
+    fn refresh_gauges(&self) {
+        LiveQueryService::refresh_gauges(self)
     }
 }
 

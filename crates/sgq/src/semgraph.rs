@@ -241,6 +241,10 @@ impl SubQueryPlan {
     /// is exact. Hub nodes whose adjacency contains a maximal-weight
     /// predicate early stop after a handful of edges instead of scanning
     /// the full list.
+    ///
+    /// The value depends only on `(u, seg)`, so a Kernel-mode
+    /// [`crate::astar::AStarSearch`] calls this at most once per key per
+    /// search and keeps the result for every later path reaching the key.
     pub fn max_adjacent_weight<G: GraphView>(&self, graph: &G, u: NodeId, seg: usize) -> f64 {
         let s = seg.min(self.segments() - 1);
         let row = &self.remaining_max[s];

@@ -227,7 +227,8 @@ impl PhaseHistograms {
 }
 
 /// Shard/epoch/delta gauges refreshed on every
-/// [`crate::live::LiveQueryService::metrics`] call.
+/// [`crate::live::LiveQueryService::metrics`] call and before every served
+/// scrape ([`crate::sched::SchedBackend::refresh_gauges`]).
 pub(crate) struct ServiceGauges {
     epoch: Gauge,
     shard_count: Gauge,

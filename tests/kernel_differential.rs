@@ -109,13 +109,13 @@ fn assert_kernel_matches_reference(
     baseline
 }
 
-/// Kernel vs scalar-reference over the full workload, for a pruning τ and
-/// for τ = 0 (prefilter disabled, everything admissible).
+/// Kernel vs scalar-reference over the full workload, for the served τ,
+/// a lower pruning τ and τ = 0 (prefilter disabled, everything admissible).
 #[test]
 fn kernel_answers_are_bit_identical_to_scalar_reference() {
     let (ds, space) = setup();
     let queries = workload(&ds);
-    for tau in [0.3f64, 0.0] {
+    for tau in [0.8f64, 0.3, 0.0] {
         let config = config(ScanMode::Kernel, tau);
         assert_kernel_matches_reference(&ds.graph, &space, &ds.library, &queries, &config);
     }
