@@ -179,14 +179,15 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         // Σ degree(u) = 2·|E| exactly (every edge contributes one out- and
         // one in-endpoint), so the cost model's average degree needs no
         // O(n + m) scan — engine construction (and live epoch adoption)
-        // stays O(n) for the φ index alone.
+        // costs the φ name index alone: one pass over the names and one
+        // sort of a flat array.
         let n = graph.node_count();
         let avg_degree = if n == 0 {
             0.0
         } else {
             (2 * graph.edge_count()) as f64 / n as f64
         };
-        // The φ name index is that remaining O(n) scan.
+        // The φ name index is that remaining cost.
         let matcher = NodeMatcher::new(graph.clone(), library);
         Self {
             graph,

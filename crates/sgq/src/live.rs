@@ -23,9 +23,10 @@
 //!   survive commits; vocabulary growth invalidates them — see
 //!   [`SimilarityIndex::ensure_vocab`]).
 //!
-//! Engine rebuild cost per adopted epoch is `O(n)` (φ-index) plus
-//! `O(n + m)` (degree statistics) — amortised over all queries between
-//! commits, not paid per query.
+//! Engine rebuild cost per adopted epoch is the φ name index: one pass
+//! over the node names and one `O(n log n)` sort of a flat array —
+//! amortised over all queries between commits, not paid per query. Each
+//! rebuild's wall time is recorded in the `sgq_epoch_adopt_us` histogram.
 
 use crate::answer::QueryResult;
 use crate::config::SgqConfig;
@@ -42,10 +43,11 @@ use kgraph::{
     GraphSnapshot, GraphView, KnowledgeGraph, Partitioner, RecoveryReport, VersionedGraph,
 };
 use lexicon::TransformationLibrary;
-use obs::{Counter, MetricsRegistry, MetricsSnapshot};
+use obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 
 /// File name of the saved predicate semantic space.
 pub const SPACE_FILE: &str = "space.kgv";
@@ -102,6 +104,8 @@ pub struct LiveQueryService<'a> {
     /// the deterministic 1-in-N cadence.
     trace_tick: AtomicU64,
     refreshes: Counter,
+    /// Wall time (µs) of each engine rebuild [`Self::pin`] makes.
+    adopt_us: Histogram,
     checkpoints: Counter,
     /// Deployment directory when built via [`ShardedDeployment::service`];
     /// enables [`Self::checkpoint`].
@@ -149,6 +153,10 @@ impl<'a> LiveQueryService<'a> {
             "sgq_engine_refreshes_total",
             "epoch-engine rebuilds triggered by newly published epochs",
         );
+        let adopt_us = registry.histogram(
+            "sgq_epoch_adopt_us",
+            "wall time (us) of each epoch-engine rebuild that adopts a newly published epoch",
+        );
         let checkpoints = registry.counter(
             "sgq_checkpoints_total",
             "snapshot checkpoints written back to the deployment directory",
@@ -169,6 +177,7 @@ impl<'a> LiveQueryService<'a> {
             traces: TraceSink::default(),
             trace_tick: AtomicU64::new(0),
             refreshes,
+            adopt_us,
             checkpoints,
             durable,
             shards,
@@ -252,6 +261,7 @@ impl<'a> LiveQueryService<'a> {
         if current.graph().epoch() == self.versioned.epoch() {
             return current;
         }
+        let started = Instant::now();
         let engine = Arc::new(SgqEngine::with_runtime(
             self.versioned.snapshot(),
             self.space,
@@ -262,6 +272,7 @@ impl<'a> LiveQueryService<'a> {
         ));
         *self.current.write().unwrap() = Arc::clone(&engine);
         self.refreshes.inc();
+        self.adopt_us.record(started.elapsed().as_micros() as u64);
         engine
     }
 

@@ -181,6 +181,48 @@ fn idle_live_service_matches_static_service() {
     assert_eq!(live_service.stats().engine_refreshes, 0);
 }
 
+/// Every engine rebuild that adopts an epoch lands in the
+/// `sgq_epoch_adopt_us` histogram beside the refresh counter, so the scrape
+/// shows adoption cost: after N commits, each adopted by `refresh()`, the
+/// histogram holds exactly N observations.
+#[test]
+fn epoch_adoption_time_is_recorded_once_per_refresh() {
+    use obs::MetricValue;
+
+    const COMMITS: u64 = 5;
+    let ds = DatasetSpec::tiny().build();
+    let space = ds.oracle_space();
+    let service = LiveQueryService::new(
+        Arc::new(VersionedGraph::new(ds.graph.clone())),
+        &space,
+        &ds.library,
+        config(),
+    );
+    let store = Arc::clone(service.versioned());
+    for i in 0..COMMITS {
+        store.insert_triple(
+            (&format!("Adopted_{i}"), "Thing"),
+            "adopted_by",
+            ("Adopted_root", "Thing"),
+        );
+        store.commit();
+        assert_eq!(service.refresh(), i + 1);
+    }
+
+    let metrics = service.metrics();
+    let refreshes = match metrics.find("sgq_engine_refreshes_total").map(|s| &s.value) {
+        Some(MetricValue::Counter(n)) => *n,
+        other => panic!("refresh counter missing: {other:?}"),
+    };
+    let adoptions = match metrics.find("sgq_epoch_adopt_us").map(|s| &s.value) {
+        Some(MetricValue::Histogram(h)) => h.count(),
+        other => panic!("adoption histogram missing: {other:?}"),
+    };
+    assert_eq!(refreshes, COMMITS);
+    assert_eq!(adoptions, refreshes);
+    assert_eq!(service.stats().engine_refreshes, COMMITS);
+}
+
 /// PR 3 shipped `LiveQueryService::checkpoint` without a test pairing it
 /// against concurrent `refresh` calls. Stress the pairing: a writer commits
 /// continuously, a maintenance thread checkpoints (commit + compact +
