@@ -502,18 +502,16 @@ fn run() -> Result<(), String> {
     // Answer-cache effectiveness, from the scheduler's own counters: the
     // hit rate the configured --hot-set / --hot-fraction skew achieved.
     let cache_hits = scrape_sum(&scrape, "sgq_sched_answer_cache_hits_total");
-    let cache_dominance = scrape_sum(&scrape, "sgq_sched_answer_cache_dominance_hits_total");
     let cache_misses = scrape_sum(&scrape, "sgq_sched_answer_cache_misses_total");
     let cache_stale = scrape_sum(&scrape, "sgq_sched_answer_cache_stale_total");
-    let probes = cache_hits + cache_dominance + cache_misses;
+    let probes = cache_hits + cache_misses;
     println!(
-        "answer cache: {:.0} exact hits, {:.0} dominance hits, {:.0} misses ({:.0} stale) — hit rate {:.1}% ({}% of traffic on {} hot queries)",
+        "answer cache: {:.0} hits, {:.0} misses ({:.0} stale) — hit rate {:.1}% ({}% of traffic on {} hot queries)",
         cache_hits,
-        cache_dominance,
         cache_misses,
         cache_stale,
         if probes > 0.0 {
-            (cache_hits + cache_dominance) / probes * 100.0
+            cache_hits / probes * 100.0
         } else {
             0.0
         },

@@ -72,6 +72,13 @@ fn parse_args() -> Result<Args, String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
+    // Refuse a bad engine configuration before any dataset is built: a
+    // server that started with one would fail every query it is sent.
+    let config = SgqConfig {
+        k: args.k,
+        ..SgqConfig::default()
+    };
+    config.validate().map_err(|e| e.to_string())?;
 
     // An explicit --dir with a manifest is opened in place; otherwise a
     // fresh deployment is created (ephemeral temp dir when --dir is absent).
@@ -102,10 +109,7 @@ fn run() -> Result<(), String> {
         ShardedDeployment::create(&dir, ds.graph, space, ds.library, args.shards)
             .map_err(|e| format!("create deployment: {e}"))?
     };
-    let service = deployment.service(SgqConfig {
-        k: args.k,
-        ..SgqConfig::default()
-    });
+    let service = deployment.service(config);
     let service_registry = Arc::clone(service.registry());
 
     let listener = TcpListener::bind(&args.addr).map_err(|e| format!("bind {}: {e}", args.addr))?;

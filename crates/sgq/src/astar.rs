@@ -20,6 +20,15 @@
 //! so distinct segments may pass through the same node. For single-edge
 //! sub-queries this is exactly the paper's algorithm.
 //!
+//! `visited` is filled when a state is *pushed*, so the first path to land
+//! on a key is the one recorded, and which path lands first depends on the
+//! intermediate states the τ prune admits. A run at a lower τ can thus
+//! record a pivot through a weaker path that a run at a higher τ prunes
+//! mid-search, and certify a *lower* pss for the same pivot. Per-pivot pss
+//! is a function of τ: an answer computed at one τ cannot be filtered into
+//! the answer at a higher one (an answer cache that tried failed its
+//! differential on the seeded tiny dataset).
+//!
 //! Lemma 1's `m(u)` depends only on that `(node, segment)` key (the plan
 //! and the graph snapshot are fixed for a search), so [`ScanMode::Kernel`]
 //! scans each key's adjacency at most once per search: `visited` maps a key

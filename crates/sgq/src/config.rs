@@ -1,7 +1,6 @@
 //! Engine and scheduler configuration.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// How the decomposition chooses the pivot node (paper §VII-C, Table VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -41,7 +40,14 @@ pub enum ScanMode {
     ScalarReference,
 }
 
-/// Parameters of the SGQ engine.
+/// Hard cap on matches collected per sub-query, bounding worst-case work
+/// on pathological graphs. Every final match takes a distinct pivot from
+/// every sub-query stream, so it also caps the top-`k` an engine can
+/// return, and [`SgqConfig::validate`] rejects a larger `k`.
+pub(crate) const MAX_MATCHES_PER_SUBQUERY: usize = 100_000;
+
+/// Parameters of the SGQ engine, fixed when the engine (or service) is
+/// built.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SgqConfig {
     /// Number of final matches requested (top-k).
@@ -55,18 +61,8 @@ pub struct SgqConfig {
     pub n_hat: usize,
     /// How the pivot node is selected.
     pub pivot: PivotStrategy,
-    /// Matches fetched per sub-query per round before (re)trying the TA
-    /// assembly; the engine doubles this until TA certifies top-k or all
-    /// searches are exhausted (§V-B Remark 2: "we usually need more than k
-    /// matches collected for each gᵢ").
-    pub batch: usize,
-    /// Hard cap on matches collected per sub-query, bounding worst-case work
-    /// on pathological graphs. 0 = unbounded.
-    pub max_matches_per_subquery: usize,
     /// Worker threads in the engine-lifetime pool running sub-query
-    /// searches. 0 = one per available core (capped at 16). Read once at
-    /// engine construction — changing it later via
-    /// [`crate::SgqEngine::set_config`] does *not* resize the pool.
+    /// searches. 0 = one per available core (capped at 16).
     #[serde(default)]
     pub workers: usize,
     /// Scan-kernel selection for the vocabulary-scale hot loops. Answers
@@ -90,8 +86,6 @@ impl Default for SgqConfig {
             tau: 0.8,
             n_hat: 4,
             pivot: PivotStrategy::MinCost,
-            batch: 0, // 0 → derived from k at query time
-            max_matches_per_subquery: 100_000,
             workers: 0, // 0 → available parallelism
             scan: ScanMode::Kernel,
             trace_sample_every: 0, // 0 → tracing off
@@ -105,6 +99,12 @@ impl SgqConfig {
         use crate::error::SgqError::InvalidConfig;
         if self.k == 0 {
             return Err(InvalidConfig("k must be at least 1".into()));
+        }
+        if self.k > MAX_MATCHES_PER_SUBQUERY {
+            return Err(InvalidConfig(format!(
+                "k must be at most {MAX_MATCHES_PER_SUBQUERY} (the per-sub-query match cap), got {}",
+                self.k
+            )));
         }
         if self.n_hat == 0 {
             return Err(InvalidConfig("n_hat must be at least 1".into()));
@@ -123,15 +123,6 @@ impl SgqConfig {
         }
         Ok(())
     }
-
-    /// Effective per-round batch size (defaults to `2k`).
-    pub fn effective_batch(&self) -> usize {
-        if self.batch == 0 {
-            (self.k * 2).max(8)
-        } else {
-            self.batch
-        }
-    }
 }
 
 /// Parameters of the deadline-aware batch scheduler
@@ -141,30 +132,12 @@ pub struct SchedConfig {
     /// Bounded admission-queue capacity. Arrivals beyond it shed a
     /// lower-priority queued request or are shed themselves.
     pub queue_capacity: usize,
-    /// Most requests one batch may coalesce (one prepared execution
-    /// answers them all).
-    pub max_batch: usize,
     /// Concurrent batches in flight on the worker pool. `0` = one per
     /// pool worker.
     pub max_inflight: usize,
-    /// Fixed per-request overhead floor (dispatch, preparation, fan-out).
-    /// A request whose remaining time is inside this margin is provably
-    /// unmeetable and shed; degraded executions get their bound cut by it.
-    pub shed_margin: Duration,
-    /// Alert ratio handed to degraded (TBQ) executions — assembly starts
-    /// at `bound · ratio`, like the paper's 80%.
-    pub degrade_alert_ratio: f64,
-    /// Per-match TA cost `t` for the Algorithm-3 estimator and the
-    /// admission cost model. The default is a fixed 300 ns, not calibrated
-    /// at runtime; [`crate::timebound::calibrate_ta_cost`] measures the
-    /// host's figure.
-    pub per_match_ta_cost: Duration,
-    /// Entries kept in the prepared-plan and cost-profile caches.
-    pub plan_cache_capacity: usize,
     /// Entries kept in the epoch-keyed semantic answer cache in front of
     /// batching ([`crate::sched`] module docs): certified results are
-    /// reused for repeat signatures — exactly, or by dominance-trimming a
-    /// cached superset answer (entry τ = request τ, entry k ≥ request k).
+    /// reused for repeat queries at the epoch they were computed against.
     /// `0` disables the cache. A serialized config must carry the field:
     /// the one default is [`SchedConfig::default`]'s 256. Answers are
     /// bit-identical either way (`tests/cache_differential.rs`).
@@ -175,12 +148,7 @@ impl Default for SchedConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 1024,
-            max_batch: 64,
             max_inflight: 0,
-            shed_margin: Duration::from_micros(200),
-            degrade_alert_ratio: 0.8,
-            per_match_ta_cost: Duration::from_nanos(300),
-            plan_cache_capacity: 256,
             answer_cache_capacity: 256,
         }
     }
@@ -192,20 +160,6 @@ impl SchedConfig {
         use crate::error::SgqError::InvalidConfig;
         if self.queue_capacity == 0 {
             return Err(InvalidConfig("queue_capacity must be at least 1".into()));
-        }
-        if self.max_batch == 0 {
-            return Err(InvalidConfig("max_batch must be at least 1".into()));
-        }
-        if !(0.0..=1.0).contains(&self.degrade_alert_ratio) || self.degrade_alert_ratio == 0.0 {
-            return Err(InvalidConfig(format!(
-                "degrade_alert_ratio must lie in (0,1], got {}",
-                self.degrade_alert_ratio
-            )));
-        }
-        if self.plan_cache_capacity == 0 {
-            return Err(InvalidConfig(
-                "plan_cache_capacity must be at least 1".into(),
-            ));
         }
         Ok(())
     }
@@ -249,6 +203,20 @@ mod tests {
         }
         .validate()
         .is_err());
+        // No final match exists beyond the per-sub-query cap, so a larger
+        // k is refused before anything sizes an allocation by it.
+        assert!(SgqConfig {
+            k: MAX_MATCHES_PER_SUBQUERY + 1,
+            ..Default::default()
+        }
+        .validate()
+        .is_err());
+        assert!(SgqConfig {
+            k: MAX_MATCHES_PER_SUBQUERY,
+            ..Default::default()
+        }
+        .validate()
+        .is_ok());
         assert!(SgqConfig::default().validate().is_ok());
     }
 
@@ -257,30 +225,6 @@ mod tests {
         assert!(SchedConfig::default().validate().is_ok());
         assert!(SchedConfig {
             queue_capacity: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SchedConfig {
-            max_batch: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SchedConfig {
-            degrade_alert_ratio: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SchedConfig {
-            degrade_alert_ratio: 1.2,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SchedConfig {
-            plan_cache_capacity: 0,
             ..Default::default()
         }
         .validate()
@@ -302,39 +246,12 @@ mod tests {
         let full = serde_json::to_string(&SchedConfig::default()).unwrap();
         let parsed: SchedConfig = serde_json::from_str(&full).unwrap();
         assert_eq!(parsed.answer_cache_capacity, 256);
-        let old = r#"{
-            "queue_capacity": 64, "max_batch": 8, "max_inflight": 0,
-            "shed_margin": {"secs": 0, "nanos": 200000},
-            "degrade_alert_ratio": 0.8,
-            "per_match_ta_cost": {"secs": 0, "nanos": 300},
-            "plan_cache_capacity": 16
-        }"#;
+        let old = r#"{"queue_capacity": 64, "max_inflight": 0}"#;
         let err = serde_json::from_str::<SchedConfig>(old).unwrap_err();
         assert!(
             err.to_string()
                 .contains("missing field `answer_cache_capacity`"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn effective_batch_derivation() {
-        let c = SgqConfig {
-            k: 10,
-            batch: 0,
-            ..Default::default()
-        };
-        assert_eq!(c.effective_batch(), 20);
-        let c = SgqConfig {
-            k: 1,
-            batch: 0,
-            ..Default::default()
-        };
-        assert_eq!(c.effective_batch(), 8);
-        let c = SgqConfig {
-            batch: 5,
-            ..Default::default()
-        };
-        assert_eq!(c.effective_batch(), 5);
     }
 }

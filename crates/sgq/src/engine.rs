@@ -21,12 +21,15 @@
 //! [`SgqEngine::prepare`] splits the per-query work further: decomposition
 //! and plan building happen once, the returned [`PreparedQuery`] executes
 //! any number of times ([`SgqEngine::execute`] /
-//! [`SgqEngine::execute_time_bounded`]) — parameter sweeps, SGQ-then-TBQ
-//! comparisons and repeated production traffic skip straight to the search.
+//! [`SgqEngine::execute_time_bounded`]) — SGQ-then-TBQ comparisons and
+//! repeated production traffic skip straight to the search.
+//!
+//! An engine's [`SgqConfig`] is fixed at construction: every plan and every
+//! execution reads it, and nothing varies it per query.
 
 use crate::answer::{QueryResult, QueryStats};
 use crate::astar::AStarSearch;
-use crate::config::SgqConfig;
+use crate::config::{SgqConfig, MAX_MATCHES_PER_SUBQUERY};
 use crate::decompose::{decompose, Decomposition};
 use crate::error::Result;
 use crate::query::QueryGraph;
@@ -44,17 +47,15 @@ use std::time::Instant;
 /// A query compiled against an engine: decomposition and per-sub-query
 /// plans are built once, execution can repeat. Plans hold `Arc` similarity
 /// rows and φ-resolved candidate sets — no borrows of the engine — so a
-/// prepared query is cheap to clone and free to outlive config changes.
+/// prepared query is cheap to clone.
 ///
 /// Executing a prepared query on the engine that built it yields exactly
-/// the result of [`SgqEngine::query`] at preparation time (the engine
-/// config is snapshotted into the prepared query).
+/// the result of [`SgqEngine::query`].
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     query: QueryGraph,
     decomposition: Decomposition,
     plans: Vec<SubQueryPlan>,
-    config: SgqConfig,
     /// Id of the engine the plans were resolved against: plans carry
     /// graph-specific node ids and row lengths, so executing them against
     /// another graph would be silently wrong (or panic). A process-unique
@@ -77,11 +78,6 @@ impl PreparedQuery {
     /// Number of sub-query plans.
     pub fn subqueries(&self) -> usize {
         self.plans.len()
-    }
-
-    /// The engine configuration snapshotted at preparation time.
-    pub fn config(&self) -> &SgqConfig {
-        &self.config
     }
 }
 
@@ -206,11 +202,6 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         &self.config
     }
 
-    /// Replaces the configuration (e.g. for parameter sweeps).
-    pub fn set_config(&mut self, config: SgqConfig) {
-        self.config = config;
-    }
-
     /// The underlying graph handle (a `&KnowledgeGraph` on the static path,
     /// an epoch-pinned `GraphSnapshot` on the live path).
     pub fn graph(&self) -> &G {
@@ -259,18 +250,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
     /// query paths (which skip the `QueryGraph` clone a `PreparedQuery`
     /// keeps).
     fn plan(&self, query: &QueryGraph) -> Result<(Decomposition, Vec<SubQueryPlan>)> {
-        self.plan_with(query, &self.config)
-    }
-
-    /// [`SgqEngine::plan`] under an explicit configuration — the scheduler
-    /// uses this to honour per-request (k, τ) overrides without building a
-    /// whole new engine. The graph, similarity index, and worker pool are
-    /// the engine's; only the query-shaping parameters come from `config`.
-    fn plan_with(
-        &self,
-        query: &QueryGraph,
-        config: &SgqConfig,
-    ) -> Result<(Decomposition, Vec<SubQueryPlan>)> {
+        let config = &self.config;
         config.validate()?;
         let decomposition = decompose(query, config.pivot, self.avg_degree, config.n_hat)?;
         let plans = decomposition
@@ -296,20 +276,11 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
     /// Compiles `query` into a reusable [`PreparedQuery`]: validation,
     /// decomposition and plan building happen here, once.
     pub fn prepare(&self, query: &QueryGraph) -> Result<PreparedQuery> {
-        self.prepare_with(query, &self.config)
-    }
-
-    /// [`SgqEngine::prepare`] under an explicit configuration, snapshotted
-    /// into the returned plan. With `config == &self.config` this is
-    /// exactly `prepare`; with a tuned (k, τ) the prepared query executes
-    /// as if the engine had been built with those values.
-    pub fn prepare_with(&self, query: &QueryGraph, config: &SgqConfig) -> Result<PreparedQuery> {
-        let (decomposition, plans) = self.plan_with(query, config)?;
+        let (decomposition, plans) = self.plan(query)?;
         Ok(PreparedQuery {
             query: query.clone(),
             decomposition,
             plans,
-            config: config.clone(),
             engine_id: self.engine_id,
         })
     }
@@ -319,7 +290,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
     /// `QueryGraph` clone a kept `PreparedQuery` would need.
     pub fn query(&self, query: &QueryGraph) -> Result<QueryResult> {
         let (_, plans) = self.plan(query)?;
-        self.run_exact(&plans, &self.config, None)
+        self.run_exact(&plans, None)
     }
 
     /// Like [`SgqEngine::query`], but additionally returns a
@@ -331,7 +302,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         let plan_t = Instant::now(); // lint-ok(determinism): phase telemetry only — never feeds search decisions; trace_differential proves bit-identity
         let (_, plans) = self.plan(query)?;
         trace.plan_ns = plan_t.elapsed().as_nanos() as u64;
-        let result = self.run_exact(&plans, &self.config, Some(&mut trace))?;
+        let result = self.run_exact(&plans, Some(&mut trace))?;
         Ok((result, trace))
     }
 
@@ -342,7 +313,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
     /// engine ([`crate::error::SgqError::ForeignPreparedQuery`] otherwise).
     pub fn execute(&self, prepared: &PreparedQuery) -> Result<QueryResult> {
         self.check_prepared(prepared)?;
-        self.run_exact(&prepared.plans, &prepared.config, None)
+        self.run_exact(&prepared.plans, None)
     }
 
     /// Like [`SgqEngine::execute`], but additionally returns a
@@ -354,13 +325,13 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
     ) -> Result<(QueryResult, QueryTrace)> {
         self.check_prepared(prepared)?;
         let mut trace = QueryTrace::default();
-        let result = self.run_exact(&prepared.plans, &prepared.config, Some(&mut trace))?;
+        let result = self.run_exact(&prepared.plans, Some(&mut trace))?;
         Ok((result, trace))
     }
 
-    /// `config` has been validated upstream: by [`SgqEngine::plan`] on the
-    /// ad-hoc paths, by [`SgqEngine::prepare`] for prepared queries (whose
-    /// snapshot is immutable).
+    /// The configuration has been validated upstream, by
+    /// [`SgqEngine::plan`] on the ad-hoc paths and by [`SgqEngine::prepare`]
+    /// for prepared queries.
     ///
     /// `trace` is `None` on the hot path: the only cost of the tracing
     /// machinery is then one branch per phase — no clock reads, no
@@ -369,12 +340,10 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
     fn run_exact(
         &self,
         plans: &[SubQueryPlan],
-        config: &SgqConfig,
         mut trace: Option<&mut QueryTrace>,
     ) -> Result<QueryResult> {
         let start = Instant::now(); // lint-ok(determinism): phase telemetry only — never feeds search decisions; trace_differential proves bit-identity
         let n = plans.len();
-        let cap = config.max_matches_per_subquery;
 
         let seed_t = trace.as_ref().map(|_| Instant::now()); // lint-ok(determinism): phase telemetry only — never feeds search decisions; trace_differential proves bit-identity
         let mut searches: Vec<AStarSearch<'_, G>> = plans
@@ -386,7 +355,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         }
         let mut streams: Vec<Vec<crate::answer::SubMatch>> = vec![Vec::new(); n];
         let mut per_subquery_us = vec![0u64; n];
-        let mut batch = config.effective_batch();
+        let mut batch = first_round(self.config.k);
 
         let outcome = loop {
             let expand_t = trace.as_ref().map(|_| Instant::now()); // lint-ok(determinism): phase telemetry only — never feeds search decisions; trace_differential proves bit-identity
@@ -402,7 +371,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
                     scope.spawn(move || {
                         let t0 = Instant::now(); // lint-ok(determinism): phase telemetry only — never feeds search decisions; trace_differential proves bit-identity
                         for _ in 0..batch {
-                            if cap > 0 && stream.len() >= cap {
+                            if stream.len() >= MAX_MATCHES_PER_SUBQUERY {
                                 break;
                             }
                             match search.next_match() {
@@ -425,9 +394,9 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
             let exhausted: Vec<bool> = searches
                 .iter()
                 .zip(&streams)
-                .map(|(s, st)| s.is_exhausted() || (cap > 0 && st.len() >= cap))
+                .map(|(s, st)| s.is_exhausted() || st.len() >= MAX_MATCHES_PER_SUBQUERY)
                 .collect();
-            let outcome = ta::assemble(&streams, &exhausted, config.k);
+            let outcome = ta::assemble(&streams, &exhausted, self.config.k);
             if let (Some(tr), Some(t0)) = (trace.as_deref_mut(), merge_t) {
                 tr.merge_ns += t0.elapsed().as_nanos() as u64;
             }
@@ -479,7 +448,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         tb: &TimeBoundConfig,
     ) -> Result<QueryResult> {
         let (_, plans) = self.plan(query)?;
-        self.run_time_bounded(&plans, &self.config, tb)
+        self.run_time_bounded(&plans, tb)
     }
 
     /// Executes a prepared query in anytime mode under the time bound, with
@@ -491,25 +460,19 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         tb: &TimeBoundConfig,
     ) -> Result<QueryResult> {
         self.check_prepared(prepared)?;
-        self.run_time_bounded(&prepared.plans, &prepared.config, tb)
+        self.run_time_bounded(&prepared.plans, tb)
     }
 
-    /// `config` has been validated upstream (see [`SgqEngine::run_exact`]).
+    /// The configuration has been validated upstream (see
+    /// [`SgqEngine::run_exact`]).
     fn run_time_bounded(
         &self,
         plans: &[SubQueryPlan],
-        config: &SgqConfig,
         tb: &TimeBoundConfig,
     ) -> Result<QueryResult> {
         let start = Instant::now(); // lint-ok(determinism): phase telemetry only — never feeds search decisions; trace_differential proves bit-identity
-        let outcome = timebound::run_anytime(
-            &self.graph,
-            plans,
-            config.max_matches_per_subquery,
-            tb,
-            &self.pool,
-        );
-        let ta_out = ta::assemble(&outcome.streams, &outcome.exhausted, config.k);
+        let outcome = timebound::run_anytime(&self.graph, plans, tb, &self.pool);
+        let ta_out = ta::assemble(&outcome.streams, &outcome.exhausted, self.config.k);
         Ok(QueryResult {
             matches: ta_out.matches,
             stats: QueryStats {
@@ -526,6 +489,14 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
             },
         })
     }
+}
+
+/// Matches fetched per sub-query in the first round before the TA assembly
+/// is (re)tried; the engine doubles this until TA certifies top-k or all
+/// searches are exhausted (§V-B Remark 2: "we usually need more than k
+/// matches collected for each gᵢ").
+fn first_round(k: usize) -> usize {
+    (k * 2).max(8)
 }
 
 #[cfg(test)]
@@ -744,6 +715,28 @@ mod tests {
         let lib = TransformationLibrary::new();
         let engine = engine_with(&g, &s, &lib, 0, 0.5);
         assert!(engine.query(&product_query()).is_err());
+    }
+
+    /// A `k` beyond the per-sub-query match cap is refused by validation.
+    /// Unchecked, the assembly sized a heap by it, and a failed allocation
+    /// aborts the process instead of panicking.
+    #[test]
+    fn oversized_k_is_rejected() {
+        let g = fig2_graph();
+        let s = fig2_space(&g);
+        let lib = TransformationLibrary::new();
+        let engine = engine_with(&g, &s, &lib, 1 << 40, 0.5);
+        assert!(matches!(
+            engine.query(&product_query()),
+            Err(crate::error::SgqError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn first_round_is_twice_k_and_at_least_8() {
+        assert_eq!(first_round(10), 20);
+        assert_eq!(first_round(1), 8);
+        assert_eq!(first_round(4), 8);
     }
 
     #[test]

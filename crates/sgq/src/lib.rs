@@ -106,8 +106,8 @@ pub use live::{
 pub use query::{QEdgeId, QNodeId, QueryEdge, QueryGraph, QueryNode, QueryNodeKind};
 pub use runtime::WorkerPool;
 pub use sched::{
-    BatchScheduler, Priority, QueryParams, SchedBackend, SchedHandle, SchedOutcome, SchedResponse,
-    SchedStats, ShedReason, Ticket,
+    BatchScheduler, Priority, SchedBackend, SchedHandle, SchedOutcome, SchedResponse, SchedStats,
+    ShedReason, Ticket,
 };
 pub use service::ServiceStats;
 pub use timebound::TimeBoundConfig;

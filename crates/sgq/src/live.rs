@@ -332,19 +332,6 @@ impl<'a> LiveQueryService<'a> {
         Ok(LivePreparedQuery { prepared, engine })
     }
 
-    /// [`Self::prepare`] under an explicit configuration — the scheduler's
-    /// per-request (k, τ) override path. Pins the current epoch exactly
-    /// like `prepare`.
-    pub fn prepare_with(
-        &self,
-        query: &QueryGraph,
-        config: &SgqConfig,
-    ) -> Result<LivePreparedQuery<'a>> {
-        let engine = self.pin();
-        let prepared = engine.prepare_with(query, config)?;
-        Ok(LivePreparedQuery { prepared, engine })
-    }
-
     /// Executes a prepared query on its pinned epoch (bit-identical replay
     /// regardless of commits since preparation), with the same invisible
     /// sampling as [`Self::query`].

@@ -15,8 +15,8 @@
 //!   victim is shed to admit a more urgent request (or the arrival itself
 //!   is shed);
 //! * a **scheduler thread** groups compatible admitted requests — equal
-//!   query graphs observed at the same graph epoch with the same effective
-//!   `(k, τ)` — into batches. A batch is planned **once** (via
+//!   query graphs observed at the same graph epoch — into batches. A batch
+//!   is planned **once** (via
 //!   [`crate::engine::PreparedQuery`], whose plans hold shared
 //!   [`embedding::SimilarityIndex`] rows) and executed **once**; the result
 //!   fans out to every member;
@@ -38,13 +38,14 @@
 //! keyed by query signature and stamped with the epoch they were computed
 //! against. A request whose answer is cached for the *current* epoch
 //! resolves at submit time — it never enters the admission queue and never
-//! touches the engine. Requests may carry their own `(k, τ)` via
-//! [`QueryParams`]; a request **dominated** by a cached
-//! entry (same structure, equal `τ`, smaller `k`) is answered by trimming
-//! the cached certified result, provably bit-identical to a from-scratch
-//! run (`tests/cache_differential.rs`). Entries invalidate by epoch stamp
+//! touches the engine — with the from-scratch answer itself
+//! (`tests/cache_differential.rs`). Entries invalidate by epoch stamp
 //! exactly like the plan cache, so an answer computed before a commit,
 //! compaction or recovery can never escape afterwards.
+//!
+//! Every request runs under the backend's one [`SgqConfig`], fixed for the
+//! scheduler's lifetime, so batches, plans and cached answers carry no
+//! configuration key.
 //!
 //! ## Response contract
 //!
@@ -61,8 +62,8 @@
 //!
 //! Never a silently wrong answer: a degraded response is always flagged,
 //! and batches only merge *equal* queries (hash prefilter, then full
-//! structural equality) at one epoch and one `(k, τ)` — verified by
-//! the property tests below and `tests/scheduler_differential.rs`.
+//! structural equality) at one epoch — verified by the property tests
+//! below and `tests/scheduler_differential.rs`.
 //!
 //! ## Epochs and live graphs
 //!
@@ -81,8 +82,6 @@
 
 pub mod cache;
 
-pub use cache::QueryParams;
-
 use crate::answer::{QueryResult, QueryStats};
 use crate::config::{SchedConfig, SgqConfig};
 use crate::error::{Result, SgqError};
@@ -99,6 +98,18 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Most requests one batch may coalesce (one prepared execution answers
+/// them all).
+const MAX_BATCH: usize = 64;
+
+/// Fixed per-request overhead floor (dispatch, preparation, fan-out). A
+/// request whose remaining time is inside this margin is provably
+/// unmeetable and shed; degraded executions get their bound cut by it.
+const SHED_MARGIN: Duration = Duration::from_micros(200);
+
+/// Entries kept in the prepared-plan and cost-profile caches.
+const PLAN_CACHE_CAPACITY: usize = 256;
 
 /// Request priority class. Higher classes are dispatched first and are the
 /// last to be shed when the admission queue overflows.
@@ -234,18 +245,12 @@ pub trait SchedBackend: Sync {
     fn current_epoch(&self) -> u64;
 
     /// The engine configuration. It must not change for the backend's
-    /// lifetime: batches, plans and cached answers are keyed by the
-    /// effective `(k, τ)` alone.
+    /// lifetime: batches, plans and cached answers carry no configuration
+    /// key.
     fn config(&self) -> &SgqConfig;
 
     /// Compiles a query for repeated execution.
     fn prepare(&self, query: &QueryGraph) -> Result<Self::Prepared>;
-
-    /// Compiles a query under an explicit effective configuration (the
-    /// backend's configuration with the batch's per-request `k` / `τ`
-    /// substituted in). With `config == self.config()` this must behave
-    /// exactly like [`SchedBackend::prepare`].
-    fn prepare_tuned(&self, query: &QueryGraph, config: &SgqConfig) -> Result<Self::Prepared>;
 
     /// The epoch a prepared query is pinned to.
     fn prepared_epoch(&self, prepared: &Self::Prepared) -> u64;
@@ -292,10 +297,6 @@ impl<'a> SchedBackend for LiveQueryService<'a> {
 
     fn prepare(&self, query: &QueryGraph) -> Result<Self::Prepared> {
         LiveQueryService::prepare(self, query)
-    }
-
-    fn prepare_tuned(&self, query: &QueryGraph, config: &SgqConfig) -> Result<Self::Prepared> {
-        LiveQueryService::prepare_with(self, query, config)
     }
 
     fn prepared_epoch(&self, prepared: &Self::Prepared) -> u64 {
@@ -418,10 +419,6 @@ pub(crate) struct BatchRequest {
     query: Arc<QueryGraph>,
     sig: u64,
     epoch: u64,
-    /// Effective top-k of this request (engine default or per-request).
-    k: usize,
-    /// Effective τ threshold of this request.
-    tau: f64,
     priority: Priority,
     deadline: Instant,
     ticket: Arc<TicketState>,
@@ -432,9 +429,6 @@ pub(crate) struct Batch {
     query: Arc<QueryGraph>,
     sig: u64,
     epoch: u64,
-    /// Effective `(k, τ)` shared by every member (part of the merge key).
-    k: usize,
-    tau: f64,
     /// Most urgent member class.
     priority: Priority,
     /// Earliest member deadline — the EDF sort key.
@@ -451,10 +445,9 @@ impl Batch {
 
 /// Groups admitted requests into batches and releases them
 /// earliest-deadline-first. Two requests share a batch **only** when their
-/// query graphs are structurally equal (hash prefilter + `==`), they were
-/// observed at the same graph epoch, and they ask for the same `(k, τ)`
-/// (τ compared by bits) — the property tests below drive arbitrary
-/// interleavings through exactly this type.
+/// query graphs are structurally equal (hash prefilter + `==`) and they
+/// were observed at the same graph epoch — the property tests below drive
+/// arbitrary interleavings through exactly this type.
 pub(crate) struct Batcher {
     ready: Vec<Batch>,
     max_batch: usize,
@@ -464,7 +457,7 @@ impl Batcher {
     pub(crate) fn new(max_batch: usize) -> Self {
         Self {
             ready: Vec::new(),
-            max_batch: max_batch.max(1),
+            max_batch,
         }
     }
 
@@ -491,8 +484,6 @@ impl Batcher {
             b.members.len() < self.max_batch
                 && b.sig == req.sig
                 && b.epoch == req.epoch
-                && b.k == req.k
-                && b.tau.to_bits() == req.tau.to_bits()
                 && *b.query == *req.query
         }) {
             batch.deadline = batch.deadline.min(req.deadline);
@@ -506,8 +497,6 @@ impl Batcher {
             query: Arc::clone(&req.query),
             sig: req.sig,
             epoch: req.epoch,
-            k: req.k,
-            tau: req.tau,
             priority: req.priority,
             deadline: req.deadline,
             members: vec![req],
@@ -605,11 +594,8 @@ pub struct SchedStats {
     /// Batch executions that had to prepare (cold signature or new epoch).
     pub plan_cache_misses: u64,
     /// Requests answered verbatim from the semantic answer cache (same
-    /// `(k, τ)`, same epoch) — resolved at submit time, engine untouched.
+    /// query, same epoch) — resolved at submit time, engine untouched.
     pub answer_cache_hits: u64,
-    /// Requests answered by trimming a dominating cached entry
-    /// (`k ≤ k_cached`, `τ = τ_cached`, same structure and epoch).
-    pub answer_cache_dominance_hits: u64,
     /// Cache probes that found an entry stamped with another epoch (the
     /// entry is evicted — stale answers never escape).
     pub answer_cache_stale: u64,
@@ -647,17 +633,12 @@ impl SchedStats {
         self.per_priority[priority.rank()]
     }
 
-    /// Requests served from the answer cache, verbatim or trimmed.
-    pub fn answer_cache_served(&self) -> u64 {
-        self.answer_cache_hits + self.answer_cache_dominance_hits
-    }
-
     /// Fraction of submitted requests served from the answer cache.
     pub fn answer_cache_hit_rate(&self) -> f64 {
         if self.submitted == 0 {
             0.0
         } else {
-            self.answer_cache_served() as f64 / self.submitted as f64
+            self.answer_cache_hits as f64 / self.submitted as f64
         }
     }
 }
@@ -681,7 +662,6 @@ struct SchedCounters {
     plan_cache_hits: Counter,
     plan_cache_misses: Counter,
     answer_hits: Counter,
-    answer_dominance_hits: Counter,
     answer_stale: Counter,
     answer_misses: Counter,
     answer_entries: Gauge,
@@ -752,10 +732,6 @@ impl SchedCounters {
                 "sgq_sched_answer_cache_hits_total",
                 "requests answered verbatim from the semantic answer cache",
             ),
-            answer_dominance_hits: registry.counter(
-                "sgq_sched_answer_cache_dominance_hits_total",
-                "requests answered by trimming a dominating cached entry",
-            ),
             answer_stale: registry.counter(
                 "sgq_sched_answer_cache_stale_total",
                 "answer-cache probes that evicted an entry from another epoch",
@@ -805,11 +781,10 @@ impl SchedCounters {
                 p99_us: h.p99(),
             };
         }
-        // Answer-cache hit counters are read before `exact`: a hit
-        // increments `exact` first and its hit counter second, so this
-        // order keeps `answer_cache_served() <= exact` in every snapshot.
+        // The answer-cache hit counter is read before `exact`: a hit
+        // increments `exact` first and the hit counter second, so this
+        // order keeps `answer_cache_hits <= exact` in every snapshot.
         let answer_cache_hits = self.answer_hits.get();
-        let answer_cache_dominance_hits = self.answer_dominance_hits.get();
         let answer_cache_stale = self.answer_stale.get();
         let answer_cache_misses = self.answer_misses.get();
         let exact = self.exact.get();
@@ -835,7 +810,6 @@ impl SchedCounters {
             plan_cache_hits: self.plan_cache_hits.get(),
             plan_cache_misses: self.plan_cache_misses.get(),
             answer_cache_hits,
-            answer_cache_dominance_hits,
             answer_cache_stale,
             answer_cache_misses,
             answer_cache_entries: self.answer_entries.get() as u64,
@@ -878,11 +852,6 @@ struct Pending {
     /// Signature computed once at submission (it already keyed the
     /// answer-cache probe there) and reused at grouping time.
     sig: u64,
-    /// Effective top-k for this request (the backend default unless the
-    /// caller tuned it via [`QueryParams`]).
-    k: usize,
-    /// Effective pss threshold for this request.
-    tau: f64,
     priority: Priority,
     deadline: Instant,
     ticket: Arc<TicketState>,
@@ -894,16 +863,10 @@ struct SchedState {
     inflight: usize,
 }
 
-/// A cached prepared query, valid while its epoch and its `(k, τ)` match
-/// the batch's.
+/// A cached prepared query, valid while its epoch matches the batch's.
 struct CachedPlan<P> {
     query: Arc<QueryGraph>,
     epoch: u64,
-    /// The effective `(k, τ)` the plan was prepared under, compared
-    /// exactly (τ by bits). One plan per query shape: a request with
-    /// different parameters replaces it rather than sharing it.
-    k: usize,
-    tau: f64,
     prepared: Arc<P>,
 }
 
@@ -965,43 +928,28 @@ impl<B: SchedBackend> Shared<B> {
     }
 
     /// Probes the answer cache for `query` at the backend's current epoch.
-    /// `Some` is a finished outcome (verbatim or dominance-trimmed hit,
-    /// the `bool` saying which) the caller fans out without touching the
-    /// engine; `None` means miss (or a stale entry, now evicted) and the
-    /// request takes the normal path. Miss/stale counters are recorded
-    /// here; the caller records the hit counters *after* `record_served`
-    /// so snapshots never show more cache-served answers than exacts.
+    /// `Some` is a finished outcome the caller fans out without touching
+    /// the engine; `None` means miss (or a stale entry, now evicted) and
+    /// the request takes the normal path. Miss/stale counters are recorded
+    /// here; the caller records the hit counter *after* `record_served` so
+    /// snapshots never show more cache-served answers than exacts.
     ///
     /// Called from `submit` *without* the state lock held — the cache has
     /// its own lock and the epoch read is a plain atomic load on both
     /// backends, so a hit costs two uncontended lock acquisitions total.
-    fn serve_from_cache(
-        &self,
-        backend: &B,
-        query: &QueryGraph,
-        sig: u64,
-        k: usize,
-        tau: f64,
-    ) -> Option<(SchedOutcome, bool)> {
+    fn serve_from_cache(&self, backend: &B, query: &QueryGraph, sig: u64) -> Option<SchedOutcome> {
         if self.config.answer_cache_capacity == 0 {
-            return None;
-        }
-        // Out-of-contract parameters never touch the cache: the engine
-        // rejects them at validation, and the dominance order is only
-        // meaningful for finite τ ∈ [0, 1] and k ≥ 1.
-        if k == 0 || !tau.is_finite() || !(0.0..=1.0).contains(&tau) {
             return None;
         }
         let epoch = backend.current_epoch();
         let lookup = {
             let mut answers = self.answers.lock().unwrap();
-            let lookup = answers.lookup(sig, query, epoch, k, tau);
+            let lookup = answers.lookup(sig, query, epoch);
             self.stats.answer_entries.set(answers.len() as i64);
             lookup
         };
         match lookup {
-            AnswerLookup::Hit(result) => Some((SchedOutcome::Exact((*result).clone()), false)),
-            AnswerLookup::Trimmed(result) => Some((SchedOutcome::Exact(result), true)),
+            AnswerLookup::Hit(result) => Some(SchedOutcome::Exact((*result).clone())),
             AnswerLookup::Stale => {
                 // A stale probe is also a miss: the request goes on to the
                 // engine like any other.
@@ -1031,14 +979,7 @@ impl<B: SchedBackend> Shared<B> {
         }
         let epoch = backend.prepared_epoch(prepared);
         let mut answers = self.answers.lock().unwrap();
-        answers.insert(
-            batch.sig,
-            &batch.query,
-            epoch,
-            batch.k,
-            batch.tau,
-            Arc::new(result.clone()),
-        );
+        answers.insert(batch.sig, &batch.query, epoch, Arc::new(result.clone()));
         self.stats.answer_entries.set(answers.len() as i64);
     }
 
@@ -1078,7 +1019,7 @@ impl<B: SchedBackend> Shared<B> {
             .map(|p| {
                 estimate_ns(
                     Duration::from_nanos(p.search_ns),
-                    self.config.per_match_ta_cost.as_nanos(),
+                    TimeBoundConfig::default().per_match_ta_cost.as_nanos(),
                     p.accesses as usize,
                 )
             })
@@ -1097,7 +1038,7 @@ impl<B: SchedBackend> Shared<B> {
             .saturating_mul(1_000);
         let accesses = stats.ta_accesses as u64;
         let mut costs = self.costs.lock().unwrap();
-        if costs.len() >= self.config.plan_cache_capacity && !costs.contains_key(&batch.sig) {
+        if costs.len() >= PLAN_CACHE_CAPACITY && !costs.contains_key(&batch.sig) {
             costs.clear();
         }
         let entry = costs
@@ -1147,27 +1088,14 @@ impl<B: SchedBackend> Shared<B> {
         {
             let plans = self.plans.lock().unwrap();
             if let Some(entry) = plans.get(&batch.sig) {
-                if entry.epoch == batch.epoch
-                    && entry.k == batch.k
-                    && entry.tau.to_bits() == batch.tau.to_bits()
-                    && *entry.query == *batch.query
-                {
+                if entry.epoch == batch.epoch && *entry.query == *batch.query {
                     self.stats.plan_cache_hits.inc();
                     return Ok(Arc::clone(&entry.prepared));
                 }
             }
         }
         self.stats.plan_cache_misses.inc();
-        // Prepare under the batch's effective (k, τ): the backend's config
-        // with the tuned parameters substituted. For untuned requests this
-        // IS the backend config, and `prepare_tuned` is contractually
-        // identical to `prepare` there.
-        let mut tuned_config = backend.config().clone();
-        tuned_config.k = batch.k;
-        tuned_config.tau = batch.tau;
-        let prepare = || match catch_unwind(AssertUnwindSafe(|| {
-            backend.prepare_tuned(&batch.query, &tuned_config)
-        })) {
+        let prepare = || match catch_unwind(AssertUnwindSafe(|| backend.prepare(&batch.query))) {
             Ok(result) => result.map(Arc::new),
             Err(_) => Err(SgqError::Scheduler(
                 "query preparation panicked inside the scheduler".into(),
@@ -1188,7 +1116,7 @@ impl<B: SchedBackend> Shared<B> {
         }
         if backend.prepared_epoch(&prepared) >= batch.epoch {
             let mut plans = self.plans.lock().unwrap();
-            if plans.len() >= self.config.plan_cache_capacity && !plans.contains_key(&batch.sig) {
+            if plans.len() >= PLAN_CACHE_CAPACITY && !plans.contains_key(&batch.sig) {
                 // Cache full: reset rather than grow without bound. Crude,
                 // but the cache refills with the live working set within
                 // one round.
@@ -1203,8 +1131,6 @@ impl<B: SchedBackend> Shared<B> {
                 CachedPlan {
                     query: Arc::clone(&batch.query),
                     epoch: batch.epoch,
-                    k: batch.k,
-                    tau: batch.tau,
                     prepared: Arc::clone(&prepared),
                 },
             );
@@ -1225,33 +1151,19 @@ impl<B: SchedBackend> SchedHandle<'_, B> {
     /// immediately with a [`Ticket`]; the scheduler resolves it with an
     /// exact answer, a flagged degradation, an explicit shed, or the
     /// engine's error.
-    pub fn submit(&self, query: &QueryGraph, within: Duration, priority: Priority) -> Ticket {
-        self.submit_with(query, QueryParams::default(), within, priority)
-    }
-
-    /// [`SchedHandle::submit`] with per-request (k, τ) overrides. `None`
-    /// fields fall back to the backend engine's configured values, so
-    /// `QueryParams::default()` is exactly `submit`.
     ///
     /// The answer cache is probed here, on the client thread, before
     /// admission: a hit resolves the ticket immediately with the cached
-    /// (or dominance-trimmed) certified answer and the request never
-    /// enters the queue — it counts as `submitted` and `exact` but not as
-    /// `admitted` or `batched_requests`.
-    pub fn submit_with(
-        &self,
-        query: &QueryGraph,
-        params: QueryParams,
-        within: Duration,
-        priority: Priority,
-    ) -> Ticket {
+    /// certified answer and the request never enters the queue — it counts
+    /// as `submitted` and `exact` but not as `admitted` or
+    /// `batched_requests`.
+    pub fn submit(&self, query: &QueryGraph, within: Duration, priority: Priority) -> Ticket {
         let state = Arc::new(TicketState::new());
         let ticket = Ticket {
             state: Arc::clone(&state),
         };
         let shared = self.shared;
         shared.stats.submitted.inc();
-        let (k, tau) = params.resolve(self.backend.config());
         let sig = query_signature(query);
         // A huge `within` ("no deadline, ever") must read as slack, not
         // panic on Instant overflow; a year out is beyond any plausible
@@ -1272,27 +1184,21 @@ impl<B: SchedBackend> SchedHandle<'_, B> {
         // from cache: tighter deadlines belong to admission control, and
         // their shed/unmeetable outcomes must not depend on cache warmth —
         // a zero-deadline request sheds whether or not its answer is warm.
-        let cacheable = within > shared.config.shed_margin;
-        if let Some((outcome, dominance)) = cacheable
-            .then(|| shared.serve_from_cache(self.backend, query, sig, k, tau))
+        let cacheable = within > SHED_MARGIN;
+        if let Some(outcome) = cacheable
+            .then(|| shared.serve_from_cache(self.backend, query, sig))
             .flatten()
         {
             shared
                 .stats
                 .record_served(priority, state.submitted.elapsed(), false);
-            if dominance {
-                shared.stats.answer_dominance_hits.inc();
-            } else {
-                shared.stats.answer_hits.inc();
-            }
+            shared.stats.answer_hits.inc();
             state.resolve(outcome);
             return ticket;
         }
         let pending = Pending {
             query: Arc::new(query.clone()),
             sig,
-            k,
-            tau,
             priority,
             deadline,
             ticket: state,
@@ -1347,17 +1253,6 @@ impl<B: SchedBackend> SchedHandle<'_, B> {
         priority: Priority,
     ) -> SchedResponse {
         self.submit(query, within, priority).wait()
-    }
-
-    /// [`SchedHandle::query_within`] with per-request (k, τ) overrides.
-    pub fn query_within_with(
-        &self,
-        query: &QueryGraph,
-        params: QueryParams,
-        within: Duration,
-        priority: Priority,
-    ) -> SchedResponse {
-        self.submit_with(query, params, within, priority).wait()
     }
 
     /// Snapshot of the scheduler counters.
@@ -1436,7 +1331,7 @@ fn scheduler_main<B: SchedBackend>(backend: &B, shared: &Shared<B>) {
     } else {
         shared.config.max_inflight
     };
-    let mut batcher = Batcher::new(shared.config.max_batch);
+    let mut batcher = Batcher::new(MAX_BATCH);
 
     backend.pool().scope(|scope| {
         loop {
@@ -1470,8 +1365,6 @@ fn scheduler_main<B: SchedBackend>(backend: &B, shared: &Shared<B>) {
                     sig: p.sig,
                     query: p.query,
                     epoch,
-                    k: p.k,
-                    tau: p.tau,
                     priority: p.priority,
                     deadline: p.deadline,
                     ticket: p.ticket,
@@ -1527,12 +1420,10 @@ fn scheduler_main<B: SchedBackend>(backend: &B, shared: &Shared<B>) {
 /// deadline feasibility, plans once, executes at most twice (one exact run,
 /// one reduced-bound TBQ run), fans results out.
 fn run_batch<B: SchedBackend>(backend: &B, shared: &Shared<B>, mut batch: Batch) {
-    let cfg = &shared.config;
-    let per_match_ns = cfg.per_match_ta_cost.as_nanos();
     // The fixed cost of getting any answer out: dispatch, preparation (on
-    // a plan-cache miss), fan-out — modelled as elapsed time with zero
-    // collected matches.
-    let overhead_ns = estimate_ns(cfg.shed_margin, per_match_ns, 0);
+    // a plan-cache miss), fan-out — the Algorithm-3 estimate with zero
+    // collected matches, which is the margin itself.
+    let overhead_ns = SHED_MARGIN.as_nanos();
     let predicted_ns = shared.predict_ns(&batch);
 
     let now = Instant::now();
@@ -1631,21 +1522,17 @@ fn run_batch<B: SchedBackend>(backend: &B, shared: &Shared<B>, mut batch: Batch)
                 shared.resolve_shed(&m.ticket, ShedReason::Expired);
                 continue;
             };
-            if estimate_ns(cfg.shed_margin, per_match_ns, 0) >= remaining.as_nanos() {
+            if overhead_ns >= remaining.as_nanos() {
                 shared.resolve_shed(&m.ticket, ShedReason::Unmeetable);
                 continue;
             }
-            bound = bound.min(remaining.saturating_sub(cfg.shed_margin));
+            bound = bound.min(remaining.saturating_sub(SHED_MARGIN));
             survivors.push(m);
         }
         if survivors.is_empty() {
             return;
         }
-        let tb = TimeBoundConfig {
-            bound,
-            alert_ratio: cfg.degrade_alert_ratio,
-            per_match_ta_cost: cfg.per_match_ta_cost,
-        };
+        let tb = TimeBoundConfig::with_bound(bound);
         let guarded = catch_unwind(AssertUnwindSafe(|| {
             backend.execute_time_bounded(&prepared, &tb)
         }));
@@ -1861,10 +1748,6 @@ mod tests {
         }
 
         fn prepare(&self, _query: &QueryGraph) -> Result<()> {
-            Err(SgqError::Scheduler("null backend".into()))
-        }
-
-        fn prepare_tuned(&self, _query: &QueryGraph, _config: &SgqConfig) -> Result<()> {
             Err(SgqError::Scheduler("null backend".into()))
         }
 
@@ -2179,64 +2062,58 @@ mod tests {
         assert_eq!(stats.exact, 4);
     }
 
-    /// A cached plan serves only its own `(k, τ)`, compared exactly. This
-    /// τ and `(1, 0.0)` collide under an FxHash of the default
-    /// configuration with `(k, τ)` (FxHash is invertible in its last
-    /// word), so a hash-keyed check would hand the k = 1 plan to the
-    /// second request: `Exact` with one match where the direct path
-    /// returns two.
+    /// The plan cache and the cost profiles are keyed by signature, a hash
+    /// prefilter only: two batches forced under one `sig` never share a
+    /// plan or a profile. France has no node in the fixture, so a borrowed
+    /// Germany plan would answer it with Germany's two matches.
     #[test]
-    fn plan_cache_never_serves_another_k_or_tau() {
+    fn sig_collisions_never_share_plans_or_cost_profiles() {
         let (g, space, lib) = fixture();
-        let base = SgqConfig {
-            k: 5,
-            tau: 0.0,
-            workers: 2,
-            ..SgqConfig::default()
+        let service = idle_service(
+            &g,
+            &space,
+            &lib,
+            SgqConfig {
+                k: 5,
+                tau: 0.0,
+                workers: 1,
+                ..SgqConfig::default()
+            },
+        );
+        let shared = Shared::<LiveQueryService<'_>>::new(sched_config());
+        let mut france = QueryGraph::new();
+        let auto = france.add_target("Automobile");
+        let fr = france.add_specific("France", "Country");
+        france.add_edge(auto, "product", fr);
+        let batch = |query: QueryGraph| Batch {
+            query: Arc::new(query),
+            sig: 7,
+            epoch: 0,
+            priority: Priority::Normal,
+            deadline: Instant::now() + Duration::from_secs(10),
+            members: Vec::new(),
         };
-        let service = idle_service(&g, &space, &lib, base.clone());
-        let colliding_tau = f64::from_bits(0x37b6_e5da_f2d3_75f0);
-        let tuned = SgqConfig {
-            k: 10,
-            tau: colliding_tau,
-            ..base
-        };
-        let direct = service
-            .execute(&service.prepare_with(&product_query(), &tuned).unwrap())
-            .unwrap();
-        assert_eq!(direct.matches.len(), 2);
-        // Answer cache off: the second request must reach planning.
-        let config = SchedConfig {
-            answer_cache_capacity: 0,
-            ..SchedConfig::default()
-        };
-        BatchScheduler::serve(&service, config, |handle| {
-            let within = Duration::from_secs(10);
-            let first = handle.query_within_with(
-                &product_query(),
-                QueryParams {
-                    k: Some(1),
-                    tau: Some(0.0),
-                },
-                within,
-                Priority::Normal,
-            );
-            assert_eq!(first.outcome.result().unwrap().matches.len(), 1);
-            let second = handle.query_within_with(
-                &product_query(),
-                QueryParams {
-                    k: Some(10),
-                    tau: Some(colliding_tau),
-                },
-                within,
-                Priority::Normal,
-            );
-            match second.outcome {
-                SchedOutcome::Exact(r) => assert_eq!(r.matches, direct.matches),
-                other => panic!("slack deadline must yield the exact answer, got {other:?}"),
-            }
-        })
-        .unwrap();
+        let germany = batch(product_query());
+        let france = batch(france);
+
+        let prepared = shared.plan(&service, &germany).unwrap();
+        let result = service.execute(&prepared).unwrap();
+        assert_eq!(result.matches.len(), 2);
+        shared.observe(&germany, &result.stats);
+        assert!(shared.predict_ns(&germany).is_some());
+        assert!(
+            shared.predict_ns(&france).is_none(),
+            "a colliding query must not borrow another query's cost profile"
+        );
+
+        let prepared = shared.plan(&service, &france).unwrap();
+        assert_eq!(
+            shared.stats.plan_cache_misses.get(),
+            2,
+            "a colliding query must prepare its own plan"
+        );
+        assert_eq!(shared.stats.plan_cache_hits.get(), 0);
+        assert!(service.execute(&prepared).unwrap().matches.is_empty());
     }
 
     /// The scheduler's 1-in-N tick is the only sampler on the scheduled
@@ -2340,7 +2217,6 @@ mod tests {
             stats.answer_cache_hits, 7,
             "warm repeats are served from cache"
         );
-        assert_eq!(stats.answer_cache_dominance_hits, 0);
         assert_eq!(
             stats.batches, 1,
             "only the cold submission reaches the engine"
@@ -2348,54 +2224,6 @@ mod tests {
         assert_eq!(stats.batched_requests, 1);
         assert_eq!(stats.admitted, 1, "cache hits never enter the queue");
         assert_eq!(stats.answer_cache_entries, 1);
-    }
-
-    /// Dominance serving: a cached (k=5, τ=0) answer serves a later k=1
-    /// request of the same query by trimming — counted separately, and the
-    /// trimmed answer equals the from-scratch k=1 prefix.
-    #[test]
-    fn answer_cache_serves_dominated_requests_by_trimming() {
-        let (g, space, lib) = fixture();
-        let service = idle_service(
-            &g,
-            &space,
-            &lib,
-            SgqConfig {
-                k: 5,
-                tau: 0.0,
-                workers: 2,
-                ..SgqConfig::default()
-            },
-        );
-        let direct = service.query(&product_query()).unwrap();
-        assert!(direct.matches.len() >= 2, "fixture yields multiple matches");
-        let stats = BatchScheduler::serve(&service, sched_config(), |handle| {
-            let warm =
-                handle.query_within(&product_query(), Duration::from_secs(10), Priority::Normal);
-            assert!(matches!(warm.outcome, SchedOutcome::Exact(_)));
-            let trimmed = handle.query_within_with(
-                &product_query(),
-                QueryParams {
-                    k: Some(1),
-                    tau: None,
-                },
-                Duration::from_secs(10),
-                Priority::Normal,
-            );
-            match trimmed.outcome {
-                SchedOutcome::Exact(res) => {
-                    assert_eq!(res.matches.len(), 1);
-                    assert_eq!(res.matches[0], direct.matches[0]);
-                }
-                other => panic!("expected trimmed exact, got {other:?}"),
-            }
-            handle.stats()
-        })
-        .unwrap();
-        assert_eq!(stats.answer_cache_dominance_hits, 1);
-        assert_eq!(stats.answer_cache_hits, 0);
-        assert_eq!(stats.batches, 1, "the dominated request never executes");
-        assert_eq!(stats.exact, 2);
     }
 
     /// Epoch invalidation: a commit between two submissions of one query
@@ -2518,7 +2346,6 @@ mod tests {
         query: &Arc<QueryGraph>,
         sig: u64,
         epoch: u64,
-        k: usize,
         priority: Priority,
         deadline: Instant,
     ) -> BatchRequest {
@@ -2526,8 +2353,6 @@ mod tests {
             query: Arc::clone(query),
             sig,
             epoch,
-            k,
-            tau: 0.8,
             priority,
             deadline,
             ticket: Arc::new(TicketState::new()),
@@ -2544,14 +2369,12 @@ mod tests {
             &q1,
             1,
             0,
-            0,
             Priority::Normal,
             base + Duration::from_millis(50)
         )));
         assert!(b.offer(req(
             &q1,
             1,
-            0,
             0,
             Priority::High,
             base + Duration::from_millis(10)
@@ -2562,7 +2385,6 @@ mod tests {
             &q2,
             1,
             0,
-            0,
             Priority::Normal,
             base + Duration::from_millis(20)
         )));
@@ -2571,20 +2393,10 @@ mod tests {
             &q1,
             1,
             1,
-            0,
             Priority::Normal,
             base + Duration::from_millis(20)
         )));
-        // Different k never merges.
-        assert!(!b.offer(req(
-            &q1,
-            1,
-            0,
-            7,
-            Priority::Normal,
-            base + Duration::from_millis(20)
-        )));
-        assert_eq!(b.len(), 4);
+        assert_eq!(b.len(), 3);
 
         let first = b.pop_earliest().unwrap();
         assert_eq!(first.members.len(), 2, "the merged batch is most urgent");
@@ -2605,7 +2417,6 @@ mod tests {
             &q,
             1,
             0,
-            0,
             Priority::Low,
             base + Duration::from_millis(1),
         ));
@@ -2613,7 +2424,6 @@ mod tests {
             &q,
             2,
             1,
-            0,
             Priority::Normal,
             base + Duration::from_millis(90),
         ));
@@ -2621,7 +2431,6 @@ mod tests {
             &q,
             3,
             2,
-            0,
             Priority::Normal,
             base + Duration::from_millis(40),
         ));
@@ -2640,7 +2449,6 @@ mod tests {
                 &q,
                 1,
                 0,
-                0,
                 Priority::Normal,
                 base + Duration::from_millis(10),
             ));
@@ -2655,15 +2463,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Arbitrary interleavings of offers (over a pool of distinct
-        /// queries, epochs, `k`s, priorities, deadlines) and pops:
-        /// every batch ever formed is homogeneous — one query, one epoch,
-        /// one config — sized within max_batch, with the batch deadline
-        /// equal to its earliest member's and the batch priority equal to
-        /// its most urgent member's.
+        /// queries, epochs, priorities, deadlines) and pops: every batch
+        /// ever formed is homogeneous — one query, one epoch — sized
+        /// within max_batch, with the batch deadline equal to its earliest
+        /// member's and the batch priority equal to its most urgent
+        /// member's.
         #[test]
-        fn batches_never_mix_queries_epochs_or_configs(
+        fn batches_never_mix_queries_or_epochs(
             ops in collection::vec(
-                ((0usize..4, 0u64..3, 0u64..2), (0usize..3, 0u64..100, 0u64..5)),
+                ((0usize..4, 0u64..3), (0usize..3, 0u64..100, 0u64..5)),
                 1..120,
             ),
             max_batch in 1usize..6,
@@ -2687,8 +2495,6 @@ mod tests {
                 for m in &batch.members {
                     prop_assert_eq!(m.sig, batch.sig);
                     prop_assert_eq!(m.epoch, batch.epoch);
-                    prop_assert_eq!(m.k, batch.k);
-                    prop_assert_eq!(m.tau.to_bits(), batch.tau.to_bits());
                     prop_assert!(*m.query == *batch.query,
                         "a batch must hold one query shape only");
                     min_deadline = min_deadline.min(m.deadline);
@@ -2700,14 +2506,13 @@ mod tests {
             };
             let mut offered = 0usize;
             let mut popped = 0usize;
-            for ((qi, epoch, cfg), (prio, deadline_ms, pop_after)) in ops {
+            for ((qi, epoch), (prio, deadline_ms, pop_after)) in ops {
                 let query = &pool[qi];
                 let priority = Priority::ALL[prio];
                 batcher.offer(req(
                     query,
                     query_signature(query),
                     epoch,
-                    10 + cfg as usize,
                     priority,
                     base + Duration::from_millis(deadline_ms),
                 ));

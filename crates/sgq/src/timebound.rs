@@ -28,6 +28,7 @@
 
 use crate::answer::SubMatch;
 use crate::astar::{AStarSearch, SearchStats};
+use crate::config::MAX_MATCHES_PER_SUBQUERY;
 use crate::runtime::WorkerPool;
 use crate::semgraph::SubQueryPlan;
 use crate::ta;
@@ -138,7 +139,6 @@ pub(crate) struct AnytimeOutcome {
 pub(crate) fn run_anytime<G: GraphView>(
     graph: &G,
     plans: &[SubQueryPlan],
-    max_matches_per_subquery: usize,
     tb: &TimeBoundConfig,
     pool: &WorkerPool,
 ) -> AnytimeOutcome {
@@ -150,11 +150,6 @@ pub(crate) fn run_anytime<G: GraphView>(
     let start = Instant::now();
     let deadline_ns = tb.bound.mul_f64(tb.alert_ratio.clamp(0.0, 1.0)).as_nanos();
     let per_match_ns = tb.per_match_ta_cost.as_nanos();
-    let cap = if max_matches_per_subquery == 0 {
-        usize::MAX
-    } else {
-        max_matches_per_subquery
-    };
 
     type JobOutput = (Vec<SubMatch>, bool, Duration, SearchStats);
     let mut slots: Vec<Option<JobOutput>> = (0..n).map(|_| None).collect();
@@ -171,7 +166,7 @@ pub(crate) fn run_anytime<G: GraphView>(
                 let mut tick = 0u32;
                 let mut reported = 0usize;
                 loop {
-                    if search.discovered_len() >= cap {
+                    if search.discovered_len() >= MAX_MATCHES_PER_SUBQUERY {
                         break;
                     }
                     // Algorithm 3, decentralised: every 16 next-hop

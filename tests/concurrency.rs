@@ -195,24 +195,3 @@ fn foreign_prepared_query_is_rejected() {
         Err(semkg::sgq::SgqError::ForeignPreparedQuery)
     ));
 }
-
-/// Prepared queries survive engine config changes: execution uses the
-/// config snapshotted at preparation time.
-#[test]
-fn prepared_query_pins_its_config() {
-    let (ds, space) = setup();
-    let mut engine = engine(&ds, &space, 15);
-    let q = &produced_workload(&ds)[0];
-    let prepared = engine.prepare(&q.graph).unwrap();
-    let before = engine.execute(&prepared).unwrap();
-    engine.set_config(SgqConfig {
-        k: 1,
-        ..engine.config().clone()
-    });
-    let after = engine.execute(&prepared).unwrap();
-    assert_eq!(
-        after.matches, before.matches,
-        "prepared execution must use the snapshotted k, not the new one"
-    );
-    assert_eq!(prepared.config().k, 15);
-}

@@ -382,7 +382,7 @@ fn answer_cache_never_serves_stale_epochs_across_the_durable_lifecycle() {
             }
             let served = handle.stats();
             assert_eq!(
-                served.answer_cache_served() - warm.answer_cache_served(),
+                served.answer_cache_hits - warm.answer_cache_hits,
                 queries.len() as u64
             );
 
@@ -426,7 +426,7 @@ fn answer_cache_never_serves_stale_epochs_across_the_durable_lifecycle() {
                 scheduled(q);
             }
             let rewarmed = handle.stats();
-            assert!(rewarmed.answer_cache_served() > after_commit.answer_cache_served());
+            assert!(rewarmed.answer_cache_hits > after_commit.answer_cache_hits);
             v.compact();
             service.refresh();
             let post_compact: Vec<_> = queries
@@ -481,7 +481,7 @@ fn answer_cache_never_serves_stale_epochs_across_the_durable_lifecycle() {
             "a cold cache has no stale entries"
         );
         assert_eq!(
-            stats.answer_cache_served(),
+            stats.answer_cache_hits,
             queries.len() as u64,
             "the second post-recovery pass is cache-served: {stats:?}"
         );

@@ -122,12 +122,12 @@ fn scheduled_equals_direct_when_deadlines_are_slack() {
     // answer cache — and the per-response assertions above compared every
     // cache-served answer bit-identically against the direct path.
     assert_eq!(
-        stats.batched_requests + stats.answer_cache_served(),
+        stats.batched_requests + stats.answer_cache_hits,
         expected,
         "every admitted request flows through a batch or the answer cache"
     );
     assert!(
-        stats.answer_cache_served() > 0,
+        stats.answer_cache_hits > 0,
         "8 clients replaying a fixed workload must repeat queries: {stats:?}"
     );
 }

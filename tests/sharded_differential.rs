@@ -244,7 +244,7 @@ fn durable_cycle_stays_bit_identical() {
                 BatchScheduler::serve(&service, SchedConfig::default(), |handle| {
                     let mut cache_served = Vec::new();
                     for _pass in 0..2 {
-                        let before = handle.stats().answer_cache_served();
+                        let before = handle.stats().answer_cache_hits;
                         for (idx, q) in queries.iter().enumerate() {
                             let response =
                                 handle.query_within(q, Duration::from_secs(30), Priority::Normal);
@@ -257,7 +257,7 @@ fn durable_cycle_stays_bit_identical() {
                                 other => panic!("slack deadline must stay exact, got {other:?}"),
                             }
                         }
-                        cache_served.push(handle.stats().answer_cache_served() - before);
+                        cache_served.push(handle.stats().answer_cache_hits - before);
                     }
                     (cache_served, handle.stats())
                 })
