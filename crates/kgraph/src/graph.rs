@@ -5,12 +5,16 @@
 //! (compressed sparse row) adjacency for both edge directions. The frozen
 //! graph is immutable and `Sync`, so the query engine can share it across
 //! per-sub-query search threads without locking.
+//!
+//! A CSR row holds [`AdjRecord`]s — neighbour, predicate and edge id side by
+//! side — so reading a node's adjacency is one contiguous scan, with no
+//! second load into the edge array per entry.
 
 use crate::error::{KgError, Result};
 use crate::ids::{EdgeId, NodeId, PredicateId, TypeId};
 use crate::interner::Interner;
 use crate::triple::Triple;
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 
 /// A directed, predicate-labelled edge `(src) --pred--> (dst)`.
@@ -40,6 +44,136 @@ pub struct NeighborRef {
     pub edge: EdgeId,
     /// True when the edge leaves the queried node (`queried --> node`).
     pub outgoing: bool,
+}
+
+/// One entry of a CSR adjacency row: the edge seen from the row's node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdjRecord {
+    /// The node at the other end of the edge.
+    pub node: NodeId,
+    /// Predicate on the edge.
+    pub predicate: PredicateId,
+    /// The edge itself.
+    pub edge: EdgeId,
+}
+
+/// A node's adjacency as [`NeighborRef`]s: up to four runs of
+/// [`AdjRecord`]s read in order, the first two outgoing and the last two
+/// incoming. A versioned snapshot passes its base and delta rows per
+/// direction; the frozen graph leaves the delta runs empty. Edges in
+/// `tombstones` are skipped, and `None` skips the probe altogether.
+#[derive(Debug, Clone)]
+pub struct Neighbors<'a> {
+    runs: [&'a [AdjRecord]; 4],
+    /// Index in `runs` of the run `cur` reads.
+    run: usize,
+    cur: std::slice::Iter<'a, AdjRecord>,
+    tombstones: Option<&'a FxHashSet<EdgeId>>,
+}
+
+impl<'a> Neighbors<'a> {
+    pub(crate) fn new(
+        runs: [&'a [AdjRecord]; 4],
+        tombstones: Option<&'a FxHashSet<EdgeId>>,
+    ) -> Self {
+        Self {
+            runs,
+            run: 0,
+            cur: runs[0].iter(),
+            tombstones,
+        }
+    }
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = NeighborRef;
+
+    #[inline]
+    fn next(&mut self) -> Option<NeighborRef> {
+        loop {
+            match self.cur.next() {
+                Some(r) => {
+                    if self.tombstones.is_some_and(|t| t.contains(&r.edge)) {
+                        continue;
+                    }
+                    return Some(NeighborRef {
+                        node: r.node,
+                        predicate: r.predicate,
+                        edge: r.edge,
+                        outgoing: self.run < 2,
+                    });
+                }
+                None if self.run + 1 < self.runs.len() => {
+                    self.run += 1;
+                    self.cur = self.runs[self.run].iter();
+                }
+                None => return None,
+            }
+        }
+    }
+}
+
+/// Both-direction CSR adjacency: `out[out_offsets[u]..out_offsets[u + 1]]`
+/// is `u`'s out-row and `inn[in_offsets[u]..in_offsets[u + 1]]` its in-row,
+/// each in edge-id order.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
+    out_offsets: Vec<u32>,
+    out: Vec<AdjRecord>,
+    in_offsets: Vec<u32>,
+    inn: Vec<AdjRecord>,
+}
+
+impl Csr {
+    /// Counting sort of `edges` (indexed by edge id) into per-node rows, one
+    /// pass per direction: O(n + m), no per-node allocation. The one place
+    /// adjacency order is decided — [`GraphBuilder::finish`] and the
+    /// snapshot loader both call it, so a loaded graph's rows equal the
+    /// saved graph's, and A\*'s tie-breaks with them.
+    pub(crate) fn build(node_count: usize, edges: &[EdgeRecord]) -> Self {
+        let mut out_offsets = vec![0u32; node_count + 1];
+        let mut in_offsets = vec![0u32; node_count + 1];
+        for e in edges {
+            out_offsets[e.src.index() + 1] += 1;
+            in_offsets[e.dst.index() + 1] += 1;
+        }
+        for i in 0..node_count {
+            out_offsets[i + 1] += out_offsets[i];
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let blank = AdjRecord {
+            node: NodeId::new(0),
+            predicate: PredicateId::new(0),
+            edge: EdgeId::new(0),
+        };
+        let mut out = vec![blank; edges.len()];
+        let mut inn = vec![blank; edges.len()];
+        let mut out_cursor = out_offsets.clone();
+        let mut in_cursor = in_offsets.clone();
+        for (idx, e) in edges.iter().enumerate() {
+            let edge = EdgeId::new(idx as u32);
+            let oc = &mut out_cursor[e.src.index()];
+            out[*oc as usize] = AdjRecord {
+                node: e.dst,
+                predicate: e.predicate,
+                edge,
+            };
+            *oc += 1;
+            let ic = &mut in_cursor[e.dst.index()];
+            inn[*ic as usize] = AdjRecord {
+                node: e.src,
+                predicate: e.predicate,
+                edge,
+            };
+            *ic += 1;
+        }
+        Self {
+            out_offsets,
+            out,
+            in_offsets,
+            inn,
+        }
+    }
 }
 
 /// Incremental builder for a [`KnowledgeGraph`].
@@ -165,35 +299,7 @@ impl GraphBuilder {
 
     /// Freezes the builder into an immutable CSR-backed graph.
     pub fn finish(self) -> KnowledgeGraph {
-        let n = self.node_name.len();
-        let m = self.edges.len();
-
-        // Counting sort of edge ids into per-node CSR rows, one pass per
-        // direction. O(n + m), no per-node Vec allocations.
-        let mut out_offsets = vec![0u32; n + 1];
-        let mut in_offsets = vec![0u32; n + 1];
-        for e in &self.edges {
-            out_offsets[e.src.index() + 1] += 1;
-            in_offsets[e.dst.index() + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut out_edges = vec![EdgeId::new(0); m];
-        let mut in_edges = vec![EdgeId::new(0); m];
-        let mut out_cursor = out_offsets.clone();
-        let mut in_cursor = in_offsets.clone();
-        for (idx, e) in self.edges.iter().enumerate() {
-            let id = EdgeId::new(idx as u32);
-            let oc = &mut out_cursor[e.src.index()];
-            out_edges[*oc as usize] = id;
-            *oc += 1;
-            let ic = &mut in_cursor[e.dst.index()];
-            in_edges[*ic as usize] = id;
-            *ic += 1;
-        }
-
+        let csr = Csr::build(self.node_name.len(), &self.edges);
         let mut nodes_by_type: Vec<Vec<NodeId>> = vec![Vec::new(); self.types.len()];
         for (idx, ty) in self.node_type.iter().enumerate() {
             nodes_by_type[ty.index()].push(NodeId::new(idx as u32));
@@ -208,10 +314,7 @@ impl GraphBuilder {
             name_to_node: self.name_to_node,
             nodes_by_type,
             edges: self.edges,
-            out_offsets,
-            out_edges,
-            in_offsets,
-            in_edges,
+            csr,
             duplicate_edges_dropped: self.duplicate_edges_dropped,
         }
     }
@@ -232,10 +335,7 @@ pub struct KnowledgeGraph {
     pub(crate) name_to_node: FxHashMap<u32, NodeId>,
     pub(crate) nodes_by_type: Vec<Vec<NodeId>>,
     pub(crate) edges: Vec<EdgeRecord>,
-    pub(crate) out_offsets: Vec<u32>,
-    pub(crate) out_edges: Vec<EdgeId>,
-    pub(crate) in_offsets: Vec<u32>,
-    pub(crate) in_edges: Vec<EdgeId>,
+    pub(crate) csr: Csr,
     pub(crate) duplicate_edges_dropped: usize,
 }
 
@@ -329,18 +429,22 @@ impl KnowledgeGraph {
             })
     }
 
-    /// Out-edges of `node` (edges with `node` as head).
-    pub fn out_edges(&self, node: NodeId) -> &[EdgeId] {
-        let lo = self.out_offsets[node.index()] as usize;
-        let hi = self.out_offsets[node.index() + 1] as usize;
-        &self.out_edges[lo..hi]
+    /// Out-edges of `node` (edges with `node` as head), each record naming
+    /// the edge's tail, in edge-id order.
+    pub fn out_edges(&self, node: NodeId) -> &[AdjRecord] {
+        let csr = &self.csr;
+        let lo = csr.out_offsets[node.index()] as usize;
+        let hi = csr.out_offsets[node.index() + 1] as usize;
+        &csr.out[lo..hi]
     }
 
-    /// In-edges of `node` (edges with `node` as tail).
-    pub fn in_edges(&self, node: NodeId) -> &[EdgeId] {
-        let lo = self.in_offsets[node.index()] as usize;
-        let hi = self.in_offsets[node.index() + 1] as usize;
-        &self.in_edges[lo..hi]
+    /// In-edges of `node` (edges with `node` as tail), each record naming
+    /// the edge's head, in edge-id order.
+    pub fn in_edges(&self, node: NodeId) -> &[AdjRecord] {
+        let csr = &self.csr;
+        let lo = csr.in_offsets[node.index()] as usize;
+        let hi = csr.in_offsets[node.index() + 1] as usize;
+        &csr.inn[lo..hi]
     }
 
     /// Undirected degree (in + out).
@@ -348,28 +452,10 @@ impl KnowledgeGraph {
         self.out_edges(node).len() + self.in_edges(node).len()
     }
 
-    /// Iterates both-direction adjacency of `node` (paper paths ignore
-    /// directionality; see Definition 4 footnote).
-    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NeighborRef> + '_ {
-        let out = self.out_edges(node).iter().map(move |&e| {
-            let rec = self.edges[e.index()];
-            NeighborRef {
-                node: rec.dst,
-                predicate: rec.predicate,
-                edge: e,
-                outgoing: true,
-            }
-        });
-        let inn = self.in_edges(node).iter().map(move |&e| {
-            let rec = self.edges[e.index()];
-            NeighborRef {
-                node: rec.src,
-                predicate: rec.predicate,
-                edge: e,
-                outgoing: false,
-            }
-        });
-        out.chain(inn)
+    /// Iterates both-direction adjacency of `node`, out-edges first (paper
+    /// paths ignore directionality; see Definition 4 footnote).
+    pub fn neighbors(&self, node: NodeId) -> Neighbors<'_> {
+        Neighbors::new([self.out_edges(node), &[], self.in_edges(node), &[]], None)
     }
 
     /// Iterates all edges as `(EdgeId, EdgeRecord)`.

@@ -56,8 +56,8 @@
 
 use super::codec::{checksum64, put_str, put_u32, put_u64, Cursor};
 use crate::error::{KgError, Result};
-use crate::graph::{EdgeRecord, KnowledgeGraph};
-use crate::ids::{EdgeId, NodeId, PredicateId, TypeId};
+use crate::graph::{Csr, EdgeRecord, KnowledgeGraph};
+use crate::ids::{NodeId, PredicateId, TypeId};
 use crate::interner::Interner;
 use crate::io::wal::WalOp;
 use crate::shard::Partitioner;
@@ -445,29 +445,7 @@ pub fn load(dir: impl AsRef<Path>) -> Result<(KnowledgeGraph, Partitioner, u64)>
     // Rebuild the CSR with the builder's counting sort (deterministic, so
     // adjacency order is bit-identical to the saved graph) and the derived
     // lookup tables.
-    let mut out_offsets = vec![0u32; n + 1];
-    let mut in_offsets = vec![0u32; n + 1];
-    for e in &edges {
-        out_offsets[e.src.index() + 1] += 1;
-        in_offsets[e.dst.index() + 1] += 1;
-    }
-    for i in 0..n {
-        out_offsets[i + 1] += out_offsets[i];
-        in_offsets[i + 1] += in_offsets[i];
-    }
-    let mut out_edges = vec![EdgeId::new(0); m];
-    let mut in_edges = vec![EdgeId::new(0); m];
-    let mut out_cursor = out_offsets.clone();
-    let mut in_cursor = in_offsets.clone();
-    for (idx, e) in edges.iter().enumerate() {
-        let id = EdgeId::new(idx as u32);
-        let oc = &mut out_cursor[e.src.index()];
-        out_edges[*oc as usize] = id;
-        *oc += 1;
-        let ic = &mut in_cursor[e.dst.index()];
-        in_edges[*ic as usize] = id;
-        *ic += 1;
-    }
+    let csr = Csr::build(n, &edges);
     let name_to_node: FxHashMap<u32, NodeId> = node_name
         .iter()
         .enumerate()
@@ -488,10 +466,7 @@ pub fn load(dir: impl AsRef<Path>) -> Result<(KnowledgeGraph, Partitioner, u64)>
             name_to_node,
             nodes_by_type,
             edges,
-            out_offsets,
-            out_edges,
-            in_offsets,
-            in_edges,
+            csr,
             duplicate_edges_dropped,
         },
         partitioner,

@@ -14,7 +14,9 @@
 //! Storage is a compressed-sparse-row (CSR) layout built once by
 //! [`GraphBuilder::finish`]; both out- and in-adjacency are materialised
 //! because path search in the paper ignores edge directionality while the
-//! embedding model (TransE) needs directed triples.
+//! embedding model (TransE) needs directed triples. Each row entry is an
+//! [`AdjRecord`] (neighbour, predicate, edge id), so a scan of a node's
+//! adjacency reads one contiguous run.
 //!
 //! ```
 //! use kgraph::{GraphBuilder, KnowledgeGraph};
@@ -41,7 +43,7 @@ pub mod versioned;
 pub mod view;
 
 pub use error::{KgError, Result};
-pub use graph::{EdgeRecord, GraphBuilder, KnowledgeGraph, NeighborRef};
+pub use graph::{AdjRecord, EdgeRecord, GraphBuilder, KnowledgeGraph, NeighborRef, Neighbors};
 pub use ids::{EdgeId, NodeId, PredicateId, TypeId};
 pub use interner::Interner;
 pub use shard::Partitioner;

@@ -8,7 +8,7 @@
 //! (so stored matches keep rendering) but disappears from adjacency,
 //! [`crate::GraphView::edges`] and [`crate::GraphView::edge_count`].
 
-use crate::graph::{EdgeRecord, KnowledgeGraph};
+use crate::graph::{AdjRecord, EdgeRecord, KnowledgeGraph};
 use crate::ids::{EdgeId, NodeId, PredicateId, TypeId};
 use crate::interner::Interner;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -42,10 +42,11 @@ pub struct DeltaOverlay {
     pub(crate) new_predicates: Interner,
     /// Edges added since compaction, in insertion order.
     pub(crate) edges: Vec<EdgeRecord>,
-    /// Per-source adjacency over the added edges (unified edge ids).
-    pub(crate) out_adj: FxHashMap<NodeId, Vec<EdgeId>>,
-    /// Per-target adjacency over the added edges (unified edge ids).
-    pub(crate) in_adj: FxHashMap<NodeId, Vec<EdgeId>>,
+    /// Per-source adjacency over the added edges, as the base CSR's rows
+    /// hold it (unified edge ids).
+    pub(crate) out_adj: FxHashMap<NodeId, Vec<AdjRecord>>,
+    /// Per-target adjacency over the added edges, likewise.
+    pub(crate) in_adj: FxHashMap<NodeId, Vec<AdjRecord>>,
     /// Deleted edges (base or delta ids).
     pub(crate) tombstones: FxHashSet<EdgeId>,
     /// Added nodes grouped by type (types may be base or new).
@@ -176,8 +177,16 @@ impl DeltaOverlay {
     pub(crate) fn push_edge(&mut self, record: EdgeRecord) -> EdgeId {
         let id = EdgeId::new(self.base_edges + self.edges.len() as u32);
         self.edges.push(record);
-        self.out_adj.entry(record.src).or_default().push(id);
-        self.in_adj.entry(record.dst).or_default().push(id);
+        self.out_adj.entry(record.src).or_default().push(AdjRecord {
+            node: record.dst,
+            predicate: record.predicate,
+            edge: id,
+        });
+        self.in_adj.entry(record.dst).or_default().push(AdjRecord {
+            node: record.src,
+            predicate: record.predicate,
+            edge: id,
+        });
         id
     }
 }

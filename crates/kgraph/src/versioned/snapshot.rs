@@ -22,7 +22,7 @@
 //! compaction. Scores and answer sets are unaffected.
 
 use super::overlay::DeltaOverlay;
-use crate::graph::{EdgeRecord, KnowledgeGraph, NeighborRef};
+use crate::graph::{AdjRecord, EdgeRecord, KnowledgeGraph, NeighborRef, Neighbors};
 use crate::ids::{EdgeId, NodeId, PredicateId, TypeId};
 use crate::view::GraphView;
 use std::borrow::Cow;
@@ -82,17 +82,6 @@ impl GraphSnapshot {
 
     fn base_edges(&self) -> usize {
         self.delta.base_edges as usize
-    }
-
-    #[inline]
-    fn neighbor_of(&self, edge: EdgeId, outgoing: bool) -> NeighborRef {
-        let rec = GraphView::edge(self, edge);
-        NeighborRef {
-            node: if outgoing { rec.dst } else { rec.src },
-            predicate: rec.predicate,
-            edge,
-            outgoing,
-        }
     }
 }
 
@@ -186,35 +175,22 @@ impl GraphView for GraphSnapshot {
     }
 
     fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NeighborRef> + '_ {
-        const EMPTY: &[EdgeId] = &[];
-        let in_base = node.index() < self.base_nodes();
-        let base_out = if in_base {
-            self.base.out_edges(node)
+        const EMPTY: &[AdjRecord] = &[];
+        let (base_out, base_in) = if node.index() < self.base_nodes() {
+            (self.base.out_edges(node), self.base.in_edges(node))
         } else {
-            EMPTY
-        };
-        let base_in = if in_base {
-            self.base.in_edges(node)
-        } else {
-            EMPTY
+            (EMPTY, EMPTY)
         };
         let delta_out = self.delta.out_adj.get(&node).map_or(EMPTY, Vec::as_slice);
         let delta_in = self.delta.in_adj.get(&node).map_or(EMPTY, Vec::as_slice);
+        let tombstones = &self.delta.tombstones;
         // Compaction order: out-edges in unified insertion order, then
         // in-edges likewise — so overlay reads tie-break exactly like a
         // rebuilt CSR (see module docs).
-        base_out
-            .iter()
-            .chain(delta_out)
-            .filter(|&&e| !self.delta.is_tombstoned(e))
-            .map(|&e| self.neighbor_of(e, true))
-            .chain(
-                base_in
-                    .iter()
-                    .chain(delta_in)
-                    .filter(|&&e| !self.delta.is_tombstoned(e))
-                    .map(|&e| self.neighbor_of(e, false)),
-            )
+        Neighbors::new(
+            [base_out, delta_out, base_in, delta_in],
+            (!tombstones.is_empty()).then_some(tombstones),
+        )
     }
 
     fn edges(&self) -> impl Iterator<Item = (EdgeId, EdgeRecord)> + '_ {

@@ -32,15 +32,28 @@
 //! Lemma 1's `m(u)` depends only on that `(node, segment)` key (the plan
 //! and the graph snapshot are fixed for a search), so [`ScanMode::Kernel`]
 //! scans each key's adjacency at most once per search: `visited` maps a key
-//! either to *visited* or to the bound of a candidate that τ pruned, and a
+//! either to *visited* or to `ln m(u)` of a candidate that τ pruned, and a
 //! later path reaching the key reuses that bound instead of rescanning the
 //! node (a hub next to many expanded nodes is reached once per neighbour).
-//! [`ScanMode::ScalarReference`] rescans every time, which is what
-//! `tests/kernel_differential.rs` compares against.
+//! The scan reports the predicate attaining `m(u)`, and ψ̂ takes its `ln`
+//! from the plan's precomputed row instead of calling `ln` per candidate.
+//! [`ScanMode::ScalarReference`] rescans every time and takes `ln` per
+//! call, which is what `tests/kernel_differential.rs` compares against.
 //!
-//! The search is *resumable*: [`AStarSearch::next_match`] pops until the
+//! The search is *resumable*: [`AStarSearch::next_hit`] pops until the
 //! next match surfaces, so the TA assembly can pull additional matches on
-//! demand (§V-B Remark 2).
+//! demand (§V-B Remark 2). A [`Hit`] is the match's pivot and pss plus the
+//! arena state it completed in; [`AStarSearch::reconstruct`] rebuilds the
+//! full [`SubMatch`] from it, so the exact engine builds paths only for
+//! the answers TA keeps. [`AStarSearch::next_match`] is the two in one.
+//!
+//! A search's arena, frontier and `visited` map come from a small
+//! per-thread stash and go back to it, cleared, when the search is
+//! dropped, so back-to-back searches on one thread reuse warm capacity
+//! instead of regrowing it from empty. The stash keeps at most
+//! `STASH_SETS` (4) sets per thread and frees any set with a buffer of
+//! more than `STASH_MAX_ENTRIES` (2^14) entries, so it retains at most
+//! about 4 MiB per thread (see the constants).
 
 use crate::answer::SubMatch;
 use crate::config::ScanMode;
@@ -50,6 +63,7 @@ use embedding::kernels;
 use kgraph::{EdgeId, GraphView, KnowledgeGraph, NodeId};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
@@ -87,8 +101,9 @@ struct StateRec {
 const NO_PARENT: u32 = u32::MAX;
 
 /// The `visited` value of a visited key. Every other value is the key's
-/// `m(u)`, which is at least [`MIN_WEIGHT`] > 0.
-const VISITED: f64 = -1.0;
+/// `ln m(u)`, and `m(u)` lies in `[MIN_WEIGHT, 1]`, so its `ln` is finite
+/// and at most 0: no bound can take this value.
+const VISITED: f64 = f64::INFINITY;
 
 /// Max-heap entry ordered by priority, ties broken FIFO by arena index so
 /// runs are deterministic.
@@ -117,16 +132,89 @@ impl Ord for Frontier {
     }
 }
 
+/// Buffer sets one thread keeps between searches: enough for the searches
+/// of one query's sub-queries to all start warm.
+const STASH_SETS: usize = 4;
+
+/// The largest capacity, in entries, that any buffer of a stashed set may
+/// have. A search that grew a buffer past it frees the set on drop, so one
+/// pathological query cannot pin its memory in a thread for good. At the
+/// cap a set holds 2^14 32-byte arena states, 2^14 16-byte frontier
+/// entries and a `visited` table of at most 2^14 16-byte slots (plus one
+/// control byte each): about 1 MiB, so at most about 4 MiB per thread.
+/// The searches of semkg-bench's query pool stay well under it (arena and
+/// frontier capacity 4,096, `visited` 7,168).
+const STASH_MAX_ENTRIES: usize = 1 << 14;
+
+/// The growable state of one search (see the module docs on recycling).
+#[derive(Default)]
+struct Buffers {
+    /// Every state ever pushed; parents encode the partial paths.
+    arena: Vec<StateRec>,
+    heap: BinaryHeap<Frontier>,
+    /// Algorithm 1's `visited`, keyed `(node, segment)`: [`VISITED`], or
+    /// `ln m(u)` of a key whose candidates τ has pruned so far.
+    visited: FxHashMap<(u32, u16), f64>,
+}
+
+thread_local! {
+    /// This thread's cleared buffer sets, at most `STASH_SETS`.
+    static STASH: RefCell<Vec<Buffers>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Buffers {
+    /// A cleared set from this thread's stash, or an empty new one.
+    fn take() -> Self {
+        STASH
+            .try_with(|stash| stash.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    /// Clears the set into this thread's stash; frees it instead when the
+    /// stash is full or a buffer outgrew `STASH_MAX_ENTRIES`.
+    fn recycle(mut self) {
+        let largest = self
+            .arena
+            .capacity()
+            .max(self.heap.capacity())
+            .max(self.visited.capacity());
+        if largest > STASH_MAX_ENTRIES {
+            return;
+        }
+        self.arena.clear();
+        self.heap.clear();
+        self.visited.clear();
+        // During thread teardown the stash may be gone; the set is freed.
+        let _ = STASH.try_with(|stash| {
+            let mut stash = stash.borrow_mut();
+            if stash.len() < STASH_SETS {
+                stash.push(self);
+            }
+        });
+    }
+}
+
+/// A complete match as the search reports it: the TA join key, the exact
+/// pss, and the arena state [`AStarSearch::reconstruct`] rebuilds the path
+/// from. Meaningful only to the search that returned it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Hit {
+    /// Match of the sub-query's pivot.
+    pub pivot: NodeId,
+    /// Exact path semantic similarity ψ (Eq. 6).
+    pub pss: f64,
+    /// Arena index of the complete state.
+    state: u32,
+}
+
 /// Resumable A\* semantic search over one sub-query plan, generic over the
 /// graph view (static CSR or a versioned epoch snapshot).
 pub struct AStarSearch<'a, G: GraphView = KnowledgeGraph> {
     graph: &'a G,
     plan: &'a SubQueryPlan,
-    arena: Vec<StateRec>,
-    heap: BinaryHeap<Frontier>,
-    /// Algorithm 1's `visited`, keyed `(node, segment)`: [`VISITED`], or
-    /// the `m(u)` of a key whose candidates τ has pruned so far.
-    visited: FxHashMap<(u32, u16), f64>,
+    bufs: Buffers,
     /// Counters.
     pub stats: SearchStats,
     /// Algorithm 2 mode: complete matches are collected the moment they are
@@ -154,9 +242,7 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
         let mut search = Self {
             graph,
             plan,
-            arena: Vec::new(),
-            heap: BinaryHeap::new(),
-            visited: FxHashMap::default(),
+            bufs: Buffers::take(),
             stats: SearchStats::default(),
             anytime,
             discovered: Vec::new(),
@@ -202,36 +288,52 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
     /// True when the frontier is drained — no further matches exist within
     /// the τ / n̂ bounds.
     pub fn is_exhausted(&self) -> bool {
-        self.heap.is_empty()
+        self.bufs.heap.is_empty()
     }
 
-    /// Pops until the next-best match surfaces (Alg. 1 lines 2–14). Returns
-    /// `None` when the search space is exhausted. Successive calls return
-    /// matches in non-increasing pss order (Theorem 2).
-    pub fn next_match(&mut self) -> Option<SubMatch> {
+    /// Pops until the next-best match surfaces (Alg. 1 lines 2–14) and
+    /// reports it as a [`Hit`]. Returns `None` when the search space is
+    /// exhausted. Successive calls return matches in non-increasing pss
+    /// order (Theorem 2).
+    pub fn next_hit(&mut self) -> Option<Hit> {
         debug_assert!(
             !self.anytime,
             "use step()/take_discovered() in anytime mode"
         );
-        while let Some(Frontier { idx, .. }) = self.heap.pop() {
+        while let Some(Frontier { priority, idx }) = self.bufs.heap.pop() {
             self.stats.popped += 1;
-            let state = self.arena[idx as usize];
+            let state = self.bufs.arena[idx as usize];
             if state.seg as usize == self.plan.segments() {
-                return Some(self.reconstruct(idx));
+                // A complete state's priority is its exact ψ (see expand).
+                return Some(Hit {
+                    pivot: state.node,
+                    pss: priority,
+                    state: idx,
+                });
             }
             self.expand(idx, state);
         }
         None
     }
 
+    /// [`AStarSearch::next_hit`] with the match's path rebuilt.
+    pub fn next_match(&mut self) -> Option<SubMatch> {
+        self.next_hit().map(|hit| self.reconstruct(hit))
+    }
+
+    /// Rebuilds the full match behind `hit`, which this search returned.
+    pub fn reconstruct(&self, hit: Hit) -> SubMatch {
+        self.build_match(hit.state, hit.pss)
+    }
+
     /// One next-hop selection + expansion (anytime mode). Returns `false`
     /// when the frontier is drained. Discovered matches accumulate in
     /// [`AStarSearch::take_discovered`].
     pub fn step(&mut self) -> bool {
-        match self.heap.pop() {
+        match self.bufs.heap.pop() {
             Some(Frontier { idx, .. }) => {
                 self.stats.popped += 1;
-                let state = self.arena[idx as usize];
+                let state = self.bufs.arena[idx as usize];
                 debug_assert!((state.seg as usize) < self.plan.segments());
                 self.expand(idx, state);
                 true
@@ -256,7 +358,7 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
     /// The walk is bounded by the hop budget, a small constant.
     fn on_path(&self, mut idx: u32, node: NodeId) -> bool {
         loop {
-            let rec = self.arena[idx as usize];
+            let rec = self.bufs.arena[idx as usize];
             if rec.node == node {
                 return true;
             }
@@ -307,9 +409,9 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
                         let rec = next(segments as u16, hops);
                         if self.anytime {
                             // Algorithm 2 lines 10–11: collect immediately.
-                            let arena_idx = self.arena.len() as u32;
-                            self.arena.push(rec);
-                            let m = self.reconstruct(arena_idx);
+                            let arena_idx = self.bufs.arena.len() as u32;
+                            self.bufs.arena.push(rec);
+                            let m = self.build_match(arena_idx, psi);
                             self.discovered.push(m);
                         } else {
                             self.push(rec, psi);
@@ -332,27 +434,28 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
 
     /// Marks `key` visited; true when it was not visited before.
     fn mark_visited(&mut self, key: (u32, u16)) -> bool {
-        self.visited.insert(key, VISITED) != Some(VISITED)
+        self.bufs.visited.insert(key, VISITED) != Some(VISITED)
     }
 
     /// Pushes the non-terminal state `rec` unless its `(node, segment)` key
-    /// is visited or ψ̂ (through the key's `m(u)`) falls below τ. A pruned
-    /// key keeps its bound, which a later path reaching the key reuses in
-    /// [`ScanMode::Kernel`] and recomputes in [`ScanMode::ScalarReference`].
+    /// is visited or ψ̂ (through the key's `ln m(u)`) falls below τ. A
+    /// pruned key keeps its bound, which a later path reaching the key
+    /// reuses in [`ScanMode::Kernel`] and recomputes in
+    /// [`ScanMode::ScalarReference`].
     fn push_bounded(&mut self, rec: StateRec) {
-        let slot = match self.visited.entry((rec.node.0, rec.seg)) {
+        let slot = match self.bufs.visited.entry((rec.node.0, rec.seg)) {
             Entry::Occupied(known) if *known.get() == VISITED => return,
             slot => slot,
         };
-        let m_u = match &slot {
+        let ln_m = match &slot {
             Entry::Occupied(known) if self.plan.scan == ScanMode::Kernel => *known.get(),
             _ => self
                 .plan
-                .max_adjacent_weight(self.graph, rec.node, rec.seg as usize),
+                .max_adjacent_ln(self.graph, rec.node, rec.seg as usize),
         };
-        let priority = self.plan.estimator.estimate(rec.log_sum, m_u);
+        let priority = self.plan.estimator.estimate_ln(rec.log_sum, ln_m);
         let pruned = priority < self.plan.tau;
-        let value = if pruned { m_u } else { VISITED };
+        let value = if pruned { ln_m } else { VISITED };
         slot.and_modify(|v| *v = value).or_insert(value);
         if pruned {
             self.stats.tau_pruned += 1;
@@ -362,10 +465,16 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
     }
 
     fn push(&mut self, rec: StateRec, priority: f64) {
-        let idx = self.arena.len() as u32;
-        self.arena.push(rec);
-        self.heap.push(Frontier { priority, idx });
+        let idx = self.bufs.arena.len() as u32;
+        self.bufs.arena.push(rec);
+        self.bufs.heap.push(Frontier { priority, idx });
         self.stats.pushed += 1;
+    }
+}
+
+impl<G: GraphView> Drop for AStarSearch<'_, G> {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.bufs).recycle();
     }
 }
 
@@ -476,24 +585,25 @@ fn seed_bounds_two_pass<G: GraphView>(
 }
 
 impl<'a, G: GraphView> AStarSearch<'a, G> {
-    /// Rebuilds the path of a complete state by walking parents, recording
-    /// the binding of each query node (the nodes where a segment begins or
-    /// ends) along the way.
-    fn reconstruct(&self, idx: u32) -> SubMatch {
-        let complete = self.arena[idx as usize];
+    /// Rebuilds the path of the complete state at `idx`, whose exact pss is
+    /// `pss`, by walking parents, recording the binding of each query node
+    /// (the nodes where a segment begins or ends) along the way.
+    fn build_match(&self, idx: u32, pss: f64) -> SubMatch {
+        let arena = &self.bufs.arena;
+        let complete = arena[idx as usize];
         let mut nodes = Vec::with_capacity(complete.total_hops as usize + 1);
         let mut edges = Vec::with_capacity(complete.total_hops as usize);
         let mut bindings = Vec::with_capacity(self.plan.query_nodes.len());
         let mut cursor = idx;
         loop {
-            let rec = self.arena[cursor as usize];
+            let rec = arena[cursor as usize];
             nodes.push(rec.node);
             match rec.edge {
                 Some(e) => {
                     // A segment boundary: this state entered segment
                     // `rec.seg` while its parent was still in `rec.seg - 1`,
                     // so `rec.node` binds query node index `rec.seg`.
-                    let parent_seg = self.arena[rec.parent as usize].seg;
+                    let parent_seg = arena[rec.parent as usize].seg;
                     if rec.seg > parent_seg {
                         bindings.push((self.plan.query_nodes[rec.seg as usize], rec.node));
                     }
@@ -513,7 +623,7 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
         SubMatch {
             source: nodes[0],
             pivot: complete.node,
-            pss: exact_pss(complete.log_sum, complete.total_hops as usize),
+            pss,
             nodes,
             edges,
             bindings,
@@ -878,6 +988,62 @@ mod tests {
             assert_eq!(through_hub, HUB_LEAVES, "n̂={n_hat}");
             assert_eq!(matches.len(), HUB_MIDS + HUB_LEAVES, "n̂={n_hat}");
         }
+    }
+
+    /// Search buffers return to the stash cleared with their capacity; a
+    /// set with a buffer over the cap is freed, and the stash stops at
+    /// `STASH_SETS` sets. Runs on its own thread so the stash starts empty.
+    #[test]
+    fn oversized_buffer_sets_are_freed_not_stashed() {
+        std::thread::spawn(|| {
+            let stashed = || STASH.with(|s| s.borrow().len());
+            let mut small = Buffers::default();
+            small.visited.insert((1, 0), VISITED);
+            small.arena.reserve(8);
+            small.recycle();
+            assert_eq!(stashed(), 1);
+            let reused = Buffers::take();
+            assert_eq!(stashed(), 0);
+            assert!(reused.visited.is_empty() && reused.visited.capacity() > 0);
+            assert!(reused.arena.is_empty() && reused.arena.capacity() >= 8);
+
+            let mut wide_map = Buffers::default();
+            wide_map.visited.reserve(STASH_MAX_ENTRIES + 1);
+            wide_map.recycle();
+            let mut long_arena = Buffers::default();
+            long_arena.arena.reserve(STASH_MAX_ENTRIES + 1);
+            long_arena.recycle();
+            assert_eq!(stashed(), 0, "sets over the cap are freed");
+
+            for _ in 0..STASH_SETS + 2 {
+                Buffers::default().recycle();
+            }
+            assert_eq!(stashed(), STASH_SETS);
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// A search dropped mid-drain hands its (non-empty) buffers back, and a
+    /// later search on the same thread starts from them cleared: it returns
+    /// what a search on a fresh thread returns.
+    #[test]
+    fn recycled_buffers_search_like_fresh_ones() {
+        let f = hub_fixture();
+        let plan = f.plan(3, 0.8);
+        let fresh = std::thread::scope(|s| s.spawn(|| drain(&f.graph, &plan)).join().unwrap());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut partial = AStarSearch::new(&f.graph, &plan);
+                assert!(partial.next_match().is_some());
+                assert!(!partial.is_exhausted());
+                drop(partial);
+                assert_eq!(STASH.with(|s| s.borrow().len()), 1);
+                assert_eq!(drain(&f.graph, &plan), fresh);
+            })
+            .join()
+            .unwrap();
+        });
     }
 
     /// Brute-force reference: enumerate all simple source→goal paths of

@@ -27,8 +27,8 @@
 //! An engine's [`SgqConfig`] is fixed at construction: every plan and every
 //! execution reads it, and nothing varies it per query.
 
-use crate::answer::{QueryResult, QueryStats};
-use crate::astar::AStarSearch;
+use crate::answer::{FinalMatch, QueryResult, QueryStats};
+use crate::astar::{AStarSearch, Hit};
 use crate::config::{SgqConfig, MAX_MATCHES_PER_SUBQUERY};
 use crate::decompose::{decompose, Decomposition};
 use crate::error::Result;
@@ -337,6 +337,11 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
     /// machinery is then one branch per phase — no clock reads, no
     /// allocation — and traced runs produce bit-identical answers
     /// (`tests/trace_differential.rs`).
+    ///
+    /// The searches stream compact [`Hit`]s into TA; once TA has ranked
+    /// them, only the winners' paths are rebuilt, from the searches that
+    /// found them (`tests/search_differential.rs` holds this equal to
+    /// streaming full matches).
     fn run_exact(
         &self,
         plans: &[SubQueryPlan],
@@ -353,7 +358,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         if let (Some(tr), Some(t0)) = (trace.as_deref_mut(), seed_t) {
             tr.seed_ns = t0.elapsed().as_nanos() as u64;
         }
-        let mut streams: Vec<Vec<crate::answer::SubMatch>> = vec![Vec::new(); n];
+        let mut streams: Vec<Vec<Hit>> = vec![Vec::new(); n];
         let mut per_subquery_us = vec![0u64; n];
         let mut batch = first_round(self.config.k);
 
@@ -374,8 +379,8 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
                             if stream.len() >= MAX_MATCHES_PER_SUBQUERY {
                                 break;
                             }
-                            match search.next_match() {
-                                Some(m) => stream.push(m),
+                            match search.next_hit() {
+                                Some(hit) => stream.push(hit),
                                 None => break,
                             }
                         }
@@ -405,6 +410,11 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
             }
             batch = batch.saturating_mul(2);
         };
+        let matches: Vec<FinalMatch> = outcome
+            .winners
+            .iter()
+            .map(|w| w.build(|i, idx| searches[i].reconstruct(streams[i][idx])))
+            .collect();
 
         let mut stats = QueryStats {
             elapsed_us: start.elapsed().as_micros() as u64,
@@ -427,14 +437,11 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
             tr.pushed = stats.pushed as u64;
             tr.edges_examined = stats.edges_examined as u64;
             tr.ta_accesses = stats.ta_accesses as u64;
-            tr.matches = outcome.matches.len() as u64;
+            tr.matches = matches.len() as u64;
             tr.subqueries = n as u64;
             tr.certified = stats.ta_certified;
         }
-        Ok(QueryResult {
-            matches: outcome.matches,
-            stats,
-        })
+        Ok(QueryResult { matches, stats })
     }
 
     /// TBQ: approximate top-k within a response-time bound (paper Problem 2,
@@ -474,7 +481,7 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
         let outcome = timebound::run_anytime(&self.graph, plans, tb, &self.pool);
         let ta_out = ta::assemble(&outcome.streams, &outcome.exhausted, self.config.k);
         Ok(QueryResult {
-            matches: ta_out.matches,
+            matches: ta_out.final_matches(&outcome.streams),
             stats: QueryStats {
                 elapsed_us: start.elapsed().as_micros() as u64,
                 popped: outcome.stats.popped,

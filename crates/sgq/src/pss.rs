@@ -39,6 +39,8 @@ pub struct PssEstimator {
     /// any admissible match of this sub-query (for the paper's single-edge
     /// sub-queries this is exactly the user's n̂).
     n_hat_total: f64,
+    /// `ln(MIN_WEIGHT)`, the `ln m(u)` of a node with no heavier edge.
+    ln_min_weight: f64,
 }
 
 impl PssEstimator {
@@ -48,6 +50,9 @@ impl PssEstimator {
         debug_assert!(n_hat >= 1 && segments >= 1);
         Self {
             n_hat_total: (n_hat * segments) as f64,
+            // Taken at run time by the same `ln` as every other logarithm
+            // ψ̂ sees; `black_box` keeps the compiler from folding it.
+            ln_min_weight: std::hint::black_box(MIN_WEIGHT).ln(),
         }
     }
 
@@ -56,11 +61,25 @@ impl PssEstimator {
         self.n_hat_total as usize
     }
 
+    /// `ln(MIN_WEIGHT)`, bitwise `clamp_weight(MIN_WEIGHT).ln()`.
+    #[inline]
+    pub fn ln_min_weight(&self) -> f64 {
+        self.ln_min_weight
+    }
+
     /// ψ̂ at a frontier node: `exp((log_sum + ln m_u) / n̂_total)`.
     /// `m_u` is clamped into the weight domain first.
     #[inline]
     pub fn estimate(&self, log_sum: f64, m_u: f64) -> f64 {
-        ((log_sum + clamp_weight(m_u).ln()) / self.n_hat_total).exp()
+        self.estimate_ln(log_sum, clamp_weight(m_u).ln())
+    }
+
+    /// [`PssEstimator::estimate`] for a caller that already holds
+    /// `ln_m = clamp_weight(m_u).ln()`: the same arithmetic, so the same
+    /// bits.
+    #[inline]
+    pub fn estimate_ln(&self, log_sum: f64, ln_m: f64) -> f64 {
+        ((log_sum + ln_m) / self.n_hat_total).exp()
     }
 }
 
@@ -99,6 +118,21 @@ mod tests {
         let m_u = 0.9;
         let psi_hat = est.estimate(0.0, m_u);
         assert!((psi_hat - 0.9f64.powf(0.25)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ln_forms_match_the_clamped_estimate() {
+        let est = PssEstimator::new(3, 2);
+        assert_eq!(
+            est.ln_min_weight().to_bits(),
+            clamp_weight(MIN_WEIGHT).ln().to_bits()
+        );
+        for m_u in [MIN_WEIGHT, 0.37, 1.0] {
+            assert_eq!(
+                est.estimate(-1.5, m_u).to_bits(),
+                est.estimate_ln(-1.5, m_u.ln()).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -85,6 +85,11 @@ pub struct SubQueryPlan {
     /// `seg_weights[s'][p]`; drives `m(u)`. Shared handles like
     /// [`SubQueryPlan::seg_weights`].
     pub remaining_max: Vec<Arc<[f64]>>,
+    /// `remaining_ln[s][p]` = `remaining_max[s][p].ln()`, bitwise: ψ̂ reads
+    /// `ln m(u)` from here in [`ScanMode::Kernel`]. The rows lie in the
+    /// clamped weight domain, so this is also the `ln` of the clamped
+    /// `m(u)` that [`PssEstimator::estimate`] takes. Shared handles.
+    pub remaining_ln: Vec<Arc<[f64]>>,
     /// Round-up f32 quantisation of [`SubQueryPlan::remaining_max`]
     /// (element-wise `≥` the exact row by construction): the cheap first
     /// pass of the two-pass seed pipeline scans this half-width row, and
@@ -163,6 +168,8 @@ impl SubQueryPlan {
         let seg_ln = seg_bundles.into_iter().map(|b| b.ln).collect();
         let remaining_max: Vec<Arc<[f64]>> =
             remaining_bundles.iter().map(|b| b.exact.clone()).collect();
+        let remaining_ln: Vec<Arc<[f64]>> =
+            remaining_bundles.iter().map(|b| b.ln.clone()).collect();
         let remaining_upper: Vec<Arc<[f32]>> =
             remaining_bundles.iter().map(|b| b.upper.clone()).collect();
         let remaining_row_max: Vec<f64> = remaining_bundles.iter().map(|b| b.max).collect();
@@ -194,6 +201,7 @@ impl SubQueryPlan {
             seg_weights,
             seg_ln,
             remaining_max,
+            remaining_ln,
             remaining_upper,
             remaining_row_max,
             remaining_upper_max,
@@ -249,20 +257,9 @@ impl SubQueryPlan {
         let s = seg.min(self.segments() - 1);
         let row = &self.remaining_max[s];
         match self.scan {
-            ScanMode::Kernel => {
-                let stop = self.remaining_row_max[s];
-                let mut m = MIN_WEIGHT;
-                for nb in graph.neighbors(u) {
-                    let w = row[nb.predicate.index()];
-                    if w > m {
-                        m = w;
-                        if m >= stop {
-                            break;
-                        }
-                    }
-                }
-                m
-            }
+            ScanMode::Kernel => self
+                .argmax_adjacent(graph, u, s)
+                .map_or(MIN_WEIGHT, |p| row[p.index()]),
             ScanMode::ScalarReference => {
                 let mut m = MIN_WEIGHT;
                 for nb in graph.neighbors(u) {
@@ -274,6 +271,45 @@ impl SubQueryPlan {
                 m
             }
         }
+    }
+
+    /// `ln m(u)`, the form ψ̂ consumes ([`PssEstimator::estimate_ln`]). In
+    /// [`ScanMode::Kernel`] the scan reports the predicate attaining `m(u)`
+    /// and the `ln` is that predicate's entry of
+    /// [`SubQueryPlan::remaining_ln`] — the same f64 whichever predicate
+    /// attains the maximum. [`ScanMode::ScalarReference`] takes `ln` of the
+    /// clamped maximum per call, as [`PssEstimator::estimate`] does.
+    pub fn max_adjacent_ln<G: GraphView>(&self, graph: &G, u: NodeId, seg: usize) -> f64 {
+        let s = seg.min(self.segments() - 1);
+        match self.scan {
+            ScanMode::Kernel => match self.argmax_adjacent(graph, u, s) {
+                Some(p) => self.remaining_ln[s][p.index()],
+                None => self.estimator.ln_min_weight(),
+            },
+            ScanMode::ScalarReference => clamp_weight(self.max_adjacent_weight(graph, u, seg)).ln(),
+        }
+    }
+
+    /// The Kernel-mode `m(u)` scan of segment row `s`: the predicate of the
+    /// first edge whose weight reaches the running maximum, or `None` when
+    /// no edge outweighs [`MIN_WEIGHT`]. It stops as soon as the running
+    /// max reaches the row's global maximum.
+    fn argmax_adjacent<G: GraphView>(&self, graph: &G, u: NodeId, s: usize) -> Option<PredicateId> {
+        let row = &self.remaining_max[s];
+        let stop = self.remaining_row_max[s];
+        let mut m = MIN_WEIGHT;
+        let mut best = None;
+        for nb in graph.neighbors(u) {
+            let w = row[nb.predicate.index()];
+            if w > m {
+                m = w;
+                best = Some(nb.predicate);
+                if m >= stop {
+                    break;
+                }
+            }
+        }
+        best
     }
 
     /// True when the plan can produce no match at all (no sources, or some
@@ -422,6 +458,11 @@ mod tests {
                     plan.seg_weights[s][p].ln().to_bits(),
                     "ln row must be the bitwise ln of the exact row"
                 );
+                assert_eq!(
+                    plan.remaining_ln[s][p].to_bits(),
+                    clamp_weight(plan.remaining_max[s][p]).ln().to_bits(),
+                    "suffix ln row must be the bitwise ln of the clamped suffix row"
+                );
                 assert!(
                     f64::from(plan.remaining_upper[s][p]) >= plan.remaining_max[s][p],
                     "round-up f32 row must dominate the exact row"
@@ -451,6 +492,10 @@ mod tests {
                 assert_eq!(
                     kernel.max_adjacent_weight(&g, node, seg).to_bits(),
                     scalar.max_adjacent_weight(&g, node, seg).to_bits()
+                );
+                assert_eq!(
+                    kernel.max_adjacent_ln(&g, node, seg).to_bits(),
+                    scalar.max_adjacent_ln(&g, node, seg).to_bits()
                 );
             }
         }

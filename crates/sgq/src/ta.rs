@@ -35,25 +35,93 @@
 //!   the previous check;
 //! * no candidate is dropped for good: the streams are non-increasing only
 //!   to within 1e-12, so an upper bound can climb back above `L_k`;
-//! * only the k winners' parts are cloned.
+//! * the outcome names the k winners' parts by stream position, so the
+//!   caller builds only those: the exact engine streams compact A\* hits
+//!   and rebuilds just the winners' paths ([`crate::astar::Hit`]).
 
 use crate::answer::{FinalMatch, SubMatch};
+use crate::astar::Hit;
 use kgraph::NodeId;
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// What TA reads of a sub-query match: its join key and its pss.
+pub trait Ranked {
+    /// The pivot match, the join key of Eq. 2.
+    fn pivot(&self) -> NodeId;
+    /// The match's path semantic similarity ψ.
+    fn pss(&self) -> f64;
+}
+
+impl Ranked for SubMatch {
+    fn pivot(&self) -> NodeId {
+        self.pivot
+    }
+    fn pss(&self) -> f64 {
+        self.pss
+    }
+}
+
+impl Ranked for Hit {
+    fn pivot(&self) -> NodeId {
+        self.pivot
+    }
+    fn pss(&self) -> f64 {
+        self.pss
+    }
+}
+
 /// Result of one TA assembly pass.
 #[derive(Debug, Clone)]
 pub struct TaOutcome {
     /// Top-k complete final matches, best score first.
-    pub matches: Vec<FinalMatch>,
+    pub winners: Vec<Winner>,
     /// Number of sorted accesses performed.
     pub accesses: usize,
     /// True when the top-k is *certified* global-optimal given the streams:
     /// either the `L_k ≥ U_max` condition fired, or every stream was fully
     /// consumed **and** marked exhausted.
     pub certified: bool,
+}
+
+impl TaOutcome {
+    /// The winners as final matches, their parts cloned out of `streams`
+    /// (the streams that were assembled).
+    pub fn final_matches(&self, streams: &[Vec<SubMatch>]) -> Vec<FinalMatch> {
+        self.winners
+            .iter()
+            .map(|w| w.build(|i, idx| streams[i][idx].clone()))
+            .collect()
+    }
+}
+
+/// One final match as TA ranks it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Winner {
+    /// The pivot node match `u^p`.
+    pub pivot: NodeId,
+    /// Match score `S_m(u^p) = Σᵢ ψᵢ` (Eq. 2), summed in stream order.
+    pub score: f64,
+    /// `parts[i]`: position in stream `i` of this match's part.
+    pub parts: Vec<usize>,
+}
+
+impl Winner {
+    /// The final match, `part(i, idx)` building the part at position `idx`
+    /// of stream `i`.
+    pub fn build(&self, mut part: impl FnMut(usize, usize) -> SubMatch) -> FinalMatch {
+        FinalMatch {
+            pivot: self.pivot,
+            score: self.score,
+            parts: self
+                .parts
+                .iter()
+                .enumerate()
+                .map(|(i, &idx)| part(i, idx))
+                .collect(),
+        }
+    }
 }
 
 /// Assembles final matches from per-sub-query match lists.
@@ -64,15 +132,15 @@ pub struct TaOutcome {
 /// which blocks certification (the engine then fetches more and retries).
 /// Ties rank by pivot id. `k = 0` asks for nothing: the outcome is empty
 /// and certified, after no access.
-pub fn assemble(streams: &[Vec<SubMatch>], exhausted: &[bool], k: usize) -> TaOutcome {
+pub fn assemble<M: Ranked>(streams: &[Vec<M>], exhausted: &[bool], k: usize) -> TaOutcome {
     let n = streams.len();
     assert_eq!(n, exhausted.len());
     debug_assert!(streams
         .iter()
-        .all(|s| s.windows(2).all(|w| w[0].pss >= w[1].pss - 1e-12)));
+        .all(|s| s.windows(2).all(|w| w[0].pss() >= w[1].pss() - 1e-12)));
     if k == 0 {
         return TaOutcome {
-            matches: Vec::new(),
+            winners: Vec::new(),
             accesses: 0,
             certified: true,
         };
@@ -104,7 +172,7 @@ pub fn assemble(streams: &[Vec<SubMatch>], exhausted: &[bool], k: usize) -> TaOu
             let Some(m) = stream.get(pos[i]) else {
                 continue;
             };
-            if let Some(score) = candidates.fill(m.pivot, i, pos[i], streams) {
+            if let Some(score) = candidates.fill(m.pivot(), i, pos[i], streams) {
                 top_k.push(MinScore(score));
                 if top_k.len() > k {
                     top_k.pop();
@@ -114,7 +182,7 @@ pub fn assemble(streams: &[Vec<SubMatch>], exhausted: &[bool], k: usize) -> TaOu
             bound[i] = if pos[i] == stream.len() && exhausted[i] {
                 0.0
             } else {
-                m.pss
+                m.pss()
             };
             accesses += 1;
             any = true;
@@ -140,7 +208,7 @@ pub fn assemble(streams: &[Vec<SubMatch>], exhausted: &[bool], k: usize) -> TaOu
     }
 
     TaOutcome {
-        matches: candidates.into_top_k(k, streams),
+        winners: candidates.into_top_k(k),
         accesses,
         certified,
     }
@@ -193,12 +261,12 @@ impl Candidates {
 
     /// Records the match at `idx` of stream `i`, whose pivot is `pivot`.
     /// Returns the candidate's score when this fills its last slot.
-    fn fill(
+    fn fill<M: Ranked>(
         &mut self,
         pivot: NodeId,
         i: usize,
         idx: usize,
-        streams: &[Vec<SubMatch>],
+        streams: &[Vec<M>],
     ) -> Option<f64> {
         let n = self.n;
         let row = *self.rows.entry(pivot).or_insert_with(|| {
@@ -228,7 +296,7 @@ impl Candidates {
             .row(row)
             .iter()
             .zip(streams)
-            .filter_map(|(slot, s)| slot.map(|idx| s[idx].pss))
+            .filter_map(|(slot, s)| slot.map(|idx| s[idx].pss()))
             .sum();
         self.complete.push((pivot, score, row));
         Some(score)
@@ -237,19 +305,19 @@ impl Candidates {
     /// Position in `open` of an incomplete candidate whose upper bound
     /// exceeds `l_k`, scanning cyclically from `start`; `None` when none
     /// does.
-    fn blocker(
+    fn blocker<M: Ranked>(
         &self,
         start: usize,
         l_k: f64,
         bound: &[f64],
-        streams: &[Vec<SubMatch>],
+        streams: &[Vec<M>],
     ) -> Option<usize> {
         let len = self.open.len();
         (0..len).map(|s| (start + s) % len).find(|&at| {
             let mut upper = 0.0;
             for ((slot, s), b) in self.row(self.open[at]).iter().zip(streams).zip(bound) {
                 upper += match slot {
-                    Some(idx) => s[*idx].pss,
+                    Some(idx) => s[*idx].pss(),
                     None => *b,
                 };
             }
@@ -258,21 +326,16 @@ impl Candidates {
     }
 
     /// The k best complete candidates, best score first, ties by pivot.
-    fn into_top_k(mut self, k: usize, streams: &[Vec<SubMatch>]) -> Vec<FinalMatch> {
+    fn into_top_k(mut self, k: usize) -> Vec<Winner> {
         self.complete
             .sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         self.complete.truncate(k);
         self.complete
             .iter()
-            .map(|&(pivot, score, row)| FinalMatch {
+            .map(|&(pivot, score, row)| Winner {
                 pivot,
                 score,
-                parts: self
-                    .row(row)
-                    .iter()
-                    .zip(streams)
-                    .filter_map(|(slot, s)| slot.map(|idx| s[idx].clone()))
-                    .collect(),
+                parts: self.row(row).iter().flatten().copied().collect(),
             })
             .collect()
     }
@@ -294,10 +357,17 @@ mod tests {
         }
     }
 
+    /// What [`assemble_reference`] returns: the final matches themselves.
+    struct Reference {
+        matches: Vec<FinalMatch>,
+        accesses: usize,
+        certified: bool,
+    }
+
     /// The textbook NRA loop, `assemble`'s oracle: after every row it
     /// rebuilds every candidate's bounds, sorts the complete ones and scans
     /// all others for `U_max`.
-    fn assemble_reference(streams: &[Vec<SubMatch>], exhausted: &[bool], k: usize) -> TaOutcome {
+    fn assemble_reference(streams: &[Vec<SubMatch>], exhausted: &[bool], k: usize) -> Reference {
         let n = streams.len();
         assert_eq!(n, exhausted.len());
         debug_assert!(streams
@@ -412,7 +482,7 @@ mod tests {
             .collect();
         finals.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.pivot.cmp(&b.pivot)));
         finals.truncate(k);
-        TaOutcome {
+        Reference {
             matches: finals,
             accesses,
             certified,
@@ -427,11 +497,11 @@ mod tests {
         let m1 = vec![m(1, 0.9), m(2, 0.8), m(3, 0.7)];
         let m2 = vec![m(2, 0.8), m(3, 0.75), m(1, 0.5)];
         let out = assemble(&[m1, m2], &[true, true], 2);
-        assert_eq!(out.matches.len(), 2);
-        assert_eq!(out.matches[0].pivot, NodeId::new(2));
-        assert!((out.matches[0].score - 1.6).abs() < 1e-12);
-        assert_eq!(out.matches[1].pivot, NodeId::new(3));
-        assert!((out.matches[1].score - 1.45).abs() < 1e-12);
+        assert_eq!(out.winners.len(), 2);
+        assert_eq!(out.winners[0].pivot, NodeId::new(2));
+        assert!((out.winners[0].score - 1.6).abs() < 1e-12);
+        assert_eq!(out.winners[1].pivot, NodeId::new(3));
+        assert!((out.winners[1].score - 1.45).abs() < 1e-12);
         assert!(out.certified);
     }
 
@@ -448,7 +518,7 @@ mod tests {
             "must stop before draining both lists (got {} accesses)",
             out.accesses
         );
-        let pivots: Vec<u32> = out.matches.iter().map(|f| f.pivot.0).collect();
+        let pivots: Vec<u32> = out.winners.iter().map(|f| f.pivot.0).collect();
         assert_eq!(pivots, vec![1, 2]);
     }
 
@@ -457,17 +527,17 @@ mod tests {
         let s1 = vec![m(1, 0.9), m(2, 0.8)];
         let s2 = vec![m(2, 0.7)]; // pivot 1 never appears in stream 2
         let out = assemble(&[s1, s2], &[true, true], 5);
-        assert_eq!(out.matches.len(), 1);
-        assert_eq!(out.matches[0].pivot, NodeId::new(2));
-        assert!((out.matches[0].score - 1.5).abs() < 1e-12);
+        assert_eq!(out.winners.len(), 1);
+        assert_eq!(out.winners[0].pivot, NodeId::new(2));
+        assert!((out.winners[0].score - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn single_stream_passthrough() {
         let s = vec![m(1, 0.9), m(2, 0.8), m(3, 0.7)];
         let out = assemble(&[s], &[true], 2);
-        assert_eq!(out.matches.len(), 2);
-        assert_eq!(out.matches[0].pivot, NodeId::new(1));
+        assert_eq!(out.winners.len(), 2);
+        assert_eq!(out.winners[0].pivot, NodeId::new(1));
         assert!(out.certified);
     }
 
@@ -480,20 +550,21 @@ mod tests {
         let s2 = vec![m(1, 0.7)];
         let out = assemble(&[s1.clone(), s2.clone()], &[true, false], 1);
         assert!(!out.certified);
-        assert_eq!(out.matches.len(), 1, "best-effort answer still returned");
+        assert_eq!(out.winners.len(), 1, "best-effort answer still returned");
         // Once stream 2 is exhausted, fm(2) can never complete → certified.
         let out = assemble(&[s1, s2], &[true, true], 1);
         assert!(out.certified);
-        assert_eq!(out.matches[0].pivot, NodeId::new(1));
+        assert_eq!(out.winners[0].pivot, NodeId::new(1));
     }
 
     #[test]
     fn empty_streams() {
-        let out = assemble(&[vec![], vec![]], &[true, true], 3);
-        assert!(out.matches.is_empty());
+        let empty: [Vec<SubMatch>; 2] = [vec![], vec![]];
+        let out = assemble(&empty, &[true, true], 3);
+        assert!(out.winners.is_empty());
         assert!(out.certified);
         assert_eq!(out.accesses, 0);
-        let out = assemble(&[vec![], vec![]], &[false, true], 3);
+        let out = assemble(&empty, &[false, true], 3);
         assert!(!out.certified);
     }
 
@@ -502,7 +573,7 @@ mod tests {
         let s1 = vec![m(1, 0.9)];
         let s2 = vec![m(1, 0.8)];
         let out = assemble(&[s1, s2], &[true, true], 10);
-        assert_eq!(out.matches.len(), 1);
+        assert_eq!(out.winners.len(), 1);
         assert!(out.certified);
     }
 
@@ -519,7 +590,7 @@ mod tests {
         let out = assemble(&streams, &[true, true], 1);
         assert_eq!(out.accesses, 8);
         assert!(out.certified);
-        assert_eq!(out.matches[0].pivot, NodeId::new(1));
+        assert_eq!(out.winners[0].pivot, NodeId::new(1));
         let reference = assemble_reference(&streams, &[true, true], 1);
         assert_eq!(reference.accesses, 8);
     }
@@ -528,7 +599,7 @@ mod tests {
     fn k_zero_is_empty_and_certified() {
         let s = vec![m(1, 0.9), m(2, 0.8)];
         let out = assemble(&[s.clone(), s], &[false, true], 0);
-        assert!(out.matches.is_empty());
+        assert!(out.winners.is_empty());
         assert!(out.certified);
         assert_eq!(out.accesses, 0);
     }
@@ -595,8 +666,8 @@ mod tests {
             let out = assemble(&streams, &exhausted, k);
             prop_assert!(out.certified);
             let reference = naive(&streams, k);
-            prop_assert_eq!(out.matches.len(), reference.len());
-            for (got, want) in out.matches.iter().zip(&reference) {
+            prop_assert_eq!(out.winners.len(), reference.len());
+            for (got, want) in out.winners.iter().zip(&reference) {
                 // Both sides rank by (score desc, pivot asc).
                 prop_assert_eq!(got.pivot.0, want.0);
                 prop_assert!((got.score - want.1).abs() < 1e-9,
@@ -642,8 +713,9 @@ mod tests {
             let want = assemble_reference(&streams, exhausted, k);
             prop_assert_eq!(got.accesses, want.accesses);
             prop_assert_eq!(got.certified, want.certified);
-            prop_assert_eq!(got.matches.len(), want.matches.len());
-            for (g, w) in got.matches.iter().zip(&want.matches) {
+            let got = got.final_matches(&streams);
+            prop_assert_eq!(got.len(), want.matches.len());
+            for (g, w) in got.iter().zip(&want.matches) {
                 prop_assert_eq!(g.pivot, w.pivot);
                 prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
                 prop_assert_eq!(&g.parts, &w.parts);
