@@ -3,14 +3,27 @@
 //!
 //! ## Threading model
 //!
-//! One accept thread plus **two threads per connection** — a *reader* that
-//! decodes frames and submits queries, and a *writer* that resolves
-//! [`Ticket`]s and streams replies back in request order. The pair is
-//! linked by a bounded channel sized [`ServerConfig::max_pipeline`], which
-//! gives pipelining its backpressure: a client that floods requests
-//! without reading replies eventually blocks its own reader. No mutexes,
-//! no polling on the reply path — the writer parks inside
-//! [`Ticket::wait`], so response latency is the scheduler's latency.
+//! One accept thread plus **two threads per connection**: a *reader* that
+//! decodes frames and submits queries, and a *writer* that waits on the
+//! [`Ticket`]s the scheduler has yet to resolve. Replies leave in request
+//! order by one rule. A reply that is complete when the reader handles its
+//! frame (a query answered from the answer cache at submit, PONG, the
+//! METRICS scrape, a protocol error, a drain shed, the SHUTDOWN ack) is
+//! written by the reader itself whenever no earlier reply of the
+//! connection is still queued for the writer. A ticket still pending, and
+//! every reply behind one, goes to the writer through a bounded channel
+//! sized [`ServerConfig::max_pipeline`]. Besides the channel the pair
+//! shares one count, of the replies queued for the writer: the reader
+//! raises it before it sends, the writer lowers it after its write has
+//! finished.
+//!
+//! So a cache hit on an idle connection crosses no thread, and a reply
+//! that waits on the engine is written as soon as [`Ticket::wait`] wakes
+//! the writer. A client that floods requests behind a pending ticket
+//! without reading replies blocks its reader on the full channel; one that
+//! stops reading ready replies blocks the reader on its socket until
+//! [`ServerConfig::write_timeout`] cuts the connection off. No mutexes, no
+//! polling on the reply path.
 //!
 //! ## Hardening (every peer is untrusted)
 //!
@@ -59,7 +72,11 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Socket write timeout; a peer that stops reading is cut off.
     pub write_timeout: Duration,
-    /// Requests a connection may have in flight before its reader blocks.
+    /// Replies a connection may have queued for its writer thread (pending
+    /// tickets and every reply behind one) before its reader blocks. A
+    /// ready reply on an idle connection is written by the reader and
+    /// takes no slot, so a peer that stops reading those blocks the reader
+    /// on its socket, until `write_timeout`, instead.
     pub max_pipeline: usize,
     /// Concurrent connection cap; excess peers get a `Busy` error frame.
     pub max_connections: usize,
@@ -146,6 +163,8 @@ struct ServerMetrics {
     resp_failed: Counter,
     drain_shed: Counter,
     busy_rejects: Counter,
+    replies_reader: Counter,
+    replies_writer: Counter,
     frame_bytes: Histogram,
 }
 
@@ -224,6 +243,18 @@ impl ServerMetrics {
                 "semkg_server_busy_rejects_total",
                 "connections refused at the connection cap",
             ),
+            replies_reader: r.counter_labeled(
+                "semkg_server_replies_total",
+                "path",
+                "reader",
+                "replies written, by the connection thread that wrote them",
+            ),
+            replies_writer: r.counter_labeled(
+                "semkg_server_replies_total",
+                "path",
+                "writer",
+                "replies written, by the connection thread that wrote them",
+            ),
             frame_bytes: r.histogram("semkg_server_frame_bytes", "request frame payload sizes"),
             registry,
         }
@@ -240,13 +271,15 @@ impl ServerMetrics {
             .inc();
     }
 
-    fn count_outcome(&self, outcome: &SchedOutcome) {
+    /// Counts a query's outcome and frames its reply.
+    fn query_reply(&self, outcome: &SchedOutcome) -> Vec<u8> {
         match outcome {
             SchedOutcome::Exact(_) => self.resp_exact.inc(),
             SchedOutcome::Degraded { .. } => self.resp_degraded.inc(),
             SchedOutcome::Shed(_) => self.resp_shed.inc(),
             SchedOutcome::Failed(_) => self.resp_failed.inc(),
         }
+        frame(&encode_query_reply(outcome))
     }
 }
 
@@ -418,13 +451,54 @@ fn reject_busy(mut stream: TcpStream, config: &ServerConfig) {
     }
 }
 
-/// What one message through the reader→writer channel carries.
-enum WriterMsg {
-    /// A submitted query: the writer blocks in [`Ticket::wait`] and
-    /// encodes the outcome.
+/// One reply as the reader hands it on.
+enum Reply {
+    /// A submitted query, resolved or not.
     Ticket(Ticket),
-    /// An already-framed reply (metrics, pong, errors, drain sheds).
+    /// An already-framed reply (metrics, pong, the shutdown ack, errors,
+    /// drain sheds).
     Immediate(Vec<u8>),
+}
+
+/// A connection's reply path, held by its reader: ready replies are
+/// written here, the rest queue for the writer thread.
+struct Replies<'a> {
+    tx: SyncSender<Reply>,
+    /// Replies sent to the writer and not yet written by it.
+    queued: &'a AtomicUsize,
+    metrics: &'a ServerMetrics,
+}
+
+impl Replies<'_> {
+    /// Writes `reply` on the reader's own socket if it is ready (framed
+    /// bytes or a resolved ticket) and the writer holds nothing of this
+    /// connection; otherwise queues it for the writer. False once the
+    /// connection is dead.
+    fn send(&self, stream: &mut TcpStream, reply: Reply) -> bool {
+        // Acquire pairs with the writer's Release decrement: reading 0
+        // means every reply the writer was sent has been written, so one
+        // written here follows them on the socket.
+        let reply = if self.queued.load(Ordering::Acquire) == 0 {
+            let ready = match reply {
+                Reply::Immediate(bytes) => Ok(bytes),
+                Reply::Ticket(ticket) => ticket
+                    .try_wait()
+                    .map(|response| self.metrics.query_reply(&response.outcome)),
+            };
+            match ready {
+                Ok(bytes) => {
+                    self.metrics.replies_reader.inc();
+                    return stream.write_all(&bytes).is_ok();
+                }
+                Err(ticket) => Reply::Ticket(ticket),
+            }
+        } else {
+            reply
+        };
+        // lint-ok(atomic-ordering): only this thread reads the count for a decision, and it raises it before the send that hands the writer the reply to lower it for.
+        self.queued.fetch_add(1, Ordering::Relaxed);
+        self.tx.send(reply).is_ok()
+    }
 }
 
 fn connection<B: SchedBackend>(
@@ -471,34 +545,47 @@ fn connection<B: SchedBackend>(
     let Ok(wstream) = stream.try_clone() else {
         return;
     };
-    let (tx, rx) = std::sync::mpsc::sync_channel::<WriterMsg>(config.max_pipeline);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Reply>(config.max_pipeline);
+    let queued = AtomicUsize::new(0);
     let metrics = &state.metrics;
     std::thread::scope(|cs| {
-        cs.spawn(move || writer_loop(wstream, rx, metrics));
-        reader_loop(&mut stream, handle, backend, config, extra, state, &tx);
+        let queued = &queued;
+        cs.spawn(move || writer_loop(wstream, rx, queued, metrics));
+        let replies = Replies {
+            tx,
+            queued,
+            metrics,
+        };
+        reader_loop(&mut stream, handle, backend, config, extra, state, &replies);
         // Reader done: half-close our send side only after the writer has
-        // flushed (it owns the clone); dropping `tx` ends its loop.
-        drop(tx);
+        // flushed (it owns the clone); dropping the sender ends its loop.
+        drop(replies);
     });
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn writer_loop(mut stream: TcpStream, rx: Receiver<WriterMsg>, metrics: &ServerMetrics) {
+fn writer_loop(
+    mut stream: TcpStream,
+    rx: Receiver<Reply>,
+    queued: &AtomicUsize,
+    metrics: &ServerMetrics,
+) {
     // After a write failure the channel is still drained — tickets must be
     // waited on (and counted) even when the peer is gone.
     let mut sink_dead = false;
-    for msg in rx {
-        let bytes = match msg {
-            WriterMsg::Immediate(bytes) => bytes,
-            WriterMsg::Ticket(ticket) => {
-                let response = ticket.wait();
-                metrics.count_outcome(&response.outcome);
-                frame(&encode_query_reply(&response.outcome))
-            }
+    for reply in rx {
+        let bytes = match reply {
+            Reply::Immediate(bytes) => bytes,
+            Reply::Ticket(ticket) => metrics.query_reply(&ticket.wait().outcome),
         };
-        if !sink_dead && stream.write_all(&bytes).is_err() {
-            sink_dead = true;
+        if !sink_dead {
+            metrics.replies_writer.inc();
+            sink_dead = stream.write_all(&bytes).is_err();
         }
+        // Release pairs with the reader's Acquire load in `Replies::send`:
+        // this write happens before any reply the reader writes after it
+        // reads the count this lowers.
+        queued.fetch_sub(1, Ordering::Release);
     }
     if !sink_dead {
         let _ = stream.flush();
@@ -513,7 +600,7 @@ fn reader_loop<B: SchedBackend>(
     config: &ServerConfig,
     extra: &[Arc<MetricsRegistry>],
     state: &ServerState,
-    tx: &SyncSender<WriterMsg>,
+    replies: &Replies<'_>,
 ) {
     let metrics = &state.metrics;
     let mut last_activity = Instant::now();
@@ -548,7 +635,7 @@ fn reader_loop<B: SchedBackend>(
                     code: ErrorCode::FrameTooLarge,
                     detail: format!("frame length {len} outside (0, {}]", config.max_frame_len),
                 });
-                let _ = tx.send(WriterMsg::Immediate(frame(&payload)));
+                replies.send(stream, Reply::Immediate(frame(&payload)));
                 return;
             }
             Recv::BadChecksum => {
@@ -557,13 +644,13 @@ fn reader_loop<B: SchedBackend>(
                     code: ErrorCode::ChecksumMismatch,
                     detail: "payload checksum mismatch".into(),
                 });
-                let _ = tx.send(WriterMsg::Immediate(frame(&payload)));
+                replies.send(stream, Reply::Immediate(frame(&payload)));
                 return;
             }
             Recv::Frame(payload) => {
                 last_activity = Instant::now();
                 metrics.frame_bytes.record(payload.len() as u64);
-                match proto::decode_request(&payload) {
+                let reply = match proto::decode_request(&payload) {
                     Ok(Request::Query {
                         query,
                         deadline_us,
@@ -572,46 +659,41 @@ fn reader_loop<B: SchedBackend>(
                         metrics.requests_query.inc();
                         // Re-load: drain may have begun while this frame
                         // was in flight inside `recv_frame`.
-                        let msg = if state.draining.load(Ordering::Acquire) {
+                        if state.draining.load(Ordering::Acquire) {
                             // The scheduler's drain begins only after the
                             // connection threads exit; the serving tier
                             // itself sheds new arrivals first.
                             metrics.drain_shed.inc();
-                            let outcome = SchedOutcome::Shed(ShedReason::Shutdown);
-                            metrics.count_outcome(&outcome);
-                            WriterMsg::Immediate(frame(&encode_query_reply(&outcome)))
+                            Reply::Immediate(
+                                metrics.query_reply(&SchedOutcome::Shed(ShedReason::Shutdown)),
+                            )
                         } else {
-                            WriterMsg::Ticket(handle.submit(
+                            Reply::Ticket(handle.submit(
                                 &query,
                                 Duration::from_micros(deadline_us),
                                 priority,
                             ))
-                        };
-                        if tx.send(msg).is_err() {
-                            return;
                         }
                     }
                     Ok(Request::Metrics) => {
                         metrics.requests_metrics.inc();
                         let text =
                             render_scrape(backend, handle, extra, state, config.max_frame_len);
-                        let payload = encode_response(&Response::Metrics(text));
-                        if tx.send(WriterMsg::Immediate(frame(&payload))).is_err() {
-                            return;
-                        }
+                        Reply::Immediate(frame(&encode_response(&Response::Metrics(text))))
                     }
                     Ok(Request::Ping) => {
                         metrics.requests_ping.inc();
-                        let payload = encode_response(&Response::Pong(backend.current_epoch()));
-                        if tx.send(WriterMsg::Immediate(frame(&payload))).is_err() {
-                            return;
-                        }
+                        let pong = Response::Pong(backend.current_epoch());
+                        Reply::Immediate(frame(&encode_response(&pong)))
                     }
                     Ok(Request::Shutdown) => {
                         metrics.requests_shutdown.inc();
-                        let payload = encode_response(&Response::ShutdownAck);
-                        let _ = tx.send(WriterMsg::Immediate(frame(&payload)));
+                        // Drain begins before the ack can reach the peer,
+                        // which may act on it at once.
                         state.draining.store(true, Ordering::Release);
+                        let ack = frame(&encode_response(&Response::ShutdownAck));
+                        replies.send(stream, Reply::Immediate(ack));
+                        continue;
                     }
                     Err(we) => {
                         metrics.count_protocol_error(we.code);
@@ -619,9 +701,12 @@ fn reader_loop<B: SchedBackend>(
                             code: we.code,
                             detail: we.detail,
                         });
-                        let _ = tx.send(WriterMsg::Immediate(frame(&payload)));
+                        replies.send(stream, Reply::Immediate(frame(&payload)));
                         return;
                     }
+                };
+                if !replies.send(stream, reply) {
+                    return;
                 }
             }
         }

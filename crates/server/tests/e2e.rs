@@ -96,6 +96,20 @@ fn query_ping_and_scrape_roundtrip() {
         assert!(lines.contains(&"sgq_shard_count 2"), "{scrape}");
         let edges = format!("sgq_graph_edges {}", service.stats().graph_edges);
         assert!(lines.contains(&edges.as_str()), "{scrape}");
+        // The PING, ready on an idle connection, was written by the
+        // reader. The first QUERY missed the answer cache: its reply went
+        // through the writer unless the engine resolved it before the
+        // reader checked the ticket, so only the sum is fixed here
+        // (`tests/reply_path.rs` holds the engine to pin the writer path).
+        let replies = |path: &str| -> u64 {
+            let series = format!("semkg_server_replies_total{{path=\"{path}\"}} ");
+            let line = lines.iter().find_map(|l| l.strip_prefix(series.as_str()));
+            line.unwrap_or_else(|| panic!("no {series}in {scrape}"))
+                .parse()
+                .unwrap()
+        };
+        let (reader, writer) = (replies("reader"), replies("writer"));
+        assert!(reader >= 1 && reader + writer == 2, "{scrape}");
         // Exposition format: every line is a comment or `name[{labels}] value`.
         for line in scrape.lines() {
             assert!(

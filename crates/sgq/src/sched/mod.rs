@@ -403,10 +403,11 @@ impl Ticket {
         }
     }
 
-    /// Non-blocking: a copy of the response if the request has been
-    /// resolved ([`Ticket::wait`] still works afterwards).
-    pub fn peek(&self) -> Option<SchedResponse> {
-        self.state.slot.lock().unwrap().clone()
+    /// Non-blocking [`Ticket::wait`]: the response if the request has been
+    /// resolved, else the ticket back, still waitable.
+    pub fn try_wait(self) -> std::result::Result<SchedResponse, Ticket> {
+        let taken = self.state.slot.lock().unwrap().take();
+        taken.ok_or(self)
     }
 }
 
@@ -1795,18 +1796,20 @@ mod tests {
 
         let low_a = handle.submit(&q, within, Priority::Low);
         let low_b = handle.submit(&q, within, Priority::Low);
-        assert!(low_a.peek().is_none(), "queued, not resolved");
+        let Err(low_a) = low_a.try_wait() else {
+            panic!("queued, not resolved");
+        };
 
         // A High arrival evicts the least urgent queued Low.
         let high_a = handle.submit(&q, within, Priority::High);
         assert!(matches!(
-            low_b.peek().map(|r| r.outcome),
-            Some(SchedOutcome::Shed(ShedReason::QueueFull))
+            low_b.try_wait().map(|r| r.outcome),
+            Ok(SchedOutcome::Shed(ShedReason::QueueFull))
         ));
         let high_b = handle.submit(&q, within, Priority::High);
         assert!(matches!(
-            low_a.peek().map(|r| r.outcome),
-            Some(SchedOutcome::Shed(ShedReason::QueueFull))
+            low_a.try_wait().map(|r| r.outcome),
+            Ok(SchedOutcome::Shed(ShedReason::QueueFull))
         ));
 
         // Queue now holds two Highs: an equal-urgency arrival is shed
@@ -1816,8 +1819,8 @@ mod tests {
             high_c.wait().outcome,
             SchedOutcome::Shed(ShedReason::QueueFull)
         ));
-        assert!(high_a.peek().is_none());
-        assert!(high_b.peek().is_none());
+        assert!(high_a.try_wait().is_err());
+        assert!(high_b.try_wait().is_err());
 
         let stats = handle.stats();
         assert_eq!(stats.submitted, 5);
