@@ -5,12 +5,12 @@
 //! preserved, then expose the **predicate semantic space** `E = {e₁…eₙ}`
 //! whose pairwise cosine similarities (Eq. 5) weight the semantic graph.
 //!
-//! Three translational/bilinear models are provided — [`TransE`] (the model
-//! the paper selects, Bordes et al. NIPS 2013), [`TransH`] and [`DistMult`] —
-//! all trained with margin-based ranking loss, uniform negative sampling and
-//! plain SGD, the recipe summarised in the paper's §IV-A: *"(1) initialize
-//! the vector of each element in triple <h,r,t>, (2) define a function g()
-//! to measure the relation, such as h + r ≈ t, (3) optimize g()"*.
+//! The model is [`TransE`] (Bordes et al. NIPS 2013), the one the paper
+//! selects, trained with margin-based ranking loss, uniform negative
+//! sampling and plain SGD, the recipe summarised in the paper's §IV-A:
+//! *"(1) initialize the vector of each element in triple <h,r,t>, (2)
+//! define a function g() to measure the relation, such as h + r ≈ t, (3)
+//! optimize g()"*.
 //!
 //! ```
 //! use kgraph::GraphBuilder;
@@ -32,22 +32,15 @@
 //! assert!(space.sim(a, p) <= 1.0 + 1e-6);
 //! ```
 
-pub mod distmult;
-pub mod eval;
-pub mod kernels;
 pub mod model;
 pub mod similarity;
 pub mod space;
 pub mod trainer;
 pub mod transe;
-pub mod transh;
 pub mod vector;
 
-pub use distmult::DistMult;
-pub use eval::{evaluate_link_prediction, LinkPredictionReport};
 pub use model::KgeModel;
 pub use similarity::{RowBundle, RowKey, SimilarityIndex, SimilarityIndexStats};
 pub use space::PredicateSpace;
 pub use trainer::{train, train_transe, TrainConfig, TrainReport};
 pub use transe::TransE;
-pub use transh::TransH;

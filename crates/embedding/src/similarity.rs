@@ -24,17 +24,14 @@
 //! ## Derived row forms
 //!
 //! Every cached row is a [`RowBundle`] carrying, besides the exact
-//! `Arc<[f64]>` row, two derived forms computed once alongside it (see
-//! [`crate::kernels`]):
+//! `Arc<[f64]>` row, two forms computed once alongside it:
 //!
-//! * a **round-up `f32` upper-bound row** — each element the smallest `f32`
-//!   ≥ the exact element, so τ-prefilters over the quantized row are
-//!   admissible (quantized ≥ exact by construction) at half the bandwidth;
-//! * a **precomputed `ln` row** — `ln` of the same `f64` is deterministic,
-//!   so replacing a per-edge `w.ln()` with a table lookup is bit-identical;
-//!
-//! plus the row's **maximum element**, which lets adjacency scans stop
-//! early once the running max provably cannot grow.
+//! * a **precomputed `ln` row** — `ln` of the same `f64` is deterministic
+//!   (libm's `ln` is a pure function of the input bits), so replacing a
+//!   per-edge `w.ln()` with a table lookup is bit-identical;
+//! * the row's **maximum element**, which lets adjacency scans stop early
+//!   once the running max provably cannot grow (`max` is insensitive to
+//!   scan order, so the early exit is exact).
 //!
 //! ## Vocabulary generations
 //!
@@ -49,7 +46,6 @@
 //! was built against, so pinned queries stay bit-identical while new plans
 //! see the wider vocabulary.
 
-use crate::kernels;
 use crate::space::PredicateSpace;
 use kgraph::PredicateId;
 use rustc_hash::FxHashMap;
@@ -126,41 +122,35 @@ impl SimilarityIndexStats {
 /// under adversarially diverse multi-segment queries. Past the cap,
 /// combined rows are computed per request (correct, just uncached) so a
 /// long-running service cannot grow without limit. At a 10k-predicate
-/// vocabulary a bundle (exact f64 + ln f64 + upper f32 = 20 B/element)
-/// caps the combined-row cache near 4096 × 200 KB ≈ 820 MB worst case;
-/// typical workloads stay far below both factors.
+/// vocabulary a bundle (exact f64 + ln f64 = 16 B/element) caps the
+/// combined-row cache near 4096 × 160 KB ≈ 655 MB worst case; typical
+/// workloads stay far below both factors.
 const MAX_CACHED_COMBINED_ROWS: usize = 4096;
 
 /// One cached similarity row with its derived scan forms, all issued
-/// together: the exact row plus the round-up `f32` upper-bound row, the
-/// precomputed `ln` row and the maximum element (see [`crate::kernels`]
-/// for why each form is safe under the bit-identical-answers contract).
-/// Cloning is three refcount bumps.
+/// together: the exact row, the precomputed `ln` row and the maximum
+/// element (see the module docs for why each form is safe under the
+/// bit-identical-answers contract). Cloning is two refcount bumps.
 #[derive(Debug, Clone)]
 pub struct RowBundle {
     /// The exact transformed row — what [`SimilarityIndex::row`] returns.
     pub exact: Arc<[f64]>,
     /// `ln[i] == exact[i].ln()`, bitwise.
     pub ln: Arc<[f64]>,
-    /// `upper[i]` is the smallest `f32` ≥ `exact[i]` (round-up quantized).
-    pub upper: Arc<[f32]>,
     /// Maximum element of `exact` (`-inf` for an empty row): the stop
     /// value for early-exit adjacency scans.
     pub max: f64,
 }
 
 impl RowBundle {
-    /// Derives the quantized/ln/max forms from an exact row.
+    /// Derives the ln/max forms from an exact row.
     fn derive(exact: Arc<[f64]>) -> Self {
-        let ln: Arc<[f64]> = kernels::ln_row(&exact).into();
-        let upper: Arc<[f32]> = kernels::quantize_row_up(&exact).into();
-        let max = kernels::row_max(&exact, f64::NEG_INFINITY);
-        Self {
-            exact,
-            ln,
-            upper,
-            max,
+        let ln: Arc<[f64]> = exact.iter().map(|&w| w.ln()).collect();
+        let mut max = f64::NEG_INFINITY;
+        for &w in exact.iter() {
+            max = if w > max { w } else { max };
         }
+        Self { exact, ln, max }
     }
 }
 
@@ -330,9 +320,8 @@ impl<'s> SimilarityIndex<'s> {
         self.max_bundle(keys).exact
     }
 
-    /// [`SimilarityIndex::max_row`] with the derived scan forms. The
-    /// quantized/ln forms are derived from the *combined* exact row, so the
-    /// round-up domination invariant holds element-wise against it.
+    /// [`SimilarityIndex::max_row`] with the derived scan forms, derived
+    /// from the *combined* exact row.
     pub fn max_bundle(&self, keys: &[RowKey]) -> RowBundle {
         assert!(!keys.is_empty(), "max_row needs at least one row key");
         if keys.len() == 1 {
@@ -611,10 +600,8 @@ mod tests {
         let idx = SimilarityIndex::with_transform(&s, clamp_unit);
         let b = idx.bundle(RowKey::Predicate(PredicateId::new(1)));
         assert_eq!(b.exact.len(), b.ln.len());
-        assert_eq!(b.exact.len(), b.upper.len());
         for i in 0..b.exact.len() {
             assert_eq!(b.ln[i].to_bits(), b.exact[i].ln().to_bits());
-            assert!(f64::from(b.upper[i]) >= b.exact[i]);
         }
         let expected_max = b.exact.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(b.max.to_bits(), expected_max.to_bits());
@@ -626,12 +613,12 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Round-up invariant across arbitrary spaces: every f32
-        /// upper-bound row element dominates its exact f64 element, on
-        /// per-predicate rows, combined suffix rows and padded
-        /// (vocab-grown) rows alike.
+        /// Derived forms across arbitrary spaces: every `ln` row element is
+        /// the bitwise `ln` of its exact element and no element exceeds the
+        /// row maximum, on per-predicate rows, combined suffix rows and
+        /// padded (vocab-grown) rows alike.
         #[test]
-        fn prop_upper_rows_dominate_exact_rows(
+        fn prop_derived_forms_match_exact_rows(
             raw in proptest::collection::vec(
                 proptest::collection::vec(-1.0f32..1.0, 3), 2..6),
             grow in 0usize..4,
@@ -647,12 +634,6 @@ mod tests {
             let (segs, suffixes) = idx.plan_bundles(&keys);
             for b in segs.iter().chain(&suffixes) {
                 for i in 0..b.exact.len() {
-                    prop_assert!(
-                        f64::from(b.upper[i]) >= b.exact[i],
-                        "upper[{i}]={} < exact[{i}]={}",
-                        b.upper[i],
-                        b.exact[i]
-                    );
                     prop_assert_eq!(b.ln[i].to_bits(), b.exact[i].ln().to_bits());
                     prop_assert!(b.exact[i] <= b.max);
                 }

@@ -129,8 +129,6 @@ fn corrupt(pos: IdxTriple, n_entities: usize, rng: &mut StdRng) -> IdxTriple {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distmult::DistMult;
-    use crate::transh::TransH;
     use crate::vector::cosine;
     use kgraph::GraphBuilder;
 
@@ -194,21 +192,6 @@ mod tests {
             / 5.0;
         assert!(late < early, "loss should trend down: {early} -> {late}");
         assert_eq!(report.triples, g.edge_count());
-    }
-
-    #[test]
-    fn transh_and_distmult_also_train() {
-        let g = figure6_graph();
-        let small = TrainConfig {
-            epochs: 15,
-            ..cfg()
-        };
-        let (_, rh) = train::<TransH>(&g, &small);
-        let (_, rd) = train::<DistMult>(&g, &small);
-        assert_eq!(rh.epoch_loss.len(), 15);
-        assert_eq!(rd.epoch_loss.len(), 15);
-        assert!(rh.final_loss().is_finite());
-        assert!(rd.final_loss().is_finite());
     }
 
     #[test]

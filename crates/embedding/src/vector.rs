@@ -21,26 +21,6 @@ pub fn norm(a: &[f32]) -> f32 {
     dot(a, a).sqrt()
 }
 
-/// L1 norm.
-#[inline]
-pub fn norm_l1(a: &[f32]) -> f32 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
-/// Squared L2 distance `‖a − b‖²`.
-#[inline]
-pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// L1 distance `‖a − b‖₁`.
-#[inline]
-pub fn l1_dist(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
 /// Cosine similarity (paper Eq. 5): `a·b / (‖a‖‖b‖)`.
 ///
 /// Returns 0 when either vector is (numerically) zero, which keeps the
@@ -101,16 +81,6 @@ mod tests {
         let a = [3.0, 4.0];
         assert_eq!(dot(&a, &a), 25.0);
         assert_eq!(norm(&a), 5.0);
-        assert_eq!(norm_l1(&a), 7.0);
-    }
-
-    #[test]
-    fn distances() {
-        let a = [1.0, 2.0];
-        let b = [4.0, 6.0];
-        assert_eq!(sq_dist(&a, &b), 25.0);
-        assert_eq!(l1_dist(&a, &b), 7.0);
-        assert_eq!(sq_dist(&a, &a), 0.0);
     }
 
     #[test]
@@ -173,13 +143,6 @@ mod tests {
         ) {
             let scaled: Vec<f32> = a.iter().map(|x| x * s).collect();
             prop_assert!((cosine(&a, &b) - cosine(&scaled, &b)).abs() < 1e-3);
-        }
-
-        #[test]
-        fn prop_triangle_sq_dist_zero_iff_equal(
-            a in proptest::collection::vec(-5.0f32..5.0, 3),
-        ) {
-            prop_assert!(sq_dist(&a, &a) == 0.0);
         }
     }
 }

@@ -33,7 +33,8 @@
 //! * a started frame must complete within [`ServerConfig::frame_timeout`]
 //!   (slowloris) and an idle connection is closed after
 //!   [`ServerConfig::idle_timeout`];
-//! * writes time out after [`ServerConfig::write_timeout`];
+//! * every reply, and each handshake write, must be out within
+//!   [`ServerConfig::write_timeout`], however the peer paces its reads;
 //! * the connection count is capped; excess peers get a typed `Busy` frame;
 //! * graceful drain: in-flight tickets resolve, queries arriving inside
 //!   the [`ServerConfig::drain_grace`] window are answered
@@ -70,7 +71,9 @@ pub struct ServerConfig {
     /// A connection with no traffic at a frame boundary is closed after
     /// this long.
     pub idle_timeout: Duration,
-    /// Socket write timeout; a peer that stops reading is cut off.
+    /// Time one reply's write may take as a whole, from its first byte to
+    /// its last; a peer that stops reading, or reads too slowly to take a
+    /// reply in time, is cut off.
     pub write_timeout: Duration,
     /// Replies a connection may have queued for its writer thread (pending
     /// tickets and every reply behind one) before its reader blocks. A
@@ -428,14 +431,14 @@ fn reject_busy(mut stream: TcpStream, config: &ServerConfig) {
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     let _ = stream.set_read_timeout(Some(config.read_poll));
     let _ = stream.set_nodelay(true);
-    if stream.write_all(&MAGIC).is_err() {
+    if !write_within(&mut stream, &MAGIC, config.write_timeout) {
         return;
     }
     let payload = encode_response(&Response::Error {
         code: ErrorCode::Busy,
         detail: "connection limit reached, retry later".into(),
     });
-    if stream.write_all(&frame(&payload)).is_err() {
+    if !write_within(&mut stream, &frame(&payload), config.write_timeout) {
         return;
     }
     let _ = stream.shutdown(Shutdown::Write);
@@ -449,6 +452,39 @@ fn reject_busy(mut stream: TcpStream, config: &ServerConfig) {
             Ok(_) => {}
         }
     }
+}
+
+/// Writes all of `bytes` within `timeout` of the call, on a socket whose
+/// send timeout is `timeout` between calls. Each `write` returns what it
+/// moved before the socket timeout fired, so after a partial write the
+/// timeout drops to the time left and goes back to `timeout` once the
+/// bytes are out: a write that takes them whole costs no extra syscall.
+/// False when the peer did not take them in time or the socket failed.
+fn write_within(stream: &mut TcpStream, bytes: &[u8], timeout: Duration) -> bool {
+    let start = Instant::now();
+    let mut rest = bytes;
+    let mut lowered = false;
+    let written = loop {
+        match stream.write(rest) {
+            Ok(n) if n == rest.len() => break true,
+            Ok(0) => break false,
+            Ok(n) => match rest.get(n..) {
+                Some(tail) => rest = tail,
+                None => break false,
+            },
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break false,
+        }
+        let left = timeout.saturating_sub(start.elapsed());
+        if left.is_zero() || stream.set_write_timeout(Some(left)).is_err() {
+            break false;
+        }
+        lowered = true;
+    };
+    if lowered {
+        let _ = stream.set_write_timeout(Some(timeout));
+    }
+    written
 }
 
 /// One reply as the reader hands it on.
@@ -467,6 +503,7 @@ struct Replies<'a> {
     /// Replies sent to the writer and not yet written by it.
     queued: &'a AtomicUsize,
     metrics: &'a ServerMetrics,
+    write_timeout: Duration,
 }
 
 impl Replies<'_> {
@@ -488,7 +525,7 @@ impl Replies<'_> {
             match ready {
                 Ok(bytes) => {
                     self.metrics.replies_reader.inc();
-                    return stream.write_all(&bytes).is_ok();
+                    return write_within(stream, &bytes, self.write_timeout);
                 }
                 Err(ticket) => Reply::Ticket(ticket),
             }
@@ -512,7 +549,7 @@ fn connection<B: SchedBackend>(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(config.read_poll));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
-    if stream.write_all(&MAGIC).is_err() {
+    if !write_within(&mut stream, &MAGIC, config.write_timeout) {
         return;
     }
     // The peer must echo the magic before its first frame; anything else
@@ -539,7 +576,7 @@ fn connection<B: SchedBackend>(
             code: ErrorCode::BadMagic,
             detail: "connection preamble is not SKGWIRE1".into(),
         });
-        let _ = stream.write_all(&frame(&payload));
+        write_within(&mut stream, &frame(&payload), config.write_timeout);
         return;
     }
     let Ok(wstream) = stream.try_clone() else {
@@ -550,11 +587,13 @@ fn connection<B: SchedBackend>(
     let metrics = &state.metrics;
     std::thread::scope(|cs| {
         let queued = &queued;
-        cs.spawn(move || writer_loop(wstream, rx, queued, metrics));
+        let write_timeout = config.write_timeout;
+        cs.spawn(move || writer_loop(wstream, rx, queued, metrics, write_timeout));
         let replies = Replies {
             tx,
             queued,
             metrics,
+            write_timeout,
         };
         reader_loop(&mut stream, handle, backend, config, extra, state, &replies);
         // Reader done: half-close our send side only after the writer has
@@ -569,6 +608,7 @@ fn writer_loop(
     rx: Receiver<Reply>,
     queued: &AtomicUsize,
     metrics: &ServerMetrics,
+    write_timeout: Duration,
 ) {
     // After a write failure the channel is still drained — tickets must be
     // waited on (and counted) even when the peer is gone.
@@ -580,7 +620,7 @@ fn writer_loop(
         };
         if !sink_dead {
             metrics.replies_writer.inc();
-            sink_dead = stream.write_all(&bytes).is_err();
+            sink_dead = !write_within(&mut stream, &bytes, write_timeout);
         }
         // Release pairs with the reader's Acquire load in `Replies::send`:
         // this write happens before any reply the reader writes after it

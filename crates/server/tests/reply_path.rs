@@ -2,18 +2,19 @@
 //! reader handles its frame is written by the reader, unless an earlier
 //! reply still waits on the writer thread; these tests pin request order
 //! across the two paths and the reader's behaviour against a peer that
-//! stops reading.
+//! stops reading, or reads too slowly to take a reply in time.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use semkg_server::proto::{self, Request, Response};
 use semkg_server::server::{self, ServerConfig, ServerHandle};
 use semkg_server::{Client, WireOutcome};
+use sgq::obs::MetricsRegistry;
 use sgq::sched::SchedBackend;
 use sgq::{
     Priority, QueryGraph, QueryResult, QueryTrace, Result, SchedConfig, SgqConfig, SgqError,
@@ -241,11 +242,9 @@ fn a_peer_that_stops_reading_is_cut_off_at_the_write_timeout() {
                 if reader - pongs > written {
                     (written, progress) = (reader - pongs, Instant::now());
                 }
-                // A write that moved some bytes before the timeout fired
-                // returns them, and the next one waits a full timeout
-                // again: the last reply can block for two timeouts.
+                // The last reply's whole write is bounded by one timeout.
                 assert!(
-                    progress.elapsed() < 2 * write_timeout + slack,
+                    progress.elapsed() < write_timeout + slack,
                     "the peer that stopped reading was not cut off"
                 );
                 std::thread::sleep(Duration::from_millis(10));
@@ -258,11 +257,92 @@ fn a_peer_that_stops_reading_is_cut_off_at_the_write_timeout() {
     )
     .unwrap();
     // Its reader leaves after the grace window, or, once blocked on the
-    // socket, when its write times out (at most two timeouts, as above).
+    // socket, when its reply's write times out (one timeout, as above).
     let drained = returned.elapsed();
     assert!(
-        drained < 2 * write_timeout + drain_grace + slack,
+        drained < write_timeout + drain_grace + slack,
         "drain took {drained:?}"
     );
     second.join().unwrap();
+}
+
+/// A registry of 4,096 series with 4 KiB labels, merged into every scrape:
+/// each METRICS reply fills a 16 MiB frame.
+fn padded_scrape() -> Arc<MetricsRegistry> {
+    let registry = MetricsRegistry::new();
+    let pad = "x".repeat(4096);
+    for i in 0..4096 {
+        registry.counter_labeled(
+            "reply_path_padding",
+            "series",
+            &format!("{i:04}{pad}"),
+            "Pad.",
+        );
+    }
+    Arc::new(registry)
+}
+
+#[test]
+fn a_peer_that_reads_a_trickle_is_cut_off_at_the_write_timeout() {
+    let (_release, held) = mpsc::channel();
+    let backend = HeldBackend::new(held);
+    let config = ServerConfig {
+        max_frame_len: 16 << 20,
+        write_timeout: Duration::from_millis(400),
+        ..ServerConfig::default()
+    };
+    let write_timeout = config.write_timeout;
+    let slack = Duration::from_millis(600);
+    // 768 KiB every 100 ms: a blocked write wakes when a third of the send
+    // buffer (which Linux grows to at most 4 MiB by default) has drained,
+    // so some bytes of a reply move before each timeout fires, yet a
+    // 16 MiB reply takes seconds.
+    let (trickle, every) = (768 << 10, Duration::from_millis(100));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    server::serve(
+        listener,
+        &backend,
+        SchedConfig::default(),
+        config,
+        &[padded_scrape()],
+        |handle| {
+            let mut peer = TcpStream::connect(handle.addr()).unwrap();
+            let mut magic = [0u8; 8];
+            peer.read_exact(&mut magic).unwrap();
+            peer.write_all(&magic).unwrap();
+            // Three replies, more than the socket buffers can hold on a
+            // default Linux host, so a reply's write blocks.
+            let metrics = proto::frame(&proto::encode_request(&Request::Metrics));
+            peer.write_all(&metrics.repeat(3)).unwrap();
+            peer.set_read_timeout(Some(Duration::from_millis(5)))
+                .unwrap();
+            let mut buf = vec![0u8; trickle];
+            let (mut written, mut progress, mut last_read) = (0, Instant::now(), Instant::now());
+            while handle.open_connections() == 1 {
+                if last_read.elapsed() >= every {
+                    last_read = Instant::now();
+                    let mut got = 0;
+                    while got < trickle {
+                        match peer.read(&mut buf[got..]) {
+                            Ok(n) if n > 0 => got += n,
+                            // EOF, or nothing more within the read timeout.
+                            _ => break,
+                        }
+                    }
+                }
+                // The reader counts each reply before writing it.
+                let (reader, _) = replies(handle);
+                if reader > written {
+                    (written, progress) = (reader, Instant::now());
+                }
+                assert!(
+                    progress.elapsed() < write_timeout + slack,
+                    "a reply to the trickling peer outlived its write timeout"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert!(written >= 1, "no reply was written");
+        },
+    )
+    .unwrap();
 }

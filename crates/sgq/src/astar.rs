@@ -29,6 +29,8 @@
 //! the answer at a higher one (an answer cache that tried failed its
 //! differential on the seeded tiny dataset).
 //!
+//! The seed (Algorithm 1 line 1) scores each φ(v_s) candidate with the
+//! same `m(u)` scan, [`SubQueryPlan::max_adjacent_ln`], as every expansion.
 //! Lemma 1's `m(u)` depends only on that `(node, segment)` key (the plan
 //! and the graph snapshot are fixed for a search), so [`ScanMode::Kernel`]
 //! scans each key's adjacency at most once per search: `visited` maps a key
@@ -57,9 +59,8 @@
 
 use crate::answer::SubMatch;
 use crate::config::ScanMode;
-use crate::pss::{exact_pss, MIN_WEIGHT};
+use crate::pss::exact_pss;
 use crate::semgraph::SubQueryPlan;
-use embedding::kernels;
 use kgraph::{EdgeId, GraphView, KnowledgeGraph, NodeId};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
@@ -250,21 +251,17 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
         if plan.is_trivially_empty() {
             return search;
         }
-        // Stage 1 — dedup the candidate list in canonical order (the
-        // visited set's contents are part of the determinism contract).
-        let mut sources: Vec<NodeId> = Vec::with_capacity(plan.sources.len());
+        // Dedup the candidates in canonical order and mark each visited
+        // (the visited set's contents are part of the determinism
+        // contract), then score each through the expansion's m(u) scan.
+        // Arena indices are the heap tie-breaker, so pushes keep that order.
         for &us in &plan.sources {
-            if search.mark_visited((us.0, 0)) {
-                sources.push(us);
+            if !search.mark_visited((us.0, 0)) {
+                continue;
             }
-        }
-        // Stage 2 — score each candidate's m(u) bound (pure per-source
-        // adjacency scans).
-        let bounds = seed_bounds(graph, plan, &sources);
-        // Stage 3 — threshold + push, in canonical order: arena indices
-        // are the heap tie-breaker.
-        for (&us, &m_u) in sources.iter().zip(&bounds) {
-            let priority = plan.estimator.estimate(0.0, m_u);
+            let priority = plan
+                .estimator
+                .estimate_ln(0.0, plan.max_adjacent_ln(graph, us, 0));
             if priority < plan.tau {
                 search.stats.tau_pruned += 1;
                 continue;
@@ -476,112 +473,6 @@ impl<G: GraphView> Drop for AStarSearch<'_, G> {
     fn drop(&mut self) {
         std::mem::take(&mut self.bufs).recycle();
     }
-}
-
-/// Computes `m(u)` (the seed priority input) for every candidate source,
-/// positionally aligned with `sources`.
-fn seed_bounds<G: GraphView>(graph: &G, plan: &SubQueryPlan, sources: &[NodeId]) -> Vec<f64> {
-    // τ = 0 admits everything, so the prefilter pass would be a pure
-    // double scan; fall through to the direct exact scan.
-    if plan.scan == ScanMode::Kernel && plan.tau > 0.0 {
-        seed_bounds_two_pass(graph, plan, sources)
-    } else {
-        sources
-            .iter()
-            .map(|&us| plan.max_adjacent_weight(graph, us, 0))
-            .collect()
-    }
-}
-
-/// The smallest non-negative f32 `m` with `ψ̂(0, m) ≥ τ`, or `+∞` when even
-/// `m = 1` (the weight ceiling) fails τ. Found by binary search over the
-/// f32 bit patterns — positive floats order like their bits — so the result
-/// is *float-exact*: for every f32 `v` in `[0, 1]`, `v ≥ threshold` holds
-/// iff `ψ̂(0, v) ≥ τ`. (The estimator's float-level weak monotonicity in
-/// `m` is what makes the bisection sound; `pss.rs` proptests it strictly,
-/// down to adjacent representable pairs.)
-fn tau_threshold_f32(plan: &SubQueryPlan) -> f32 {
-    if plan.estimator.estimate(0.0, 1.0) < plan.tau {
-        return f32::INFINITY;
-    }
-    let mut lo = 0u32;
-    let mut hi = 1.0f32.to_bits();
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if plan.estimator.estimate(0.0, f64::from(f32::from_bits(mid))) >= plan.tau {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    f32::from_bits(lo)
-}
-
-/// Two-pass SoA seed scoring. Pass 1 bounds every candidate's `m(u)` from
-/// the round-up f32 row — half the row traffic of the exact scan — into a
-/// structure-of-arrays bounds buffer, cutting each scan short as soon as
-/// the bound either proves survival (crosses the τ threshold) or hits the
-/// row maximum; a batched threshold classification over the bounds then
-/// selects the survivors with one compare per candidate instead of an
-/// `exp`. Pass 2 rescores only the survivors against the exact f64 row,
-/// gathering each survivor's adjacency slice through a reused buffer;
-/// pruned candidates keep their (dominating) quantised bound, which the
-/// caller's threshold re-check rejects.
-///
-/// Bit-identity with the scalar scan:
-/// * [`tau_threshold_f32`] is float-exact, so classifying `m32 ≥ threshold`
-///   decides *exactly* `ψ̂(m32) ≥ τ`;
-/// * the f32 row dominates the exact row element-wise, and the ψ̂ estimator
-///   is weakly monotone in `m(u)` (proptested in `pss.rs`), so
-///   `ψ̂(quantised) < τ ⟹ ψ̂(exact) < τ` — prefilter pruning is admissible
-///   and the caller prunes exactly the candidates the scalar path prunes;
-/// * a pass-1 scan that stopped early at the threshold leaves a partial
-///   (iteration-order-dependent) bound, but only for survivors — whose slot
-///   pass 2 overwrites with the exact max before anyone reads it; pruned
-///   candidates always complete the scan, so every value that leaves this
-///   function is order-insensitive;
-/// * survivors get the exact gather-max, which over the same element set
-///   with the same floor is order-insensitive and bitwise equal to the
-///   scalar running max.
-fn seed_bounds_two_pass<G: GraphView>(
-    graph: &G,
-    plan: &SubQueryPlan,
-    sources: &[NodeId],
-) -> Vec<f64> {
-    let exact = &plan.remaining_max[0];
-    let upper = &plan.remaining_upper[0];
-    let stop64 = plan.remaining_row_max[0];
-    let stop32 = plan.remaining_upper_max[0];
-    let init32 = kernels::round_up_f32(MIN_WEIGHT);
-    let threshold = tau_threshold_f32(plan);
-    // Stop a pass-1 scan at whichever comes first: proof of survival or
-    // the row maximum (past which the bound cannot grow).
-    let cut32 = threshold.min(stop32);
-    let mut out = Vec::with_capacity(sources.len());
-    for &us in sources {
-        let mut m32 = init32;
-        for nb in graph.neighbors(us) {
-            let w = upper[nb.predicate.index()];
-            if w > m32 {
-                m32 = w;
-                if m32 >= cut32 {
-                    break;
-                }
-            }
-        }
-        out.push(f64::from(m32));
-    }
-    let mut survivors: Vec<u32> = Vec::new();
-    kernels::classify_ge(&out, f64::from(threshold), &mut survivors);
-    let mut idx: Vec<u32> = Vec::new();
-    for &slot in &survivors {
-        idx.clear();
-        for nb in graph.neighbors(sources[slot as usize]) {
-            idx.push(nb.predicate.0);
-        }
-        out[slot as usize] = kernels::gather_max(exact, &idx, MIN_WEIGHT, stop64);
-    }
-    out
 }
 
 impl<'a, G: GraphView> AStarSearch<'a, G> {

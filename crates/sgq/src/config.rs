@@ -23,20 +23,22 @@ pub enum PivotStrategy {
     },
 }
 
-/// Which implementation the vocabulary-scale scans (seed-time `m(u)`
-/// scoring, per-edge weight accumulation) run on. Both produce
-/// bit-identical answers, frontiers and stats — proven by
-/// `tests/kernel_differential.rs` — so this is a debugging / benchmarking
-/// knob, not a semantics switch.
+/// Which implementation the vocabulary-scale scans (Lemma 1's `m(u)` bound,
+/// which scores the seed and every expansion, and the per-edge weight
+/// accumulation) run on. Both produce bit-identical answers, frontiers and
+/// stats — proven by `tests/kernel_differential.rs` — so this is a
+/// debugging / benchmarking knob, not a semantics switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ScanMode {
-    /// Chunked branchless kernels (`embedding::kernels`): two-pass f32
-    /// prefilter + exact rescore at the seed, precomputed-`ln` lookups
-    /// during expansion, early exit at the row maximum.
+    /// Precomputed-`ln` row lookups instead of per-edge `w.ln()`; one
+    /// `m(u)` scan, which stops at the row maximum, for the seed and every
+    /// expansion; and each `(node, segment)` key's bound computed at most
+    /// once per search.
     #[default]
     Kernel,
-    /// The pre-kernel scalar loops: per-edge `w.ln()`, full branchy f64
-    /// adjacency scans. Reference half of `tests/kernel_differential.rs`.
+    /// The straightforward scalar loops: per-edge `w.ln()`, a full
+    /// adjacency scan and an `ln` per `m(u)`, at every visit. Reference
+    /// half of `tests/kernel_differential.rs`.
     ScalarReference,
 }
 
@@ -65,8 +67,8 @@ pub struct SgqConfig {
     /// searches. 0 = one per available core (capped at 16).
     #[serde(default)]
     pub workers: usize,
-    /// Scan-kernel selection for the vocabulary-scale hot loops. Answers
-    /// are bit-identical either way; see [`ScanMode`].
+    /// Scan implementation of the `m(u)` bound and the per-edge weights.
+    /// Answers are bit-identical either way; see [`ScanMode`].
     #[serde(default)]
     pub scan: ScanMode,
     /// Deterministic per-query phase-trace sampling: every N-th query gets a

@@ -67,16 +67,9 @@ impl PssEstimator {
         self.ln_min_weight
     }
 
-    /// ψ̂ at a frontier node: `exp((log_sum + ln m_u) / n̂_total)`.
-    /// `m_u` is clamped into the weight domain first.
-    #[inline]
-    pub fn estimate(&self, log_sum: f64, m_u: f64) -> f64 {
-        self.estimate_ln(log_sum, clamp_weight(m_u).ln())
-    }
-
-    /// [`PssEstimator::estimate`] for a caller that already holds
-    /// `ln_m = clamp_weight(m_u).ln()`: the same arithmetic, so the same
-    /// bits.
+    /// ψ̂ at a frontier node: `exp((log_sum + ln_m) / n̂_total)`, where
+    /// `ln_m = clamp_weight(m_u).ln()` is `ln` of the node's `m(u)` in the
+    /// weight domain ([`crate::semgraph::SubQueryPlan::max_adjacent_ln`]).
     #[inline]
     pub fn estimate_ln(&self, log_sum: f64, ln_m: f64) -> f64 {
         ((log_sum + ln_m) / self.n_hat_total).exp()
@@ -87,6 +80,12 @@ impl PssEstimator {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// ψ̂ for a raw `m(u)`, clamped into the weight domain as the search's
+    /// scans clamp it.
+    fn estimate(est: &PssEstimator, log_sum: f64, m_u: f64) -> f64 {
+        est.estimate_ln(log_sum, clamp_weight(m_u).ln())
+    }
 
     #[test]
     fn exact_pss_matches_geometric_mean() {
@@ -116,23 +115,17 @@ mod tests {
         // At the source node, W_si = 1 (log 0); ψ̂ = m(u)^(1/n̂).
         let est = PssEstimator::new(4, 1);
         let m_u = 0.9;
-        let psi_hat = est.estimate(0.0, m_u);
+        let psi_hat = estimate(&est, 0.0, m_u);
         assert!((psi_hat - 0.9f64.powf(0.25)).abs() < 1e-12);
     }
 
     #[test]
-    fn ln_forms_match_the_clamped_estimate() {
+    fn ln_min_weight_is_the_clamped_floor() {
         let est = PssEstimator::new(3, 2);
         assert_eq!(
             est.ln_min_weight().to_bits(),
             clamp_weight(MIN_WEIGHT).ln().to_bits()
         );
-        for m_u in [MIN_WEIGHT, 0.37, 1.0] {
-            assert_eq!(
-                est.estimate(-1.5, m_u).to_bits(),
-                est.estimate_ln(-1.5, m_u.ln()).to_bits()
-            );
-        }
     }
 
     #[test]
@@ -163,7 +156,7 @@ mod tests {
             // edge's weight; model it as that weight plus arbitrary slack.
             let m_u = (weights[split] + slack).min(1.0);
 
-            let psi_hat = est.estimate(log_prefix, m_u);
+            let psi_hat = estimate(&est, log_prefix, m_u);
             let log_full: f64 = weights.iter().map(|w| w.ln()).sum();
             let psi = exact_pss(log_full, n_star);
             prop_assert!(
@@ -205,16 +198,13 @@ mod tests {
         ) {
             let est = PssEstimator::new(4, 2);
             let (lo, hi) = if m1 <= m2 { (m1, m2) } else { (m2, m1) };
-            prop_assert!(est.estimate(log_sum, lo) <= est.estimate(log_sum, hi) + 1e-12);
+            prop_assert!(estimate(&est, log_sum, lo) <= estimate(&est, log_sum, hi) + 1e-12);
         }
 
         /// *Strict* float-level weak monotonicity in m(u) — no tolerance,
-        /// including adjacent f64 pairs. The scan kernels' two-pass seed
-        /// relies on this: the f32 upper-bound row dominates the exact row
-        /// element-wise, so `estimate(quantised) < τ` must imply
-        /// `estimate(exact) < τ`, which holds exactly when the estimator is
-        /// weakly monotone at the float level (clamp, ln, division by a
-        /// positive constant and exp all preserve `≤`).
+        /// including adjacent f64 pairs: a larger bound never yields a
+        /// smaller ψ̂ (clamp, ln, division by a positive constant and exp
+        /// all preserve `≤`).
         #[test]
         fn prop_estimate_float_monotone_in_m(
             log_sum in -5.0f64..0.0,
@@ -225,11 +215,10 @@ mod tests {
         ) {
             let est = PssEstimator::new(n_hat, segs);
             let (lo, hi) = if m1 <= m2 { (m1, m2) } else { (m2, m1) };
-            prop_assert!(est.estimate(log_sum, lo) <= est.estimate(log_sum, hi));
-            // Adjacent representable pair: the tightest possible gap a
-            // round-up quantisation can introduce.
+            prop_assert!(estimate(&est, log_sum, lo) <= estimate(&est, log_sum, hi));
+            // Adjacent representable pair: the tightest possible gap.
             let up = lo.next_up();
-            prop_assert!(est.estimate(log_sum, lo) <= est.estimate(log_sum, up));
+            prop_assert!(estimate(&est, log_sum, lo) <= estimate(&est, log_sum, up));
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::config::ScanMode;
 use crate::decompose::SubQuery;
 use crate::pss::{clamp_weight, PssEstimator, MIN_WEIGHT};
 use crate::query::QueryGraph;
-use embedding::{kernels, PredicateSpace, RowKey, SimilarityIndex};
+use embedding::{PredicateSpace, RowKey, SimilarityIndex};
 use kgraph::{GraphView, NodeId, PredicateId};
 use lexicon::NodeMatcher;
 use rustc_hash::FxHashSet;
@@ -88,22 +88,12 @@ pub struct SubQueryPlan {
     /// `remaining_ln[s][p]` = `remaining_max[s][p].ln()`, bitwise: ψ̂ reads
     /// `ln m(u)` from here in [`ScanMode::Kernel`]. The rows lie in the
     /// clamped weight domain, so this is also the `ln` of the clamped
-    /// `m(u)` that [`PssEstimator::estimate`] takes. Shared handles.
+    /// `m(u)` that [`ScanMode::ScalarReference`] computes. Shared handles.
     pub remaining_ln: Vec<Arc<[f64]>>,
-    /// Round-up f32 quantisation of [`SubQueryPlan::remaining_max`]
-    /// (element-wise `≥` the exact row by construction): the cheap first
-    /// pass of the two-pass seed pipeline scans this half-width row, and
-    /// only candidates whose quantised bound could still reach τ are
-    /// rescored against the exact f64 row.
-    pub remaining_upper: Vec<Arc<[f32]>>,
     /// `remaining_row_max[s]` = max element of `remaining_max[s]` — the
     /// early-exit ceiling for adjacency scans: once the running max hits
     /// it, no remaining element can raise it (max is order-insensitive).
     pub remaining_row_max: Vec<f64>,
-    /// `remaining_upper_max[s]` = max element of `remaining_upper[s]`
-    /// (= `round_up_f32(remaining_row_max[s])`, since round-up is
-    /// monotone) — same early-exit ceiling for the f32 prefilter pass.
-    pub remaining_upper_max: Vec<f32>,
     /// φ(v_s): candidate source nodes.
     pub sources: Vec<NodeId>,
     /// `constraints[s]` applies to the KG node that *completes* segment `s`
@@ -170,15 +160,7 @@ impl SubQueryPlan {
             remaining_bundles.iter().map(|b| b.exact.clone()).collect();
         let remaining_ln: Vec<Arc<[f64]>> =
             remaining_bundles.iter().map(|b| b.ln.clone()).collect();
-        let remaining_upper: Vec<Arc<[f32]>> =
-            remaining_bundles.iter().map(|b| b.upper.clone()).collect();
         let remaining_row_max: Vec<f64> = remaining_bundles.iter().map(|b| b.max).collect();
-        // Round-up is monotone, so the max of the quantised row is the
-        // quantised max of the exact row.
-        let remaining_upper_max: Vec<f32> = remaining_row_max
-            .iter()
-            .map(|&m| kernels::round_up_f32(m))
-            .collect();
 
         let source_node = query.node(subquery.source());
         let sources = match source_node.name() {
@@ -202,9 +184,7 @@ impl SubQueryPlan {
             seg_ln,
             remaining_max,
             remaining_ln,
-            remaining_upper,
             remaining_row_max,
-            remaining_upper_max,
             sources,
             constraints,
             estimator: PssEstimator::new(n_hat, segments.max(1)),
@@ -239,46 +219,24 @@ impl SubQueryPlan {
         }
     }
 
-    /// `m(u)` (Lemma 1): the maximum weight among `u`'s incident edges,
-    /// taken over all *remaining* segments `≥ seg` — an upper bound on the
-    /// unexplored weight product of any match continuing from `u`.
+    /// `ln m(u)` (Lemma 1), the form ψ̂ consumes
+    /// ([`PssEstimator::estimate_ln`]): `m(u)` is the maximum weight among
+    /// `u`'s incident edges, taken over all *remaining* segments `≥ seg` —
+    /// an upper bound on the unexplored weight product of any match
+    /// continuing from `u`. The A\* seed and every expansion call it.
     ///
     /// In [`ScanMode::Kernel`] the scan stops as soon as the running max
     /// reaches the row's precomputed global maximum: no later edge can
     /// raise it, and `max` is insensitive to scan order, so the early exit
-    /// is exact. Hub nodes whose adjacency contains a maximal-weight
-    /// predicate early stop after a handful of edges instead of scanning
-    /// the full list.
+    /// is exact. It reports the predicate attaining `m(u)`, and the `ln` is
+    /// that predicate's entry of [`SubQueryPlan::remaining_ln`] — the same
+    /// f64 whichever predicate attains the maximum. The value depends only
+    /// on `(u, seg)`, so a Kernel-mode [`crate::astar::AStarSearch`] calls
+    /// this at most once per key per search and keeps the result for every
+    /// later path reaching the key.
     ///
-    /// The value depends only on `(u, seg)`, so a Kernel-mode
-    /// [`crate::astar::AStarSearch`] calls this at most once per key per
-    /// search and keeps the result for every later path reaching the key.
-    pub fn max_adjacent_weight<G: GraphView>(&self, graph: &G, u: NodeId, seg: usize) -> f64 {
-        let s = seg.min(self.segments() - 1);
-        let row = &self.remaining_max[s];
-        match self.scan {
-            ScanMode::Kernel => self
-                .argmax_adjacent(graph, u, s)
-                .map_or(MIN_WEIGHT, |p| row[p.index()]),
-            ScanMode::ScalarReference => {
-                let mut m = MIN_WEIGHT;
-                for nb in graph.neighbors(u) {
-                    let w = row[nb.predicate.index()];
-                    if w > m {
-                        m = w;
-                    }
-                }
-                m
-            }
-        }
-    }
-
-    /// `ln m(u)`, the form ψ̂ consumes ([`PssEstimator::estimate_ln`]). In
-    /// [`ScanMode::Kernel`] the scan reports the predicate attaining `m(u)`
-    /// and the `ln` is that predicate's entry of
-    /// [`SubQueryPlan::remaining_ln`] — the same f64 whichever predicate
-    /// attains the maximum. [`ScanMode::ScalarReference`] takes `ln` of the
-    /// clamped maximum per call, as [`PssEstimator::estimate`] does.
+    /// [`ScanMode::ScalarReference`] scans the whole adjacency and takes
+    /// `ln` of the clamped maximum per call.
     pub fn max_adjacent_ln<G: GraphView>(&self, graph: &G, u: NodeId, seg: usize) -> f64 {
         let s = seg.min(self.segments() - 1);
         match self.scan {
@@ -286,7 +244,17 @@ impl SubQueryPlan {
                 Some(p) => self.remaining_ln[s][p.index()],
                 None => self.estimator.ln_min_weight(),
             },
-            ScanMode::ScalarReference => clamp_weight(self.max_adjacent_weight(graph, u, seg)).ln(),
+            ScanMode::ScalarReference => {
+                let row = &self.remaining_max[s];
+                let mut m = MIN_WEIGHT;
+                for nb in graph.neighbors(u) {
+                    let w = row[nb.predicate.index()];
+                    if w > m {
+                        m = w;
+                    }
+                }
+                clamp_weight(m).ln()
+            }
         }
     }
 
@@ -433,20 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn max_adjacent_weight_bounds_each_edge() {
-        let lib = TransformationLibrary::new();
-        let q = single_edge_query();
-        let plan = plan_for(&q, &lib);
-        let g = graph();
-        for node in g.nodes() {
-            let m = plan.max_adjacent_weight(&g, node, 0);
-            for nb in g.neighbors(node) {
-                assert!(m >= plan.weight(0, nb.predicate));
-            }
-        }
-    }
-
-    #[test]
     fn derived_rows_are_consistent() {
         let lib = TransformationLibrary::new();
         let q = single_edge_query();
@@ -463,24 +417,16 @@ mod tests {
                     clamp_weight(plan.remaining_max[s][p]).ln().to_bits(),
                     "suffix ln row must be the bitwise ln of the clamped suffix row"
                 );
-                assert!(
-                    f64::from(plan.remaining_upper[s][p]) >= plan.remaining_max[s][p],
-                    "round-up f32 row must dominate the exact row"
-                );
             }
             let fold = plan.remaining_max[s]
                 .iter()
                 .fold(f64::NEG_INFINITY, |a, &w| a.max(w));
             assert_eq!(plan.remaining_row_max[s].to_bits(), fold.to_bits());
-            assert_eq!(
-                plan.remaining_upper_max[s],
-                kernels::round_up_f32(plan.remaining_row_max[s])
-            );
         }
     }
 
     #[test]
-    fn max_adjacent_weight_identical_across_modes() {
+    fn max_adjacent_ln_bounds_each_edge_identically_across_modes() {
         let lib = TransformationLibrary::new();
         let q = single_edge_query();
         let kernel = plan_for(&q, &lib);
@@ -489,14 +435,14 @@ mod tests {
         let g = graph();
         for node in g.nodes() {
             for seg in 0..kernel.segments() {
+                let ln_m = kernel.max_adjacent_ln(&g, node, seg);
                 assert_eq!(
-                    kernel.max_adjacent_weight(&g, node, seg).to_bits(),
-                    scalar.max_adjacent_weight(&g, node, seg).to_bits()
-                );
-                assert_eq!(
-                    kernel.max_adjacent_ln(&g, node, seg).to_bits(),
+                    ln_m.to_bits(),
                     scalar.max_adjacent_ln(&g, node, seg).to_bits()
                 );
+                for nb in g.neighbors(node) {
+                    assert!(ln_m >= kernel.weight(seg, nb.predicate).ln());
+                }
             }
         }
     }

@@ -1,14 +1,14 @@
 //! Differential harness for the scan kernels.
 //!
-//! The kernel contract (see `embedding::kernels` and the README's "Scan
-//! kernels" section): [`ScanMode::Kernel`] — the two-pass f32-prefiltered
-//! seed, the precomputed-`ln` expansion lookups and the early-exit adjacency
-//! max — is a pure restructuring of the same arithmetic, so every answer,
-//! every path edge id, every search counter and every prepared replay must
-//! equal the [`ScanMode::ScalarReference`] path's, byte for byte. These
-//! tests drive that claim over the seeded workloads and a vocabulary-scale
-//! hub graph, across τ settings that exercise both the prefilter (τ > 0)
-//! and its fall-through (τ = 0).
+//! The kernel contract (see the README's "Scan kernels" section):
+//! [`ScanMode::Kernel`] — the precomputed-`ln` lookups, the one `m(u)` scan
+//! that scores the seed and every expansion and exits early at the row
+//! maximum, and the per-key bound reuse — is a pure restructuring of the
+//! same arithmetic, so every answer, every path edge id, every search
+//! counter and every prepared replay must equal the
+//! [`ScanMode::ScalarReference`] path's, byte for byte. These tests drive
+//! that claim over the seeded workloads and a vocabulary-scale hub graph,
+//! at pruning τ settings and at τ = 0, where nothing is pruned.
 
 use datagen::dataset::{BenchDataset, DatasetSpec};
 use datagen::workload::{chain_query, produced_workload, q117_variants, soccer_query};
@@ -110,7 +110,7 @@ fn assert_kernel_matches_reference(
 }
 
 /// Kernel vs scalar-reference over the full workload, for the served τ,
-/// a lower pruning τ and τ = 0 (prefilter disabled, everything admissible).
+/// a lower pruning τ and τ = 0 (everything admissible).
 #[test]
 fn kernel_answers_are_bit_identical_to_scalar_reference() {
     let (ds, space) = setup();
@@ -148,10 +148,9 @@ fn edges_examined_is_deterministic_and_populated() {
 }
 
 /// Similarity bands 30..95 (percent): a hub source in band `w` carries only
-/// band-`w` predicates, so its seed bound is `w/100` as an f32, and τ = 0.8
-/// lets bands 80–94 through the seed. Band 80 sits on the f32 prefilter's
-/// boundary: its similarity is the smallest f32 ≥ 0.8, which is exactly
-/// the prefilter's threshold at `n_hat: 1`.
+/// band-`w` predicates, so its seed bound `m(u)` is `w/100` as an f32, and
+/// at `n_hat: 1` τ = 0.8 lets bands 80–94 through the seed and prunes the
+/// sources of bands 30–79. Band 80 passes: its bound lies just above 0.8.
 const HUB_BANDS: usize = 65;
 const HUB_SOURCES_PER_BAND: usize = 8;
 const HUB_SOURCES: usize = HUB_BANDS * HUB_SOURCES_PER_BAND;
@@ -221,8 +220,9 @@ fn hub_space(graph: &KnowledgeGraph) -> PredicateSpace {
 }
 
 /// The hub graph as one more differential input, at τ = 0.8, where the
-/// seed prunes bands 30–79, and on the τ = 0 drain with an unreachable k,
-/// where every source pops and every edge is weighted.
+/// seed scores all 520 sources and prunes exactly those of bands 30–79,
+/// and on the τ = 0 drain with an unreachable k, where every source pops
+/// and every edge is weighted.
 #[test]
 fn hub_graph_kernel_answers_are_bit_identical_to_scalar_reference() {
     let graph = hub_graph();
@@ -251,9 +251,10 @@ fn hub_graph_kernel_answers_are_bit_identical_to_scalar_reference() {
         .remove(0);
         assert!(!reference.matches.is_empty(), "tau={tau}: the hub answers");
         if tau > 0.0 {
-            assert!(
-                reference.stats.tau_pruned > 0,
-                "tau={tau}: the seed must prune the low bands"
+            assert_eq!(
+                reference.stats.tau_pruned,
+                50 * HUB_SOURCES_PER_BAND,
+                "tau={tau}: the seed must prune exactly the sources of bands 30–79"
             );
         } else {
             assert!(
