@@ -39,7 +39,6 @@ pub mod trainer;
 pub mod transe;
 pub mod vector;
 
-pub use model::KgeModel;
 pub use similarity::{RowBundle, RowKey, SimilarityIndex, SimilarityIndexStats};
 pub use space::PredicateSpace;
 pub use trainer::{train, train_transe, TrainConfig, TrainReport};

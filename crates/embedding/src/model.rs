@@ -1,44 +1,11 @@
-//! The common interface of knowledge-graph embedding models.
+//! Parameter helpers of the embedding model: dense index triples, the
+//! Xavier initialisation and row views of flat parameter matrices.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// A triple of dense indices `(head entity, relation, tail entity)`.
 pub type IdxTriple = (usize, usize, usize);
-
-/// A trainable knowledge-graph embedding model.
-///
-/// Implementations own their parameter matrices. `score` follows the
-/// *higher-is-more-plausible* convention; translational models return a
-/// negated distance.
-pub trait KgeModel: Send + Sync {
-    /// Allocates and randomly initialises parameters.
-    fn init(n_entities: usize, n_relations: usize, dim: usize, rng: &mut StdRng) -> Self
-    where
-        Self: Sized;
-
-    /// Embedding dimensionality.
-    fn dim(&self) -> usize;
-
-    /// Plausibility score of a triple; higher means more plausible.
-    fn score(&self, triple: IdxTriple) -> f32;
-
-    /// One SGD step on a (positive, negative) pair with margin ranking loss
-    /// `max(0, margin − score(pos) + score(neg))`. Returns the loss *before*
-    /// the update (0 when the pair already satisfies the margin).
-    fn sgd_step(&mut self, pos: IdxTriple, neg: IdxTriple, lr: f32, margin: f32) -> f32;
-
-    /// Re-applies norm constraints after an epoch (e.g. project entities to
-    /// the unit ball for TransE).
-    fn constrain(&mut self);
-
-    /// Embedding vector of relation `r` (the predicate semantic vector used
-    /// by Eq. 5).
-    fn relation_embedding(&self, r: usize) -> &[f32];
-
-    /// Embedding vector of entity `e`.
-    fn entity_embedding(&self, e: usize) -> &[f32];
-}
 
 /// Draws uniform random values in `[-b, b]` where `b = 6/√dim`, the Xavier
 /// bound used in the TransE paper's initialisation.

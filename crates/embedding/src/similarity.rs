@@ -314,16 +314,11 @@ impl<'s> SimilarityIndex<'s> {
     }
 
     /// The element-wise maximum over the rows of `keys`, computed at most
-    /// once per distinct key set. Used for the suffix (remaining-segment)
-    /// rows behind Lemma 1's `m(u)` bound.
-    pub fn max_row(&self, keys: &[RowKey]) -> Arc<[f64]> {
-        self.max_bundle(keys).exact
-    }
-
-    /// [`SimilarityIndex::max_row`] with the derived scan forms, derived
-    /// from the *combined* exact row.
+    /// once per distinct key set, with the scan forms derived from the
+    /// *combined* exact row. Used for the suffix (remaining-segment) rows
+    /// behind Lemma 1's `m(u)` bound.
     pub fn max_bundle(&self, keys: &[RowKey]) -> RowBundle {
-        assert!(!keys.is_empty(), "max_row needs at least one row key");
+        assert!(!keys.is_empty(), "max_bundle needs at least one row key");
         if keys.len() == 1 {
             return self.bundle(keys[0]);
         }
@@ -366,19 +361,8 @@ impl<'s> SimilarityIndex<'s> {
     }
 
     /// Per-segment rows plus the suffix-max rows a path-shaped plan needs:
-    /// `suffix[s] = max(rows[s..])` element-wise. One call covers everything
-    /// a `SubQueryPlan` previously recomputed per query.
-    #[allow(clippy::type_complexity)]
-    pub fn plan_rows(&self, keys: &[RowKey]) -> (Vec<Arc<[f64]>>, Vec<Arc<[f64]>>) {
-        let (segs, suffixes) = self.plan_bundles(keys);
-        (
-            segs.into_iter().map(|b| b.exact).collect(),
-            suffixes.into_iter().map(|b| b.exact).collect(),
-        )
-    }
-
-    /// [`SimilarityIndex::plan_rows`] with the derived scan forms of every
-    /// row — what `SubQueryPlan` consumes.
+    /// `suffix[s] = max(rows[s..])` element-wise, each with its derived
+    /// scan forms — what `SubQueryPlan` consumes.
     pub fn plan_bundles(&self, keys: &[RowKey]) -> (Vec<RowBundle>, Vec<RowBundle>) {
         let seg_rows: Vec<RowBundle> = keys.iter().map(|&k| self.bundle(k)).collect();
         let suffix_rows: Vec<RowBundle> = (0..keys.len())
@@ -452,14 +436,14 @@ mod tests {
     }
 
     #[test]
-    fn max_row_keeps_the_longest_tail() {
+    fn max_bundle_keeps_the_longest_tail() {
         let s = space();
         let idx = SimilarityIndex::new(&s);
         let keys = [
             RowKey::Predicate(PredicateId::new(0)), // 3 elements
             RowKey::constant(0.5, 5),               // 5 elements
         ];
-        let m = idx.max_row(&keys);
+        let m = idx.max_bundle(&keys).exact;
         assert_eq!(m.len(), 5);
         assert_eq!(m[3], 0.5);
         assert_eq!(m[4], 0.5);
@@ -470,27 +454,27 @@ mod tests {
     }
 
     #[test]
-    fn max_row_is_elementwise_max_and_cached() {
+    fn max_bundle_is_elementwise_max_and_cached() {
         let s = space();
         let idx = SimilarityIndex::new(&s);
         let keys = [
             RowKey::Predicate(PredicateId::new(0)),
             RowKey::Predicate(PredicateId::new(2)),
         ];
-        let m1 = idx.max_row(&keys);
+        let m1 = idx.max_bundle(&keys).exact;
         let r0 = idx.row(keys[0]);
         let r2 = idx.row(keys[1]);
         for i in 0..3 {
             assert_eq!(m1[i], r0[i].max(r2[i]));
         }
         // Order must not matter, and the reordered request must hit.
-        let m2 = idx.max_row(&[keys[1], keys[0]]);
+        let m2 = idx.max_bundle(&[keys[1], keys[0]]).exact;
         assert!(Arc::ptr_eq(&m1, &m2));
         assert_eq!(idx.stats().max_row_hits, 1);
     }
 
     #[test]
-    fn plan_rows_form_suffix_maxes() {
+    fn plan_bundles_form_suffix_maxes() {
         let s = space();
         let idx = SimilarityIndex::new(&s);
         let keys = [
@@ -498,13 +482,13 @@ mod tests {
             RowKey::Predicate(PredicateId::new(1)),
             RowKey::Predicate(PredicateId::new(2)),
         ];
-        let (rows, suffix) = idx.plan_rows(&keys);
+        let (rows, suffix) = idx.plan_bundles(&keys);
         assert_eq!(rows.len(), 3);
         assert_eq!(suffix.len(), 3);
         for i in 0..3 {
-            let expected = rows[0][i].max(rows[1][i]).max(rows[2][i]);
-            assert!((suffix[0][i] - expected).abs() < 1e-12);
-            assert_eq!(suffix[2][i], rows[2][i]);
+            let expected = rows[0].exact[i].max(rows[1].exact[i]).max(rows[2].exact[i]);
+            assert!((suffix[0].exact[i] - expected).abs() < 1e-12);
+            assert_eq!(suffix[2].exact[i], rows[2].exact[i]);
         }
     }
 
@@ -558,10 +542,10 @@ mod tests {
             RowKey::Predicate(PredicateId::new(0)),
             RowKey::Predicate(PredicateId::new(2)),
         ];
-        let before = idx.max_row(&keys);
+        let before = idx.max_bundle(&keys).exact;
         assert_eq!(before.len(), 3);
         idx.ensure_vocab(6);
-        let after = idx.max_row(&keys);
+        let after = idx.max_bundle(&keys).exact;
         assert_eq!(after.len(), 6, "combined row re-issued at new vocab");
         assert_eq!(&after[..3], &before[..]);
         assert_eq!(
@@ -649,9 +633,9 @@ mod tests {
             RowKey::Predicate(PredicateId::new(0)),
             RowKey::Predicate(PredicateId::new(1)),
         ];
-        let _ = idx.plan_rows(&keys);
+        let _ = idx.plan_bundles(&keys);
         let before = idx.stats();
-        let _ = idx.plan_rows(&keys);
+        let _ = idx.plan_bundles(&keys);
         let after = idx.stats();
         assert_eq!(after.row_misses, before.row_misses);
         assert_eq!(after.max_row_misses, before.max_row_misses);

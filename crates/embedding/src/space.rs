@@ -6,7 +6,7 @@
 //! `sim(L_Q(e), L(e'))` for every traversed edge, vectors are pre-normalised
 //! once so the hot path is a single fused dot product.
 
-use crate::model::KgeModel;
+use crate::transe::TransE;
 use crate::vector;
 use kgraph::io::codec::{checksum64, put_str, put_u32, put_u64, Cursor};
 use kgraph::{KgError, KnowledgeGraph, PredicateId};
@@ -30,7 +30,7 @@ pub struct PredicateSpace {
 
 impl PredicateSpace {
     /// Extracts predicate vectors from a trained model.
-    pub fn from_model<M: KgeModel>(graph: &KnowledgeGraph, model: &M) -> Self {
+    pub fn from_model(graph: &KnowledgeGraph, model: &TransE) -> Self {
         let dim = model.dim();
         let mut vectors = Vec::with_capacity(graph.predicate_count() * dim);
         let mut labels = Vec::with_capacity(graph.predicate_count());

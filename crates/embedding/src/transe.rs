@@ -7,7 +7,7 @@
 //! squared L2 distance `−‖h + r − t‖²`; training minimises the margin
 //! ranking loss against corrupted triples.
 
-use crate::model::{row, row_mut, xavier_init, IdxTriple, KgeModel};
+use crate::model::{row, row_mut, xavier_init, IdxTriple};
 use crate::vector;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -41,10 +41,9 @@ impl TransE {
     pub fn relation_count(&self) -> usize {
         self.relations.len() / self.dim
     }
-}
 
-impl KgeModel for TransE {
-    fn init(n_entities: usize, n_relations: usize, dim: usize, rng: &mut StdRng) -> Self {
+    /// Allocates and randomly initialises the parameters.
+    pub fn init(n_entities: usize, n_relations: usize, dim: usize, rng: &mut StdRng) -> Self {
         let entities = xavier_init(dim, n_entities * dim, rng);
         let mut relations = xavier_init(dim, n_relations * dim, rng);
         // The TransE paper normalises relation vectors once at init.
@@ -58,17 +57,15 @@ impl KgeModel for TransE {
         }
     }
 
-    fn dim(&self) -> usize {
+    /// Embedding dimensionality.
+    pub fn dim(&self) -> usize {
         self.dim
     }
 
-    fn score(&self, triple: IdxTriple) -> f32 {
-        let mut d = vec![0.0; self.dim];
-        self.delta(triple, &mut d);
-        -vector::dot(&d, &d)
-    }
-
-    fn sgd_step(&mut self, pos: IdxTriple, neg: IdxTriple, lr: f32, margin: f32) -> f32 {
+    /// One SGD step on a (positive, negative) pair with the margin ranking
+    /// loss `max(0, margin + ‖Δ_pos‖² − ‖Δ_neg‖²)`. Returns the loss
+    /// *before* the update (0 when the pair already satisfies the margin).
+    pub fn sgd_step(&mut self, pos: IdxTriple, neg: IdxTriple, lr: f32, margin: f32) -> f32 {
         let mut dp = vec![0.0; self.dim];
         let mut dn = vec![0.0; self.dim];
         self.delta(pos, &mut dp);
@@ -95,18 +92,18 @@ impl KgeModel for TransE {
         loss
     }
 
-    fn constrain(&mut self) {
+    /// Projects every entity to the unit ball, the norm constraint
+    /// re-applied after each epoch.
+    pub fn constrain(&mut self) {
         for e in 0..self.entity_count() {
             vector::project_to_unit_ball(row_mut(&mut self.entities, self.dim, e));
         }
     }
 
-    fn relation_embedding(&self, r: usize) -> &[f32] {
+    /// Embedding vector of relation `r`: the predicate semantic vector
+    /// Eq. 5 compares.
+    pub fn relation_embedding(&self, r: usize) -> &[f32] {
         row(&self.relations, self.dim, r)
-    }
-
-    fn entity_embedding(&self, e: usize) -> &[f32] {
-        row(&self.entities, self.dim, e)
     }
 }
 
@@ -118,6 +115,13 @@ mod tests {
     fn model() -> TransE {
         let mut rng = StdRng::seed_from_u64(7);
         TransE::init(6, 3, 8, &mut rng)
+    }
+
+    /// Plausibility of a triple, `−‖h + r − t‖²`: higher is more plausible.
+    fn score(m: &TransE, triple: IdxTriple) -> f32 {
+        let mut d = vec![0.0; m.dim];
+        m.delta(triple, &mut d);
+        -vector::dot(&d, &d)
     }
 
     #[test]
@@ -134,10 +138,10 @@ mod tests {
     #[test]
     fn score_is_negated_distance() {
         let m = model();
-        assert!(m.score((0, 0, 1)) <= 0.0);
+        assert!(score(&m, (0, 0, 1)) <= 0.0);
         // Identical endpoints: distance = ‖r‖² exactly.
         let r = vector::dot(m.relation_embedding(0), m.relation_embedding(0));
-        assert!((m.score((2, 0, 2)) + r).abs() < 1e-5);
+        assert!((score(&m, (2, 0, 2)) + r).abs() < 1e-5);
     }
 
     #[test]
@@ -145,11 +149,11 @@ mod tests {
         let mut m = model();
         let pos = (0, 0, 1);
         let neg = (0, 0, 2);
-        let before = -m.score(pos);
+        let before = -score(&m, pos);
         for _ in 0..50 {
             m.sgd_step(pos, neg, 0.05, 1.0);
         }
-        let after = -m.score(pos);
+        let after = -score(&m, pos);
         assert!(
             after < before,
             "positive distance should shrink: {before} -> {after}"
@@ -177,7 +181,7 @@ mod tests {
         }
         m.constrain();
         for e in 0..m.entity_count() {
-            assert!(vector::norm(m.entity_embedding(e)) <= 1.0 + 1e-5);
+            assert!(vector::norm(row(&m.entities, m.dim, e)) <= 1.0 + 1e-5);
         }
     }
 

@@ -3,7 +3,7 @@
 //! A minimal, dependency-free metrics layer for the workspace: atomic
 //! counters and gauges, log-linear (HDR-style) latency histograms with
 //! exact-bucket percentiles, a registry that hands out shared handles, and
-//! a [`MetricsSnapshot`] that renders to Prometheus text format and JSON.
+//! a [`MetricsSnapshot`] that renders to Prometheus text format.
 //!
 //! ## Histogram layout
 //!
@@ -523,9 +523,9 @@ pub struct MetricSample {
     pub value: MetricValue,
 }
 
-/// Point-in-time view of a registry, renderable as Prometheus text format or
-/// JSON. Snapshots from several registries (e.g. a service and its
-/// scheduler) can be combined with [`MetricsSnapshot::extend`].
+/// Point-in-time view of a registry, renderable as Prometheus text format.
+/// Snapshots from several registries (e.g. a service and its scheduler) can
+/// be combined with [`MetricsSnapshot::extend`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// All samples, in registration order.
@@ -544,22 +544,6 @@ fn escape_label(v: &str) -> String {
 /// must render to a single well-formed line.
 fn escape_help(v: &str) -> String {
     v.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn label_block(label: &Option<(String, String)>, extra: Option<(&str, &str)>) -> String {
@@ -671,55 +655,6 @@ impl MetricsSnapshot {
                 ));
             }
         }
-    }
-
-    /// Renders the snapshot as a JSON document:
-    /// `{"metrics":[{"name":...,"kind":...,...}]}`. Histograms emit their
-    /// derived statistics (`count`/`sum`/`max`/`mean`/`p50`/`p90`/`p99`)
-    /// rather than raw buckets.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, s) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"help\":\"{}\"",
-                escape_json(&s.name),
-                escape_json(&s.help)
-            ));
-            if let Some((k, v)) = &s.label {
-                out.push_str(&format!(
-                    ",\"label\":{{\"{}\":\"{}\"}}",
-                    escape_json(k),
-                    escape_json(v)
-                ));
-            }
-            match &s.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!(",\"kind\":\"counter\",\"value\":{v}"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(&format!(",\"kind\":\"gauge\",\"value\":{v}"));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        ",\"kind\":\"histogram\",\"count\":{},\"sum\":{},\"max\":{},\
-                         \"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}",
-                        h.count(),
-                        h.sum(),
-                        h.max(),
-                        h.mean(),
-                        h.p50(),
-                        h.p90(),
-                        h.p99()
-                    ));
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -946,47 +881,6 @@ mod tests {
                 line.starts_with('#') || line.starts_with("srv_info"),
                 "stray line {line:?} in {text}"
             );
-        }
-    }
-
-    #[test]
-    fn json_round_trips_through_parser() {
-        let r = MetricsRegistry::new();
-        r.counter("c_total", "a \"quoted\" help").add(7);
-        r.gauge("g", "gauge").set(-4);
-        let h = r.histogram_labeled("h_us", "phase", "expand", "phase time");
-        for v in [10u64, 20, 30] {
-            h.record(v);
-        }
-        use serde::Value;
-        let json = r.snapshot().to_json();
-        let value = serde_json::parse_value(&json).expect("valid JSON");
-        let Value::Object(top) = value else {
-            panic!("top level not an object")
-        };
-        let metrics = match &top.iter().find(|(k, _)| k == "metrics").unwrap().1 {
-            Value::Array(a) => a,
-            other => panic!("metrics not an array: {other:?}"),
-        };
-        assert_eq!(metrics.len(), 3);
-        let field = |m: &Value, key: &str| -> Value {
-            match m {
-                Value::Object(o) => o.iter().find(|(k, _)| k == key).unwrap().1.clone(),
-                _ => panic!("metric not an object"),
-            }
-        };
-        assert_eq!(field(&metrics[0], "kind"), Value::Str("counter".into()));
-        assert_eq!(field(&metrics[0], "value"), Value::UInt(7));
-        assert_eq!(field(&metrics[1], "value"), Value::Int(-4));
-        assert_eq!(field(&metrics[2], "kind"), Value::Str("histogram".into()));
-        assert_eq!(field(&metrics[2], "count"), Value::UInt(3));
-        assert_eq!(field(&metrics[2], "max"), Value::UInt(30));
-        match field(&metrics[2], "label") {
-            Value::Object(o) => {
-                assert_eq!(o[0].0, "phase");
-                assert_eq!(o[0].1, Value::Str("expand".into()));
-            }
-            other => panic!("label not an object: {other:?}"),
         }
     }
 

@@ -49,6 +49,13 @@
 //! full [`SubMatch`] from it, so the exact engine builds paths only for
 //! the answers TA keeps. [`AStarSearch::next_match`] is the two in one.
 //!
+//! TBQ drives the same search in Algorithm 2's *anytime* mode instead:
+//! [`AStarSearch::step`] makes one next-hop selection and expansion, and a
+//! complete match discovered during expansion goes straight into the
+//! caller's hit list rather than into the frontier. Those hits arrive in
+//! discovery order, not sorted by pss, and are rebuilt the same way, only
+//! for TA's winners.
+//!
 //! A search's arena, frontier and `visited` map come from a small
 //! per-thread stash and go back to it, cleared, when the search is
 //! dropped, so back-to-back searches on one thread reuse warm capacity
@@ -218,35 +225,16 @@ pub struct AStarSearch<'a, G: GraphView = KnowledgeGraph> {
     bufs: Buffers,
     /// Counters.
     pub stats: SearchStats,
-    /// Algorithm 2 mode: complete matches are collected the moment they are
-    /// *discovered* during expansion (lines 10–11) instead of being pushed
-    /// into the frontier and returned at pop time. The emitted order is then
-    /// no longer globally sorted — the time-bounded caller sorts its M̂ᵢ.
-    anytime: bool,
-    /// Matches discovered so far in anytime mode.
-    discovered: Vec<SubMatch>,
 }
 
 impl<'a, G: GraphView> AStarSearch<'a, G> {
     /// Seeds the frontier with every φ(v_s) source candidate (Alg. 1 line 1).
     pub fn new(graph: &'a G, plan: &'a SubQueryPlan) -> Self {
-        Self::with_mode(graph, plan, false)
-    }
-
-    /// Algorithm 2 variant for the time-bounded query: matches surface via
-    /// [`AStarSearch::take_discovered`] as soon as they are explored.
-    pub fn new_anytime(graph: &'a G, plan: &'a SubQueryPlan) -> Self {
-        Self::with_mode(graph, plan, true)
-    }
-
-    fn with_mode(graph: &'a G, plan: &'a SubQueryPlan, anytime: bool) -> Self {
         let mut search = Self {
             graph,
             plan,
             bufs: Buffers::take(),
             stats: SearchStats::default(),
-            anytime,
-            discovered: Vec::new(),
         };
         if plan.is_trivially_empty() {
             return search;
@@ -293,10 +281,6 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
     /// exhausted. Successive calls return matches in non-increasing pss
     /// order (Theorem 2).
     pub fn next_hit(&mut self) -> Option<Hit> {
-        debug_assert!(
-            !self.anytime,
-            "use step()/take_discovered() in anytime mode"
-        );
         while let Some(Frontier { priority, idx }) = self.bufs.heap.pop() {
             self.stats.popped += 1;
             let state = self.bufs.arena[idx as usize];
@@ -308,7 +292,7 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
                     state: idx,
                 });
             }
-            self.expand(idx, state);
+            self.expand(idx, state, None);
         }
         None
     }
@@ -318,36 +302,68 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
         self.next_hit().map(|hit| self.reconstruct(hit))
     }
 
-    /// Rebuilds the full match behind `hit`, which this search returned.
+    /// Rebuilds the full match behind `hit`, which this search returned:
+    /// walks the parents of the complete state, recording the binding of
+    /// each query node (the nodes where a segment begins or ends).
     pub fn reconstruct(&self, hit: Hit) -> SubMatch {
-        self.build_match(hit.state, hit.pss)
+        let arena = &self.bufs.arena;
+        let complete = arena[hit.state as usize];
+        let mut nodes = Vec::with_capacity(complete.total_hops as usize + 1);
+        let mut edges = Vec::with_capacity(complete.total_hops as usize);
+        let mut bindings = Vec::with_capacity(self.plan.query_nodes.len());
+        let mut cursor = hit.state;
+        loop {
+            let rec = arena[cursor as usize];
+            nodes.push(rec.node);
+            match rec.edge {
+                Some(e) => {
+                    // A segment boundary: this state entered segment
+                    // `rec.seg` while its parent was still in `rec.seg - 1`,
+                    // so `rec.node` binds query node index `rec.seg`.
+                    let parent_seg = arena[rec.parent as usize].seg;
+                    if rec.seg > parent_seg {
+                        bindings.push((self.plan.query_nodes[rec.seg as usize], rec.node));
+                    }
+                    edges.push(e);
+                }
+                None => {
+                    bindings.push((self.plan.query_nodes[0], rec.node));
+                    break;
+                }
+            }
+            cursor = rec.parent;
+        }
+        nodes.reverse();
+        edges.reverse();
+        bindings.reverse();
+        debug_assert_eq!(bindings.len(), self.plan.query_nodes.len());
+        SubMatch {
+            source: nodes[0],
+            pivot: complete.node,
+            pss: hit.pss,
+            nodes,
+            edges,
+            bindings,
+        }
     }
 
-    /// One next-hop selection + expansion (anytime mode). Returns `false`
-    /// when the frontier is drained. Discovered matches accumulate in
-    /// [`AStarSearch::take_discovered`].
-    pub fn step(&mut self) -> bool {
+    /// One next-hop selection and expansion in Algorithm 2's anytime mode.
+    /// A complete match is *discovered* during expansion (lines 10–11):
+    /// its hit goes to `discovered` at once instead of into the frontier,
+    /// so hits arrive in discovery order, not sorted by pss. Returns
+    /// `false` when the frontier is drained. A search is driven either by
+    /// `step` or by [`AStarSearch::next_hit`], never by both.
+    pub fn step(&mut self, discovered: &mut Vec<Hit>) -> bool {
         match self.bufs.heap.pop() {
             Some(Frontier { idx, .. }) => {
                 self.stats.popped += 1;
                 let state = self.bufs.arena[idx as usize];
                 debug_assert!((state.seg as usize) < self.plan.segments());
-                self.expand(idx, state);
+                self.expand(idx, state, Some(discovered));
                 true
             }
             None => false,
         }
-    }
-
-    /// Number of matches discovered so far (anytime mode) — the `|M̂ᵢ|` fed
-    /// to Algorithm 3's time estimate.
-    pub fn discovered_len(&self) -> usize {
-        self.discovered.len()
-    }
-
-    /// Takes the matches discovered so far (anytime mode).
-    pub fn take_discovered(&mut self) -> Vec<SubMatch> {
-        std::mem::take(&mut self.discovered)
     }
 
     /// True when `node` already lies on the partial path ending at `idx` —
@@ -367,7 +383,9 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
     }
 
     /// Search-space expansion (Alg. 1 lines 4–10) generalised to segments.
-    fn expand(&mut self, idx: u32, state: StateRec) {
+    /// A complete match goes into the frontier, or to `discovered` in
+    /// anytime mode.
+    fn expand(&mut self, idx: u32, state: StateRec, mut discovered: Option<&mut Vec<Hit>>) {
         let seg = state.seg as usize;
         let segments = self.plan.segments();
         for nb in self.graph.neighbors(state.node) {
@@ -404,14 +422,16 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
                         self.stats.tau_pruned += 1;
                     } else if self.mark_visited((nb.node.0, segments as u16)) {
                         let rec = next(segments as u16, hops);
-                        if self.anytime {
-                            // Algorithm 2 lines 10–11: collect immediately.
-                            let arena_idx = self.bufs.arena.len() as u32;
-                            self.bufs.arena.push(rec);
-                            let m = self.build_match(arena_idx, psi);
-                            self.discovered.push(m);
-                        } else {
-                            self.push(rec, psi);
+                        match discovered.as_deref_mut() {
+                            Some(found) => {
+                                found.push(Hit {
+                                    pivot: rec.node,
+                                    pss: psi,
+                                    state: self.bufs.arena.len() as u32,
+                                });
+                                self.bufs.arena.push(rec);
+                            }
+                            None => self.push(rec, psi),
                         }
                     }
                 } else {
@@ -472,53 +492,6 @@ impl<'a, G: GraphView> AStarSearch<'a, G> {
 impl<G: GraphView> Drop for AStarSearch<'_, G> {
     fn drop(&mut self) {
         std::mem::take(&mut self.bufs).recycle();
-    }
-}
-
-impl<'a, G: GraphView> AStarSearch<'a, G> {
-    /// Rebuilds the path of the complete state at `idx`, whose exact pss is
-    /// `pss`, by walking parents, recording the binding of each query node
-    /// (the nodes where a segment begins or ends) along the way.
-    fn build_match(&self, idx: u32, pss: f64) -> SubMatch {
-        let arena = &self.bufs.arena;
-        let complete = arena[idx as usize];
-        let mut nodes = Vec::with_capacity(complete.total_hops as usize + 1);
-        let mut edges = Vec::with_capacity(complete.total_hops as usize);
-        let mut bindings = Vec::with_capacity(self.plan.query_nodes.len());
-        let mut cursor = idx;
-        loop {
-            let rec = arena[cursor as usize];
-            nodes.push(rec.node);
-            match rec.edge {
-                Some(e) => {
-                    // A segment boundary: this state entered segment
-                    // `rec.seg` while its parent was still in `rec.seg - 1`,
-                    // so `rec.node` binds query node index `rec.seg`.
-                    let parent_seg = arena[rec.parent as usize].seg;
-                    if rec.seg > parent_seg {
-                        bindings.push((self.plan.query_nodes[rec.seg as usize], rec.node));
-                    }
-                    edges.push(e);
-                }
-                None => {
-                    bindings.push((self.plan.query_nodes[0], rec.node));
-                    break;
-                }
-            }
-            cursor = rec.parent;
-        }
-        nodes.reverse();
-        edges.reverse();
-        bindings.reverse();
-        debug_assert_eq!(bindings.len(), self.plan.query_nodes.len());
-        SubMatch {
-            source: nodes[0],
-            pivot: complete.node,
-            pss,
-            nodes,
-            edges,
-            bindings,
-        }
     }
 }
 
@@ -846,9 +819,13 @@ mod tests {
         let key = |m: SubMatch| (m.pivot, m.pss.to_bits(), m.nodes, m.edges);
         let mut exact = AStarSearch::new(graph, plan);
         let exact_matches = std::iter::from_fn(|| exact.next_match()).map(key).collect();
-        let mut anytime = AStarSearch::new_anytime(graph, plan);
-        while anytime.step() {}
-        let anytime_matches = anytime.take_discovered().into_iter().map(key).collect();
+        let mut anytime = AStarSearch::new(graph, plan);
+        let mut hits = Vec::new();
+        while anytime.step(&mut hits) {}
+        let anytime_matches = hits
+            .into_iter()
+            .map(|hit| key(anytime.reconstruct(hit)))
+            .collect();
         [
             (exact_matches, exact.stats),
             (anytime_matches, anytime.stats),

@@ -410,38 +410,19 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
             }
             batch = batch.saturating_mul(2);
         };
-        let matches: Vec<FinalMatch> = outcome
-            .winners
-            .iter()
-            .map(|w| w.build(|i, idx| searches[i].reconstruct(streams[i][idx])))
-            .collect();
-
-        let mut stats = QueryStats {
-            elapsed_us: start.elapsed().as_micros() as u64,
-            ta_accesses: outcome.accesses,
-            ta_certified: outcome.certified,
-            subqueries: n,
-            per_subquery_us,
-            time_bound_hit: false,
-            ..QueryStats::default()
-        };
-        for s in &searches {
-            stats.popped += s.stats.popped;
-            stats.pushed += s.stats.pushed;
-            stats.tau_pruned += s.stats.tau_pruned;
-            stats.edges_examined += s.stats.edges_examined;
-        }
+        let result = answer(start, &searches, &streams, &outcome, per_subquery_us, false);
         if let Some(tr) = trace {
+            let stats = &result.stats;
             tr.total_ns = start.elapsed().as_nanos() as u64;
             tr.popped = stats.popped as u64;
             tr.pushed = stats.pushed as u64;
             tr.edges_examined = stats.edges_examined as u64;
             tr.ta_accesses = stats.ta_accesses as u64;
-            tr.matches = matches.len() as u64;
+            tr.matches = result.matches.len() as u64;
             tr.subqueries = n as u64;
             tr.certified = stats.ta_certified;
         }
-        Ok(QueryResult { matches, stats })
+        Ok(result)
     }
 
     /// TBQ: approximate top-k within a response-time bound (paper Problem 2,
@@ -472,30 +453,62 @@ impl<'a, G: GraphView + Clone> SgqEngine<'a, G> {
 
     /// The configuration has been validated upstream (see
     /// [`SgqEngine::run_exact`]).
+    ///
+    /// The anytime searches stream the same compact [`Hit`]s, and the
+    /// answer is built by the same tail as [`SgqEngine::run_exact`]'s
+    /// (`tests/search_differential.rs` holds it equal to streaming full
+    /// matches).
     fn run_time_bounded(
         &self,
         plans: &[SubQueryPlan],
         tb: &TimeBoundConfig,
     ) -> Result<QueryResult> {
         let start = Instant::now(); // lint-ok(determinism): phase telemetry only — never feeds search decisions; trace_differential proves bit-identity
-        let outcome = timebound::run_anytime(&self.graph, plans, tb, &self.pool);
-        let ta_out = ta::assemble(&outcome.streams, &outcome.exhausted, self.config.k);
-        Ok(QueryResult {
-            matches: ta_out.final_matches(&outcome.streams),
-            stats: QueryStats {
-                elapsed_us: start.elapsed().as_micros() as u64,
-                popped: outcome.stats.popped,
-                pushed: outcome.stats.pushed,
-                tau_pruned: outcome.stats.tau_pruned,
-                edges_examined: outcome.stats.edges_examined,
-                ta_accesses: ta_out.accesses,
-                ta_certified: ta_out.certified,
-                subqueries: plans.len(),
-                per_subquery_us: outcome.per_subquery_us,
-                time_bound_hit: outcome.bound_hit,
-            },
-        })
+        let anytime = timebound::run_anytime(&self.graph, plans, tb, &self.pool);
+        let outcome = ta::assemble(&anytime.streams, &anytime.exhausted, self.config.k);
+        Ok(answer(
+            start,
+            &anytime.searches,
+            &anytime.streams,
+            &outcome,
+            anytime.per_subquery_us,
+            anytime.bound_hit,
+        ))
     }
+}
+
+/// The answer tail SGQ and TBQ share: rebuilds TA's winners from the
+/// searches whose `streams` they were ranked from, and sums the searches'
+/// counters into the result's stats.
+fn answer<G: GraphView>(
+    start: Instant,
+    searches: &[AStarSearch<'_, G>],
+    streams: &[Vec<Hit>],
+    outcome: &ta::TaOutcome,
+    per_subquery_us: Vec<u64>,
+    time_bound_hit: bool,
+) -> QueryResult {
+    let matches: Vec<FinalMatch> = outcome
+        .winners
+        .iter()
+        .map(|w| w.build(|i, idx| searches[i].reconstruct(streams[i][idx])))
+        .collect();
+    let mut stats = QueryStats {
+        elapsed_us: start.elapsed().as_micros() as u64,
+        ta_accesses: outcome.accesses,
+        ta_certified: outcome.certified,
+        subqueries: searches.len(),
+        per_subquery_us,
+        time_bound_hit,
+        ..QueryStats::default()
+    };
+    for s in searches {
+        stats.popped += s.stats.popped;
+        stats.pushed += s.stats.pushed;
+        stats.tau_pruned += s.stats.tau_pruned;
+        stats.edges_examined += s.stats.edges_examined;
+    }
+    QueryResult { matches, stats }
 }
 
 /// Matches fetched per sub-query in the first round before the TA assembly

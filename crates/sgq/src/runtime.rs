@@ -142,12 +142,6 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Jobs currently queued (submitted, not yet picked up by a worker or
-    /// a helping scope) — a backlog gauge for service dashboards.
-    pub fn pending_jobs(&self) -> usize {
-        self.shared.queue.lock().unwrap().jobs.len()
-    }
-
     /// Runs `f` with a [`Scope`] on which borrow-carrying jobs can be
     /// spawned; returns only after every spawned job has finished. Panics
     /// from jobs are re-raised here.

@@ -88,7 +88,7 @@ use crate::error::{Result, SgqError};
 use crate::live::LiveQueryService;
 use crate::query::QueryGraph;
 use crate::runtime::WorkerPool;
-use crate::timebound::{estimate_ns, TimeBoundConfig};
+use crate::timebound::{estimate_ns, TimeBoundConfig, PER_MATCH_TA_COST};
 use crate::trace::{tick_sampled, QueryTrace, TraceSink};
 use cache::{AnswerCache, AnswerLookup};
 use obs::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
@@ -645,7 +645,7 @@ impl SchedStats {
 }
 
 /// Scheduler counters, registered in the scheduler's own
-/// [`MetricsRegistry`] (prefix `sgq_sched_`) so one Prometheus / JSON
+/// [`MetricsRegistry`] (prefix `sgq_sched_`) so one Prometheus
 /// scrape exposes them alongside everything else. Every mutation goes
 /// through an [`obs`] handle; [`SchedStats`] is just a read of them.
 struct SchedCounters {
@@ -1020,7 +1020,7 @@ impl<B: SchedBackend> Shared<B> {
             .map(|p| {
                 estimate_ns(
                     Duration::from_nanos(p.search_ns),
-                    TimeBoundConfig::default().per_match_ta_cost.as_nanos(),
+                    PER_MATCH_TA_COST.as_nanos(),
                     p.accesses as usize,
                 )
             })
@@ -1272,7 +1272,7 @@ impl<B: SchedBackend> SchedHandle<'_, B> {
 
     /// Point-in-time snapshot of every scheduler metric, with the
     /// queue-depth gauge refreshed first. Renders via
-    /// [`MetricsSnapshot::to_prometheus`] / [`MetricsSnapshot::to_json`].
+    /// [`MetricsSnapshot::to_prometheus`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let depth = self.shared.state.lock().unwrap().queue.len() as i64;
         self.shared.stats.queue_depth.set(depth);
@@ -1990,8 +1990,6 @@ mod tests {
         assert!(prom.contains("sgq_sched_submitted_total 8"));
         assert!(prom.contains("sgq_sched_latency_us{priority=\"normal\",quantile=\"0.99\"}"));
         assert!(prom.contains("sgq_sched_fan_out_ns"));
-        let json = snapshot.to_json();
-        assert!(json.contains("\"sgq_sched_exact_total\""));
         assert!(
             snapshot
                 .find_labeled("sgq_sched_shed_total", "reason", "queue_full")

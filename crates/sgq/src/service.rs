@@ -438,9 +438,6 @@ mod tests {
             prom.contains("sgq_graph_edges 2"),
             "metrics() refreshes the gauges before snapshotting"
         );
-        let json = snap.to_json();
-        assert!(json.contains("\"sgq_query_latency_us\""));
-        assert!(json.contains("\"p99\""));
 
         // An untouched sampler records nothing and the off path never
         // registers a trace.

@@ -36,8 +36,8 @@
 //! * no candidate is dropped for good: the streams are non-increasing only
 //!   to within 1e-12, so an upper bound can climb back above `L_k`;
 //! * the outcome names the k winners' parts by stream position, so the
-//!   caller builds only those: the exact engine streams compact A\* hits
-//!   and rebuilds just the winners' paths ([`crate::astar::Hit`]).
+//!   caller builds only those: SGQ and TBQ both stream compact A\* hits
+//!   and rebuild just the winners' paths ([`crate::astar::Hit`]).
 
 use crate::answer::{FinalMatch, SubMatch};
 use crate::astar::Hit;
@@ -83,17 +83,6 @@ pub struct TaOutcome {
     /// either the `L_k ≥ U_max` condition fired, or every stream was fully
     /// consumed **and** marked exhausted.
     pub certified: bool,
-}
-
-impl TaOutcome {
-    /// The winners as final matches, their parts cloned out of `streams`
-    /// (the streams that were assembled).
-    pub fn final_matches(&self, streams: &[Vec<SubMatch>]) -> Vec<FinalMatch> {
-        self.winners
-            .iter()
-            .map(|w| w.build(|i, idx| streams[i][idx].clone()))
-            .collect()
-    }
 }
 
 /// One final match as TA ranks it.
@@ -713,7 +702,11 @@ mod tests {
             let want = assemble_reference(&streams, exhausted, k);
             prop_assert_eq!(got.accesses, want.accesses);
             prop_assert_eq!(got.certified, want.certified);
-            let got = got.final_matches(&streams);
+            let got: Vec<FinalMatch> = got
+                .winners
+                .iter()
+                .map(|w| w.build(|i, idx| streams[i][idx].clone()))
+                .collect();
             prop_assert_eq!(got.len(), want.matches.len());
             for (g, w) in got.iter().zip(&want.matches) {
                 prop_assert_eq!(g.pivot, w.pivot);

@@ -180,13 +180,11 @@ fn main() {
         );
 
         // What a monitoring endpoint would serve: the service's registry
-        // merged with the scheduler's, rendered in both exposition formats.
+        // merged with the scheduler's, in Prometheus text format.
         let mut snapshot = service.metrics();
         snapshot.extend(handle.metrics());
         println!("\n-- /metrics (Prometheus text format) --");
         print!("{}", snapshot.to_prometheus());
-        println!("\n-- /metrics.json --");
-        println!("{}", snapshot.to_json());
     })
     .expect("scheduler config is valid");
 }

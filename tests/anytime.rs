@@ -100,14 +100,3 @@ fn tiny_bound_returns_quickly_and_is_well_formed() {
         "TBQ must respect tight bounds, took {elapsed:?}"
     );
 }
-
-#[test]
-fn calibration_feeds_the_estimator() {
-    let t = semkg::sgq::timebound::calibrate_ta_cost();
-    assert!(t.as_nanos() > 0);
-    let cfg = TimeBoundConfig {
-        per_match_ta_cost: t,
-        ..TimeBoundConfig::default()
-    };
-    assert_eq!(cfg.per_match_ta_cost, t);
-}

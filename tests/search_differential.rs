@@ -1,6 +1,6 @@
-//! Differential harness for the search state the exact engine keeps.
+//! Differential harness for the search state SGQ and TBQ keep.
 //!
-//! Two restructurings of the A\* hot path must not move a single bit:
+//! Three restructurings of the A\* hot path must not move a single bit:
 //!
 //! * **Paths built only for the winners.** [`SgqEngine::query`] streams
 //!   compact hits (pivot, pss, arena state) into TA and rebuilds the full
@@ -9,14 +9,19 @@
 //!   `ta::assemble`), kept here as [`stream_full_matches`]: pivots, score
 //!   bits, every part's nodes, edges, bindings and pss bits, and the
 //!   deterministic [`sgq::QueryStats`] counters.
+//! * **TBQ over compact hits.** [`SgqEngine::query_time_bounded`] streams
+//!   the anytime searches' hits into TA and rebuilds only the winners too.
+//!   At a bound the tiny graph drains inside, it must equal the anytime
+//!   path that built a full match the moment it discovered one, kept here
+//!   as [`anytime_full_matches`], in the same answers and counters.
 //! * **Recycled search buffers.** A search takes its arena, frontier and
 //!   `visited` map from a per-thread stash and returns them cleared on drop.
 //!   Queries run back to back on one thread, after a search dropped
 //!   mid-drain, must equal each query run alone on a fresh thread, whose
 //!   stash is empty.
 //!
-//! Both run over the seeded tiny dataset's workloads at k = 1, 10 and 40
-//! and τ = 0.8 and 0.3.
+//! All three run over the seeded tiny dataset's workloads at k = 1, 10 and
+//! 40 and τ = 0.8 and 0.3.
 
 use datagen::dataset::{BenchDataset, DatasetSpec};
 use datagen::workload::{chain_query, produced_workload, q117_variants, soccer_query};
@@ -181,19 +186,57 @@ fn stream_full_matches(plans: &[SubQueryPlan], ds: &BenchDataset, k: usize) -> F
         }
         batch = batch.saturating_mul(2);
     };
+    full_match_print(&searches, &streams, &outcome)
+}
+
+/// TBQ as it was when anytime mode built a full match the moment it
+/// discovered one: each plan's search drained with `step`, every hit
+/// rebuilt right after the step that found it, each stream stable-sorted
+/// by pss descending, and `ta::assemble` over the drained streams, all
+/// exhausted.
+fn anytime_full_matches(plans: &[SubQueryPlan], ds: &BenchDataset, k: usize) -> Fingerprint {
+    let mut searches = Vec::new();
+    let mut streams: Vec<Vec<SubMatch>> = Vec::new();
+    for plan in plans {
+        let mut search = AStarSearch::new(&ds.graph, plan);
+        let mut hits = Vec::new();
+        let mut stream = Vec::new();
+        while search.step(&mut hits) {
+            stream.extend(hits.drain(..).map(|hit| search.reconstruct(hit)));
+        }
+        stream.sort_by(|a: &SubMatch, b| b.pss.total_cmp(&a.pss));
+        searches.push(search);
+        streams.push(stream);
+    }
+    let outcome = ta::assemble(&streams, &vec![true; plans.len()], k);
+    full_match_print(&searches, &streams, &outcome)
+}
+
+/// The fingerprint of TA's winners over full-match `streams`, their parts
+/// cloned out of the streams, with the searches' summed counters.
+fn full_match_print(
+    searches: &[AStarSearch<'_>],
+    streams: &[Vec<SubMatch>],
+    outcome: &ta::TaOutcome,
+) -> Fingerprint {
     let mut stats = sgq::QueryStats {
         ta_accesses: outcome.accesses,
         ta_certified: outcome.certified,
-        subqueries: n,
+        subqueries: searches.len(),
         ..Default::default()
     };
-    for s in &searches {
+    for s in searches {
         stats.popped += s.stats.popped;
         stats.pushed += s.stats.pushed;
         stats.tau_pruned += s.stats.tau_pruned;
         stats.edges_examined += s.stats.edges_examined;
     }
-    fingerprint(&outcome.final_matches(&streams), &stats)
+    let matches: Vec<FinalMatch> = outcome
+        .winners
+        .iter()
+        .map(|w| w.build(|i, idx| streams[i][idx].clone()))
+        .collect();
+    fingerprint(&matches, &stats)
 }
 
 /// Drops a search of the first sub-query after its first match. True when
@@ -223,6 +266,35 @@ fn winners_only_paths_equal_full_match_streams() {
             assert_eq!(
                 got, want,
                 "k={} tau={}: query {idx} diverged from the full-match loop",
+                config.k, config.tau
+            );
+            answered += usize::from(!got.0.is_empty());
+        }
+    }
+    assert!(answered > 0, "the workload must produce answers");
+}
+
+#[test]
+fn time_bounded_hits_equal_full_match_anytime_streams() {
+    let (ds, space) = setup();
+    let queries = workload(&ds);
+    let generous = TimeBoundConfig::with_bound(Duration::from_secs(30));
+    let mut answered = 0;
+    for config in configs() {
+        let engine = SgqEngine::new(&ds.graph, &space, &ds.library, config.clone());
+        for (idx, q) in queries.iter().enumerate() {
+            let result = engine
+                .query_time_bounded(q, &generous)
+                .expect("engine answers");
+            assert!(
+                !result.stats.time_bound_hit,
+                "the tiny graph drains inside the bound"
+            );
+            let got = print_of(&result);
+            let want = anytime_full_matches(&plans(&ds, &space, &engine, q), &ds, config.k);
+            assert_eq!(
+                got, want,
+                "k={} tau={}: query {idx} diverged from the full-match anytime path",
                 config.k, config.tau
             );
             answered += usize::from(!got.0.is_empty());
